@@ -46,7 +46,6 @@ from .solver import (
     check_stall,
     cluster_consensus,
     cluster_weights,
-    diffusion_matrix,
     interaction_step,
     run_gkbo,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "cluster_weights",
     "compute_weights",
     "deterministic_label_pass",
-    "diffusion_matrix",
     "evaluate_base",
     "evaluate_success",
     "init_uniform",

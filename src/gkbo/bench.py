@@ -54,6 +54,13 @@ _SOLVERS = ("gkbo", "pcbo")
 _SWEEPS = ("none", "dimension", "n_leaders", "sigma_f")
 
 
+def _config_as_dict(config: SolverConfig | PcboConfig) -> dict:
+    """A solver config as JSON-ready fields, the diffusion mode by its value."""
+    out = dataclasses.asdict(config)
+    out["diffusion"] = config.diffusion.value
+    return out
+
+
 @dataclass
 class ExperimentConfig:
     """A repeatable experiment: objective, solver, repetitions, optional sweep.
@@ -139,8 +146,6 @@ class ExperimentConfig:
                     )
 
     def to_dict(self) -> dict:
-        solver_config = dataclasses.asdict(self.solver_config)
-        solver_config["diffusion"] = self.solver_config.diffusion.value
         return {
             "objective": self.objective,
             "dim": int(self.dim),
@@ -150,7 +155,7 @@ class ExperimentConfig:
             "sweep": self.sweep,
             "sweep_values": list(self.sweep_values),
             "base_seed": int(self.base_seed),
-            "solver_config": solver_config,
+            "solver_config": _config_as_dict(self.solver_config),
         }
 
     @classmethod
@@ -369,11 +374,15 @@ def write_results(summary: ExperimentSummary, path) -> Path:
     return path
 
 
-def _parse_number(text: str):
+def _parse_number(token: str):
+    """An int if ``token`` spells one, else a float; ValueError names the token."""
     try:
-        return int(text)
+        return int(token)
     except ValueError:
-        return float(text)
+        try:
+            return float(token)
+        except ValueError:
+            raise ValueError(f"expected a number, got {token!r}") from None
 
 
 def read_results(path) -> list[dict]:

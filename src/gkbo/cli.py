@@ -20,6 +20,8 @@ from pathlib import Path
 from .bench import (
     SUCCESS_THRESHOLD,
     ExperimentConfig,
+    _config_as_dict,
+    _parse_number,
     evaluate_success,
     run_experiment,
     write_results,
@@ -93,22 +95,6 @@ def _solver_overrides(args, solver: str) -> dict:
         for name in names
         if getattr(args, name, None) is not None
     }
-
-
-def _config_as_dict(config: SolverConfig | PcboConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["diffusion"] = config.diffusion.value
-    return out
-
-
-def _parse_number(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        try:
-            return float(token)
-        except ValueError:
-            raise ValueError(f"expected a number, got {token!r}") from None
 
 
 def _parse_number_list(text: str, flag: str) -> list:

@@ -49,6 +49,14 @@ class Ensemble:
         self.positions = positions
         self.labels = labels
 
+    @classmethod
+    def _unchecked(cls, positions: np.ndarray, labels: np.ndarray) -> "Ensemble":
+        """Wrap float64 positions and 0/1 int64 labels the caller has already validated."""
+        ensemble = object.__new__(cls)
+        ensemble.positions = positions
+        ensemble.labels = labels
+        return ensemble
+
     @property
     def n_agents(self) -> int:
         return int(self.positions.shape[0])
@@ -156,15 +164,8 @@ def apply_label_transitions(
     if omega.shape != (ensemble.n_agents,):
         raise ValueError("weight vector does not match the population size")
 
-    draws = rng.random(ensemble.n_agents)
-    fire = draws < eps
-    labels = ensemble.labels
-    promote = (labels == 0) & (omega < omega_bar) & fire
-    demote = (labels == 1) & (omega > omega_bar) & fire
-    new_labels = labels.copy()
-    new_labels[promote] = 1
-    new_labels[demote] = 0
-    return Ensemble(positions=ensemble.positions, labels=new_labels)
+    fire = rng.random(ensemble.n_agents) < eps
+    return Ensemble._unchecked(ensemble.positions, _relabel(ensemble.labels, omega, omega_bar, fire))
 
 
 def deterministic_label_pass(
@@ -187,10 +188,18 @@ def deterministic_label_pass(
     if omega.shape != (ensemble.n_agents,):
         raise ValueError("weight vector does not match the population size")
 
-    labels = ensemble.labels
-    promote = (labels == 0) & (omega < omega_bar)
-    demote = (labels == 1) & (omega > omega_bar)
-    new_labels = labels.copy()
-    new_labels[promote] = 1
-    new_labels[demote] = 0
-    return Ensemble(positions=ensemble.positions, labels=new_labels)
+    return Ensemble._unchecked(ensemble.positions, _relabel(ensemble.labels, omega, omega_bar))
+
+
+def _relabel(
+    labels: np.ndarray, omega: np.ndarray, omega_bar: float, fire: np.ndarray | None = None
+) -> np.ndarray:
+    """New 0/1 labels: eligible agents switch, all of them or those where ``fire`` is set.
+
+    A follower is eligible when its weight is strictly below ``omega_bar``, a
+    leader when its weight is strictly above it.
+    """
+    switch = np.where(labels == 1, omega > omega_bar, omega < omega_bar)
+    if fire is not None:
+        switch &= fire
+    return labels ^ switch

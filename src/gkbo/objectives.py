@@ -163,6 +163,10 @@ class ObjectiveSpec:
             )
         if not np.isfinite(pts).all():
             raise ValueError("points have non-finite coordinates")
+        return self._values(pts)
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_batch` for an ``(n, dim)`` float64 array already known to be finite."""
         base = _BASE_EVAL[self.kind]
         values = base(pts - self.minimizers[0])
         for shift in self.minimizers[1:]:

@@ -20,7 +20,7 @@ import numpy as np
 from .ensemble import (
     Ensemble,
     WeightVector,
-    apply_label_transitions,
+    _relabel,
     compute_weights,
     deterministic_label_pass,
     init_uniform,
@@ -37,7 +37,6 @@ __all__ = [
     "assign_clusters",
     "cluster_consensus",
     "cluster_weights",
-    "diffusion_matrix",
     "interaction_step",
     "check_stall",
     "run_gkbo",
@@ -172,6 +171,54 @@ class RunReport:
     seed: int
 
 
+class _Workspace:
+    """Scratch memory of one solver run for the nearest-leader distances.
+
+    Holds two ``(n, leaders)`` float64 matrices in one flat buffer that grows
+    geometrically and never shrinks, so a run allocates it a handful of times
+    however the leader count moves. Contents between calls are undefined.
+    """
+
+    def __init__(self) -> None:
+        self._flat = np.empty(0)
+
+    def matrices(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        size = rows * cols
+        if 2 * size > self._flat.size:
+            self._flat = np.empty(max(2 * size, 2 * self._flat.size))
+        return (
+            self._flat[:size].reshape(rows, cols),
+            self._flat[size : 2 * size].reshape(rows, cols),
+        )
+
+
+def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Cluster slot of every agent: its nearest leader, or its own slot for a leader.
+
+    Squared distances are accumulated one axis at a time, adding terms in the
+    same order as a contraction over the trailing axis would, without the
+    ``(n, leaders, dim)`` intermediate. ``argmin`` returns the first minimum,
+    which is the lowest leader index since ``leaders`` is ascending. A square
+    that overflows becomes inf without a warning; it still orders after every
+    finite distance.
+    """
+    leader_pos = positions[leaders]
+    sq_dist, term = work.matrices(positions.shape[0], leaders.size)
+    with np.errstate(over="ignore"):
+        for axis in range(positions.shape[1]):
+            out = term if axis else sq_dist
+            # x_i - l_k with l_k tiled row-wise first: subtracting a per-row
+            # scalar from a contiguous row is the fast broadcast direction.
+            np.copyto(out, leader_pos[:, axis])
+            np.subtract(positions[:, axis, np.newaxis], out, out=out)
+            np.square(out, out=out)
+            if axis:
+                np.add(sq_dist, term, out=sq_dist)
+    cluster_of = np.argmin(sq_dist, axis=1)
+    cluster_of[leaders] = np.arange(leaders.size)
+    return cluster_of
+
+
 def assign_clusters(ensemble: Ensemble) -> ClusterState:
     """Group every agent with its nearest leader.
 
@@ -183,21 +230,62 @@ def assign_clusters(ensemble: Ensemble) -> ClusterState:
     leaders = ensemble.leader_indices()
     if leaders.size == 0:
         raise EmptyLeaderSetError("population has no leaders to cluster around")
+    cluster_of = _nearest_leader(ensemble.positions, leaders, _Workspace())
+    return ClusterState(leaders=leaders, leader_of=leaders[cluster_of], cluster_of=cluster_of)
 
-    positions = ensemble.positions
-    leader_pos = positions[leaders]
-    # Accumulate squared distances one axis at a time; this avoids the
-    # (n, leaders, dim) intermediate while adding terms in the same order as a
-    # contraction over the trailing axis would.
-    sq_dist = np.square(positions[:, 0, np.newaxis] - leader_pos[np.newaxis, :, 0])
-    for axis in range(1, ensemble.dim):
-        sq_dist += np.square(positions[:, axis, np.newaxis] - leader_pos[np.newaxis, :, axis])
-    # argmin returns the first minimum, which is the lowest leader index since
-    # leaders are listed in ascending order.
-    cluster_of = np.argmin(sq_dist, axis=1)
-    cluster_of[leaders] = np.arange(leaders.size)
-    leader_of = leaders[cluster_of]
-    return ClusterState(leaders=leaders, leader_of=leader_of, cluster_of=cluster_of)
+
+def _block_starts(sorted_slots: np.ndarray) -> np.ndarray:
+    """Mask of the entries that open a new cluster block in sorted slots."""
+    starts = np.ones(sorted_slots.shape[0], dtype=bool)
+    np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=starts[1:])
+    return starts
+
+
+def _slot_order(slots: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Stable argsort of cluster slots; slots that fit 16 bits sort by radix."""
+    if n_clusters <= 1 << 16:
+        slots = slots.astype(np.uint16)
+    return np.argsort(slots, kind="stable")
+
+
+def _cluster_min(energies: np.ndarray, slots: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Lowest energy of every cluster; inf for a cluster without agents."""
+    order = _slot_order(slots, n_clusters)
+    sorted_slots = slots[order]
+    starts = np.flatnonzero(_block_starts(sorted_slots))
+    cluster_min = np.full(n_clusters, np.inf)
+    cluster_min[sorted_slots[starts]] = np.minimum.reduceat(energies[order], starts)
+    return cluster_min
+
+
+def _consensus(
+    positions: np.ndarray,
+    energies: np.ndarray,
+    slots: np.ndarray,
+    n_clusters: int,
+    alpha: float,
+) -> np.ndarray:
+    """Softmax consensus point of every cluster, one row per slot."""
+    cluster_min = _cluster_min(energies, slots, n_clusters)
+    # an exponent that overflows to -inf gives weight 0, the value it rounds to anyway
+    with np.errstate(over="ignore"):
+        weights = np.exp(-alpha * (energies - cluster_min[slots]))
+    denom = np.bincount(slots, weights=weights, minlength=n_clusters)
+    consensus = np.empty((n_clusters, positions.shape[1]))
+    for axis in range(positions.shape[1]):
+        consensus[:, axis] = np.bincount(
+            slots, weights=weights * positions[:, axis], minlength=n_clusters
+        )
+    consensus /= denom[:, np.newaxis]
+    return consensus
+
+
+def _check_energies(energies: np.ndarray, phase: str, step: int | None = None) -> None:
+    """Raise NumericError naming the phase, the first non-finite agent and the step."""
+    if not np.isfinite(energies).all():
+        agent = int(np.flatnonzero(~np.isfinite(energies))[0])
+        at = "" if step is None else f" at step {step}"
+        raise NumericError(f"{phase}: agent {agent} has a non-finite objective value{at}")
 
 
 def cluster_consensus(
@@ -228,24 +316,35 @@ def cluster_consensus(
             raise ValueError(
                 f"energies must have shape ({ensemble.n_agents},), got {energies.shape}"
             )
-    if not np.isfinite(energies).all():
-        bad = int(np.flatnonzero(~np.isfinite(energies))[0])
-        raise NumericError(f"agent {bad} has a non-finite objective value")
-
+    _check_energies(energies, "cluster_consensus")
     slots = clusters.cluster_of
-    n_clusters = clusters.n_clusters
-    cluster_min = np.full(n_clusters, np.inf)
-    np.minimum.at(cluster_min, slots, energies)
-    weights = np.exp(-alpha * (energies - cluster_min[slots]))
-    denom = np.bincount(slots, weights=weights, minlength=n_clusters)
-    positions = ensemble.positions
-    consensus = np.empty((n_clusters, ensemble.dim))
-    for axis in range(ensemble.dim):
-        consensus[:, axis] = np.bincount(
-            slots, weights=weights * positions[:, axis], minlength=n_clusters
-        )
-    consensus /= denom[:, np.newaxis]
+    consensus = _consensus(ensemble.positions, energies, slots, clusters.n_clusters, alpha)
     return replace(clusters, consensus=consensus, agent_estimate=consensus[slots])
+
+
+def _cluster_ranks(energies: np.ndarray, slots: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Within-cluster rank weight of every agent; see :func:`cluster_weights`."""
+    n_agents = energies.shape[0]
+    # Sort by (cluster, energy): each cluster block starts with its best agent,
+    # and the gaps to it never decrease along the block, since rounding
+    # ``E - E_min`` is monotone in ``E``. The rank of an agent is then the
+    # offset of its run of equal gaps from the start of its block, so ties
+    # share the lowest rank whatever order the sort left them in.
+    by_energy = np.argsort(energies)
+    order = by_energy[_slot_order(slots[by_energy], n_clusters)]
+    sorted_slots = slots[order]
+    sorted_energies = energies[order]
+    position = np.arange(n_agents)
+    new_block = _block_starts(sorted_slots)
+    block_first = np.maximum.accumulate(np.where(new_block, position, -1))
+    sorted_gaps = np.abs(sorted_energies - sorted_energies[block_first])
+    new_run = new_block.copy()
+    new_run[1:] |= sorted_gaps[1:] != sorted_gaps[:-1]
+    run_first = np.maximum.accumulate(np.where(new_run, position, -1))
+    sizes = np.bincount(slots, minlength=n_clusters)
+    omega = np.empty(n_agents, dtype=np.float64)
+    omega[order] = (run_first - block_first) / sizes[sorted_slots]
+    return omega
 
 
 def cluster_weights(
@@ -273,61 +372,56 @@ def cluster_weights(
     energies = np.asarray(energies, dtype=np.float64)
     if energies.shape != (ensemble.n_agents,):
         raise ValueError("energies must hold one value per agent")
-    if not np.isfinite(energies).all():
-        agent = int(np.flatnonzero(~np.isfinite(energies))[0])
-        raise NumericError(f"objective produced a non-finite value for agent {agent}")
+    _check_energies(energies, "cluster_weights")
     if clusters.cluster_of.shape != (ensemble.n_agents,):
         raise ValueError("cluster state does not match the population")
-
-    slots = clusters.cluster_of
-    n_clusters = clusters.n_clusters
-    cluster_min = np.full(n_clusters, np.inf)
-    np.minimum.at(cluster_min, slots, energies)
-    gaps = np.abs(energies - cluster_min[slots])
-    sizes = np.bincount(slots, minlength=n_clusters)
-
-    # Strict rank within each cluster, ties sharing the lowest rank: sort by
-    # (cluster, gap), then the rank of an agent is the offset of its tie run's
-    # first element from the start of its cluster block.
-    order = np.lexsort((gaps, slots))
-    sorted_slots = slots[order]
-    sorted_gaps = gaps[order]
-    position = np.arange(ensemble.n_agents)
-    new_block = np.ones(ensemble.n_agents, dtype=bool)
-    new_block[1:] = sorted_slots[1:] != sorted_slots[:-1]
-    new_run = new_block.copy()
-    new_run[1:] |= sorted_gaps[1:] != sorted_gaps[:-1]
-    block_first = np.maximum.accumulate(np.where(new_block, position, -1))
-    run_first = np.maximum.accumulate(np.where(new_run, position, -1))
-    omega = np.empty(ensemble.n_agents, dtype=np.float64)
-    omega[order] = (run_first - block_first) / sizes[sorted_slots]
+    omega = _cluster_ranks(energies, clusters.cluster_of, clusters.n_clusters)
     return WeightVector(omega=omega, best_index=int(np.argmin(energies)))
 
 
-def diffusion_matrix(x, x_hat, mode: DiffusionMode) -> np.ndarray:
-    """Noise-shaping matrix D for one agent, as a (d, d) array.
-
-    Isotropic: the identity scaled by the Euclidean distance between the agent
-    and its consensus estimate. Anisotropic: the diagonal matrix of the
-    coordinate gaps.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.ndim != 1 or x_hat.shape != x.shape:
-        raise ValueError(
-            f"expected two 1-d points of equal shape, got {x.shape} and {x_hat.shape}"
-        )
-    delta = x_hat - x
-    if DiffusionMode(mode) is DiffusionMode.ISOTROPIC:
-        return float(np.linalg.norm(delta)) * np.eye(x.size)
-    return np.diag(delta)
-
-
 def _diffusion_scale(delta: np.ndarray, mode: DiffusionMode) -> np.ndarray:
-    """Per-agent elementwise noise scale equivalent to applying D to a draw."""
+    """Per-agent elementwise noise scale equivalent to applying D to a draw.
+
+    An isotropic norm that overflows becomes inf without a warning; the
+    position it scales is then non-finite, which the caller reports.
+    """
     if mode is DiffusionMode.ISOTROPIC:
-        return np.linalg.norm(delta, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(delta, axis=1, keepdims=True)
     return delta
+
+
+def _interact(
+    positions: np.ndarray,
+    labels: np.ndarray,
+    leader_of: np.ndarray,
+    estimates: np.ndarray,
+    cfg: SolverConfig,
+    rng: np.random.Generator,
+    step: int | None,
+) -> np.ndarray:
+    """New positions after one synchronous move; see :func:`interaction_step`.
+
+    Both updates are formed for every agent and the label picks one, so the
+    draws land in follower rows in agent order and leader rows draw nothing.
+    """
+    followers = labels == 0
+    noise = np.zeros(positions.shape)
+    noise[followers] = rng.standard_normal((np.count_nonzero(followers), positions.shape[1]))
+    gap = estimates - positions
+    # an overflow here is reported as NumericError below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        leader_step = positions + cfg.eps * cfg.nu_l * gap
+        drift = cfg.eps * cfg.nu_f * (positions[leader_of] - positions)
+        scale = _diffusion_scale(gap, cfg.diffusion)
+        follower_step = positions + drift + math.sqrt(cfg.eps) * cfg.sigma_f * scale * noise
+        new_positions = np.where(followers[:, np.newaxis], follower_step, leader_step)
+
+    if not np.isfinite(new_positions).all():
+        agent = int(np.flatnonzero(~np.isfinite(new_positions).all(axis=1))[0])
+        at = "" if step is None else f" at step {step}"
+        raise NumericError(f"interaction_step: agent {agent} reached a non-finite position{at}")
+    return new_positions
 
 
 def interaction_step(
@@ -346,47 +440,33 @@ def interaction_step(
     ``sqrt(eps) * sigma_f * D(x) xi`` with a fresh standard normal draw per
     follower, taken in agent order; D is shaped by the follower's consensus
     estimate according to ``cfg.diffusion``. Labels are unchanged. Raises
-    NumericError naming the first offending agent (and the step, when given)
-    if any new position is non-finite.
+    NumericError naming the phase, the first offending agent and the step
+    (when given) if any new position is non-finite.
     """
     if clusters.agent_estimate is None:
         raise ValueError("cluster state lacks consensus estimates; run cluster_consensus first")
-
-    positions = ensemble.positions
-    estimates = clusters.agent_estimate
-    is_leader = ensemble.labels == 1
-    new_positions = positions.copy()
-
-    if is_leader.any():
-        gap = estimates[is_leader] - positions[is_leader]
-        new_positions[is_leader] += cfg.eps * cfg.nu_l * gap
-
-    follower_idx = np.flatnonzero(~is_leader)
-    if follower_idx.size:
-        pos_f = positions[follower_idx]
-        drift = cfg.eps * cfg.nu_f * (positions[clusters.leader_of[follower_idx]] - pos_f)
-        noise = rng.standard_normal((follower_idx.size, ensemble.dim))
-        scale = _diffusion_scale(estimates[follower_idx] - pos_f, cfg.diffusion)
-        # an overflow here is reported as NumericError below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_positions[follower_idx] = (
-                pos_f + drift + math.sqrt(cfg.eps) * cfg.sigma_f * scale * noise
-            )
-
-    finite_rows = np.isfinite(new_positions).all(axis=1)
-    if not finite_rows.all():
-        agent = int(np.flatnonzero(~finite_rows)[0])
-        suffix = "" if step is None else f" at step {step}"
-        raise NumericError(f"agent {agent} reached a non-finite position{suffix}")
-    return Ensemble(positions=new_positions, labels=ensemble.labels.copy())
+    new_positions = _interact(
+        ensemble.positions,
+        ensemble.labels,
+        clusters.leader_of,
+        clusters.agent_estimate,
+        cfg,
+        rng,
+        step,
+    )
+    return Ensemble._unchecked(new_positions, ensemble.labels.copy())
 
 
 def _update_stall(
     tracker: StallTracker, new_estimates: np.ndarray, delta_stall: float
 ) -> tuple[StallTracker, int]:
-    small = np.abs(new_estimates - tracker.estimates).max(axis=1) <= delta_stall
+    """Advance ``tracker``; the new tracker keeps ``new_estimates`` without copying it."""
+    moved = np.abs(new_estimates - tracker.estimates)
+    # the max over each row, taken down the columns of a transposed copy:
+    # a reduction along short rows costs a loop call per agent
+    small = np.ascontiguousarray(moved.T).max(axis=0) <= delta_stall
     counters = np.where(small, tracker.counters + 1, 0)
-    return StallTracker(counters=counters, estimates=new_estimates.copy()), int(counters.min())
+    return StallTracker(counters=counters, estimates=new_estimates), int(counters.min())
 
 
 def check_stall(
@@ -406,7 +486,7 @@ def check_stall(
         raise ValueError(f"delta_stall must be finite and non-negative, got {delta_stall}")
     if tracker.estimates.shape != clusters.agent_estimate.shape:
         raise ValueError("stall tracker does not match the population")
-    return _update_stall(tracker, clusters.agent_estimate, delta_stall)
+    return _update_stall(tracker, clusters.agent_estimate.copy(), delta_stall)
 
 
 def _distinct_rows(points: np.ndarray) -> np.ndarray:
@@ -430,44 +510,57 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
     (max norm) for ``j_stall`` consecutive steps.
 
     All randomness comes from one generator seeded with ``cfg.seed``, so equal
-    configurations produce identical reports.
+    configurations produce identical reports. A non-finite position or
+    objective value raises NumericError naming the phase, the step and the
+    first offending agent.
     """
     n_agents = int(n_agents)
     cfg.validate(n_agents)
     rng = np.random.default_rng(cfg.seed)
     omega_bar = cfg.omega_bar(n_agents)
+    eps = float(cfg.eps)
+    alpha = float(cfg.alpha)
+    delta_stall = float(cfg.delta_stall)
+    work = _Workspace()
 
     ens = init_uniform(n_agents, spec.dim, cfg.init_lo, cfg.init_hi, rng)
-    energies = spec.evaluate_batch(ens.positions)
+    positions = ens.positions
+    energies = spec.evaluate_batch(positions)
     evaluations = n_agents
+    labels = deterministic_label_pass(ens, compute_weights(ens, energies=energies), omega_bar).labels
+    leaders = np.flatnonzero(labels)
+    slots = _nearest_leader(positions, leaders, work)
+    consensus = _consensus(positions, energies, slots, leaders.size, alpha)
+    estimates = consensus[slots]
+    tracker = StallTracker(counters=np.zeros(n_agents, dtype=np.int64), estimates=estimates)
 
-    weights = compute_weights(ens, energies=energies)
-    ens = deterministic_label_pass(ens, weights, omega_bar)
-    clusters = cluster_consensus(ens, spec, assign_clusters(ens), cfg.alpha, energies=energies)
-    tracker = StallTracker(
-        counters=np.zeros(n_agents, dtype=np.int64),
-        estimates=clusters.agent_estimate.copy(),
-    )
-
+    # The steps run on raw arrays through the phase kernels. Each array is
+    # checked once, where it is made: positions by the interaction kernel,
+    # energies right after the objective, whose overflows end in that check.
     steps = 0
     stall = 0
     while steps < cfg.n_steps and stall < cfg.j_stall:
-        ens = interaction_step(ens, clusters, cfg, rng, step=steps)
-        energies = spec.evaluate_batch(ens.positions)
+        positions = _interact(positions, labels, leaders[slots], estimates, cfg, rng, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = spec._values(positions)
+        _check_energies(energies, "objective", steps)
         evaluations += n_agents
-        weights = cluster_weights(ens, clusters, energies=energies)
-        ens = apply_label_transitions(ens, weights, omega_bar, cfg.eps, rng)
-        if ens.leader_count == 0:
-            ens = deterministic_label_pass(ens, weights, omega_bar)
-        clusters = cluster_consensus(ens, spec, assign_clusters(ens), cfg.alpha, energies=energies)
-        tracker, stall = check_stall(tracker, clusters, cfg.delta_stall)
+        omega = _cluster_ranks(energies, slots, leaders.size)
+        labels = _relabel(labels, omega, omega_bar, rng.random(n_agents) < eps)
+        if not labels.any():
+            labels = _relabel(labels, omega, omega_bar)
+        leaders = np.flatnonzero(labels)
+        slots = _nearest_leader(positions, leaders, work)
+        consensus = _consensus(positions, energies, slots, leaders.size, alpha)
+        estimates = consensus[slots]
+        tracker, stall = _update_stall(tracker, estimates, delta_stall)
         steps += 1
 
     return RunReport(
         iterations=steps,
         stalled=stall >= cfg.j_stall,
-        final_consensus=_distinct_rows(clusters.consensus),
-        leader_count=ens.leader_count,
+        final_consensus=_distinct_rows(consensus),
+        leader_count=leaders.size,
         best_value=float(energies.min()),
         evaluations=evaluations,
         seed=int(cfg.seed),

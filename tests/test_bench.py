@@ -1,0 +1,124 @@
+import json
+
+import numpy as np
+import pytest
+
+from gkbo.bench import (
+    CSV_HEADER,
+    ExperimentConfig,
+    _parse_number,
+    read_results,
+    run_experiment,
+    write_results,
+)
+from gkbo.pcbo import PcboConfig
+from gkbo.solver import DiffusionMode, SolverConfig
+
+
+def tiny_experiment(**overrides) -> ExperimentConfig:
+    """A dimension sweep small enough to run in a fraction of a second."""
+    fields = {
+        "objective": "rastrigin2",
+        "dim": 1,
+        "solver": "gkbo",
+        "solver_config": SolverConfig(n_steps=15, n_leaders=3),
+        "n_agents": 24,
+        "repetitions": 3,
+        "sweep": "dimension",
+        "sweep_values": (1, 2),
+        "base_seed": 11,
+    }
+    fields.update(overrides)
+    return ExperimentConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        tiny_experiment(),
+        tiny_experiment(
+            solver="pcbo",
+            solver_config=PcboConfig(sigma=0.3, n_steps=7, diffusion="isotropic"),
+            sweep="sigma_f",
+            sweep_values=(0.1, 0.5),
+        ),
+        ExperimentConfig(),
+    ],
+)
+def test_experiment_config_json_round_trip(cfg):
+    back = ExperimentConfig.from_json(cfg.to_json())
+    assert back == cfg
+    assert isinstance(back.solver_config.diffusion, DiffusionMode)
+    assert back.to_json() == cfg.to_json()
+
+
+def test_experiment_config_rejects_unknown_keys():
+    data = tiny_experiment().to_dict()
+    data["solver_config"]["sigma"] = 1.0  # a pcbo field on a gkbo run
+    with pytest.raises(ValueError, match="solver_config.sigma"):
+        ExperimentConfig.from_dict(data)
+    with pytest.raises(ValueError, match="unknown config key"):
+        ExperimentConfig.from_dict({"objectiv": "ackley2"})
+    with pytest.raises(ValueError, match="invalid JSON"):
+        ExperimentConfig.from_json("{")
+
+
+def test_write_then_read_results_round_trip(tmp_path):
+    cfg = tiny_experiment()
+    summary = run_experiment(cfg, workers=1)
+    path = write_results(summary, tmp_path / "results.csv")
+
+    assert path.read_text(encoding="utf-8").splitlines()[0] == ",".join(CSV_HEADER)
+    rows = read_results(path)
+    assert len(rows) == len(summary.results)
+    for row, result in zip(rows, summary.results):
+        assert row == {
+            "sweep_value": result.sweep_value,
+            "success_rate": result.success_rate,
+            "mean_iterations": result.mean_iterations,
+            "mean_detected_minima": result.mean_detected_minima,
+            "repetitions": result.repetitions,
+            "base_seed": result.base_seed,
+        }
+    sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+    assert ExperimentConfig.from_dict(sidecar) == cfg
+
+
+def test_read_results_rejects_foreign_files(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("a,b\n1,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unexpected results header"):
+        read_results(path)
+    path.write_text(",".join(CSV_HEADER) + "\nx,1,2,3,4,5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected a number, got 'x'"):
+        read_results(path)
+
+
+@pytest.mark.parametrize(
+    "token, value", [("3", 3), ("-2", -2), ("0.5", 0.5), ("1e-3", 1e-3)]
+)
+def test_parse_number(token, value):
+    parsed = _parse_number(token)
+    assert parsed == value and type(parsed) is type(value)
+
+
+@pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
+def test_summary_does_not_depend_on_the_worker_count(solver):
+    # each run owns its scratch memory, so pooled runs share no state and
+    # must reproduce the inline reports exactly
+    config = SolverConfig(n_steps=15, n_leaders=3) if solver == "gkbo" else PcboConfig(n_steps=15)
+    cfg = tiny_experiment(solver=solver, solver_config=config)
+    inline = run_experiment(cfg, workers=1)
+    pooled = run_experiment(cfg, workers=2)
+    for a, b in zip(inline.results, pooled.results, strict=True):
+        assert (a.successes, a.detected, a.iterations) == (b.successes, b.detected, b.iterations)
+        for x, y in zip(a.reports, b.reports, strict=True):
+            assert (x.iterations, x.stalled, x.leader_count, x.evaluations, x.seed) == (
+                y.iterations,
+                y.stalled,
+                y.leader_count,
+                y.evaluations,
+                y.seed,
+            )
+            assert x.best_value == y.best_value
+            assert np.array_equal(x.final_consensus, y.final_consensus)

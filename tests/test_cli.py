@@ -1,0 +1,75 @@
+import json
+
+import pytest
+
+from gkbo.bench import read_results
+from gkbo.cli import main
+
+TINY_RUN = ["--n-agents", "30", "--n-steps", "10"]
+
+
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    monkeypatch.delenv("GKBO_SEED", raising=False)
+
+
+def effective_config(stdout: str) -> dict:
+    """The JSON object the command prints before it runs."""
+    return json.JSONDecoder().raw_decode(stdout)[0]
+
+
+@pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
+def test_run_succeeds(solver, capsys):
+    assert main(["run", "--solver", solver, "--seed", "3", *TINY_RUN]) == 0
+    out = capsys.readouterr().out
+    printed = effective_config(out)
+    assert printed["solver"] == solver
+    assert printed["solver_config"]["seed"] == 3
+    assert printed["solver_config"]["n_steps"] == 10
+    assert "iterations: 10" in out
+
+
+def test_run_seed_comes_from_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("GKBO_SEED", "7")
+    assert main(["run", *TINY_RUN]) == 0
+    assert effective_config(capsys.readouterr().out)["solver_config"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--no-such-flag"],
+        ["run", "--sigma", "0.5"],  # a pcbo flag on the gkbo solver
+        ["run", "--dim", "0"],
+        ["run", "--n-leaders", "50", *TINY_RUN],  # more leaders than agents
+        ["bench", "--sweep", "dimension", "--sweep-values", "1,x"],
+        ["compare", "--dims", "1,2.5"],
+        [],
+    ],
+)
+def test_usage_and_configuration_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err
+
+
+def test_invalid_environment_seed_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("GKBO_SEED", "seven")
+    assert main(["run", *TINY_RUN]) == 1
+    assert "GKBO_SEED" in capsys.readouterr().err
+
+
+def test_diverging_run_exits_2(capsys):
+    argv = ["run", "--objective", "ackley2", "--diffusion", "isotropic", "--sigma-f", "10"]
+    assert main([*argv, "--n-agents", "60", "--n-steps", "400"]) == 2
+    assert "runtime error: interaction_step: agent 8" in capsys.readouterr().err
+
+
+def test_bench_writes_results_and_sidecar(tmp_path, capsys):
+    output = tmp_path / "out.csv"
+    argv = ["bench", "--output", str(output), "--repetitions", "2", "--workers", "1"]
+    assert main([*argv, "--sweep", "dimension", "--sweep-values", "1,2", *TINY_RUN]) == 0
+    rows = read_results(output)
+    assert [row["sweep_value"] for row in rows] == [1, 2]
+    sidecar = json.loads(output.with_suffix(".json").read_text(encoding="utf-8"))
+    assert sidecar == effective_config(capsys.readouterr().out)
+    assert sidecar["solver_config"]["n_steps"] == 10

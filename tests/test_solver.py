@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkbo.ensemble import Ensemble, compute_weights, init_uniform
 from gkbo.errors import EmptyLeaderSetError, NumericError
@@ -15,10 +18,38 @@ from gkbo.solver import (
     check_stall,
     cluster_consensus,
     cluster_weights,
-    diffusion_matrix,
     interaction_step,
     run_gkbo,
 )
+from gkbo.solver import _cluster_min, _diffusion_scale, _nearest_leader, _slot_order, _Workspace
+
+
+def diffusion_matrix(x, x_hat, mode):
+    """Oracle: the noise-shaping matrix D of one agent as a dense (d, d) array.
+
+    Isotropic: the identity scaled by the Euclidean distance between the agent
+    and its consensus estimate. Anisotropic: the diagonal matrix of the
+    coordinate gaps.
+    """
+    delta = np.asarray(x_hat, dtype=np.float64) - np.asarray(x, dtype=np.float64)
+    if DiffusionMode(mode) is DiffusionMode.ISOTROPIC:
+        return float(np.linalg.norm(delta)) * np.eye(delta.size)
+    return np.diag(delta)
+
+
+def nearest_leader_oracle(positions, leaders):
+    """Oracle: nearest-leader slots, one fresh (n, L) temporary per axis.
+
+    Squared distances are accumulated axis by axis, so a faster kernel must
+    round exactly as this does; argmin takes the first minimum.
+    """
+    leader_pos = positions[leaders]
+    sq_dist = np.square(positions[:, 0, np.newaxis] - leader_pos[np.newaxis, :, 0])
+    for axis in range(1, positions.shape[1]):
+        sq_dist += np.square(positions[:, axis, np.newaxis] - leader_pos[np.newaxis, :, axis])
+    cluster_of = np.argmin(sq_dist, axis=1)
+    cluster_of[leaders] = np.arange(leaders.size)
+    return cluster_of
 
 
 def make_ensemble(positions, labels):
@@ -119,6 +150,75 @@ def test_assign_requires_a_leader():
     ens = make_ensemble(np.zeros((3, 2)), labels=[0, 0, 0])
     with pytest.raises(EmptyLeaderSetError):
         assign_clusters(ens)
+
+
+#: Coordinates with exact duplicates and values near 1e154, whose squared
+#: differences overflow to inf.
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e154, -1e154, 1.3e154, -7e153]),
+    st.floats(-10, 10, allow_nan=False),
+)
+
+
+@st.composite
+def populations(draw):
+    """Positions (n, d) for d in {1, 2, 3, 10} with repeated rows, and ascending leaders."""
+    dim = draw(st.sampled_from([1, 2, 3, 10]))
+    n_distinct = draw(st.integers(1, 12))
+    rows = draw(st.lists(COORDINATES, min_size=n_distinct * dim, max_size=n_distinct * dim))
+    distinct = np.array(rows).reshape(n_distinct, dim)
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=30))
+    positions = distinct[picks]
+    leaders = draw(st.sets(st.integers(0, len(picks) - 1), min_size=1))
+    return positions, np.array(sorted(leaders))
+
+
+@given(cases=st.lists(populations(), min_size=2, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_nearest_leader_kernel_matches_oracle(cases):
+    # one workspace serves every call, so leader counts grow and shrink
+    # across it and stale buffer contents must never reach a result
+    work = _Workspace()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [_nearest_leader(positions, leaders, work) for positions, leaders in cases]
+    for (positions, leaders), slots in zip(cases, got):
+        with np.errstate(over="ignore"):
+            want = nearest_leader_oracle(positions, leaders)
+        assert np.array_equal(slots, want)
+
+
+def test_assign_overflowing_distances_tie_to_lowest_leader():
+    # leader 1 is nearer, but both squared distances overflow to inf and tie
+    ens = make_ensemble([[-2e154], [1.4e154], [0.0]], labels=[1, 1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clusters = assign_clusters(ens)
+    assert clusters.leader_of[2] == 0
+
+
+@given(
+    slots=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+    extra=st.integers(0, 3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_cluster_min_matches_scatter_oracle(slots, extra, data):
+    slots = np.array(slots)
+    n_clusters = int(slots.max()) + 1 + extra  # trailing and inner slots may be empty
+    energies = np.array(
+        data.draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=slots.size, max_size=slots.size))
+    )
+    want = np.full(n_clusters, np.inf)
+    np.minimum.at(want, slots, energies)
+    assert np.array_equal(_cluster_min(energies, slots, n_clusters), want)
+
+
+@pytest.mark.parametrize("n_clusters", [5, 1 << 16, (1 << 16) + 1])
+def test_slot_order_is_a_stable_sort(n_clusters):
+    rng = np.random.default_rng(9)
+    slots = rng.integers(0, n_clusters, size=3000)
+    assert np.array_equal(_slot_order(slots, n_clusters), np.argsort(slots, kind="stable"))
 
 
 # ----------------------------------------------------------------- consensus
@@ -281,6 +381,18 @@ def test_diffusion_matrix_zero_gap():
     x = np.array([1.0, 2.0])
     for mode in DiffusionMode:
         assert not diffusion_matrix(x, x, mode).any()
+
+
+@pytest.mark.parametrize("mode", list(DiffusionMode))
+def test_diffusion_scale_applies_the_diffusion_matrix(mode):
+    rng = np.random.default_rng(14)
+    x, x_hat, xi = rng.normal(size=(3, 6, 4))
+    scaled = _diffusion_scale(x_hat - x, mode) * xi
+    # the oracle's isotropic norm is a dot product, summed in another order
+    rtol = 1e-14 if mode is DiffusionMode.ISOTROPIC else 0.0
+    for agent in range(6):
+        want = diffusion_matrix(x[agent], x_hat[agent], mode) @ xi[agent]
+        np.testing.assert_allclose(scaled[agent], want, rtol=rtol, atol=0.0)
 
 
 # ---------------------------------------------------------------- interaction
@@ -528,6 +640,23 @@ def test_run_single_agent_is_stationary():
     # one agent leads itself and sits exactly at its own consensus point
     assert report.leader_count == 1
     assert report.stalled is False or report.iterations <= 50
+
+
+@pytest.mark.parametrize(
+    "objective, message",
+    [
+        ("ackley2", r"interaction_step: agent 8 reached a non-finite position at step 258"),
+        ("rastrigin2", r"objective: agent 46 has a non-finite objective value at step 271"),
+    ],
+)
+def test_divergence_is_one_numeric_error_without_numpy_warnings(objective, message):
+    # isotropic noise this strong diverges; the squares, norms and objective
+    # values overflow on the way, and only the final error may surface
+    cfg = SolverConfig(diffusion="isotropic", sigma_f=10, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=message):
+            run_gkbo(preset(objective, 2), cfg, 60)
 
 
 def test_run_rejects_oversized_leader_budget():
