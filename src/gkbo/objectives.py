@@ -34,20 +34,68 @@ class Kind(enum.Enum):
     ACKLEY = "ackley"
 
 
-def _rastrigin(points: np.ndarray) -> np.ndarray:
-    """mean_i(x_i^2 - 10 cos(2 pi x_i)) for each row; minimum -10 at the origin."""
-    return np.mean(points * points - 10.0 * np.cos(_TWO_PI * points), axis=1)
+#: Row length up to which numpy sums a contiguous row with eight interleaved
+#: accumulators; longer rows are split in halves first.
+_PAIRWISE_BLOCK = 128
 
 
-def _ackley(points: np.ndarray) -> np.ndarray:
-    """-20 exp(-0.2 rms(x)) - exp(mean_i cos(2 pi x_i)) + 20 + e for each row.
+def _axis_sum(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """Sum of ``terms[:, lo:lo + count]`` over axis 1, in the order numpy sums a row.
 
-    The root-mean-square and the cosine average both use the dimension-normalized
-    form, so the landscape keeps the same scale in every dimension. Minimum 0 at
-    the origin.
+    ``terms`` has shape ``(shifts, d, n)``. Every ``(shift, point)`` column gets
+    the additions ``np.add.reduce`` applies to a contiguous row: in sequence
+    below 8 terms; up to 128 terms, eight stride-8 accumulators combined
+    pairwise, then the tail in sequence; beyond that, the two halves split at
+    a multiple of 8. The result is bit-identical to the row sums of the
+    ``(n, d)`` layout, while each addition runs over all shifts and points.
     """
-    rms = np.sqrt(np.mean(points * points, axis=1))
-    cos_mean = np.mean(np.cos(_TWO_PI * points), axis=1)
+    if count < 8:
+        if count == 1:
+            return terms[:, lo].copy()
+        total = terms[:, lo] + terms[:, lo + 1]
+        for j in range(lo + 2, lo + count):
+            total += terms[:, j]
+        return total
+    if count <= _PAIRWISE_BLOCK:
+        end = lo + count - count % 8
+        acc = terms[:, lo : lo + 8].copy()
+        for start in range(lo + 8, end, 8):
+            acc += terms[:, start : start + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        pairs = acc[:, 0::2] + acc[:, 1::2]
+        quads = pairs[:, 0::2] + pairs[:, 1::2]
+        total = quads[:, 0] + quads[:, 1]
+        for j in range(end, lo + count):
+            total += terms[:, j]
+        return total
+    half = count // 2
+    half -= half % 8
+    return _axis_sum(terms, lo, half) + _axis_sum(terms, lo + half, count - half)
+
+
+def _axis_mean(terms: np.ndarray) -> np.ndarray:
+    """``np.mean`` over axis 1 of a ``(shifts, d, n)`` array, bit for bit as over rows."""
+    dim = terms.shape[1]
+    return _axis_sum(terms, 0, dim) / dim
+
+
+def _rastrigin(diff: np.ndarray) -> np.ndarray:
+    """mean_i(x_i^2 - 10 cos(2 pi x_i)) over axis 1 of ``(shifts, d, n)`` offsets.
+
+    Minimum -10 at the origin.
+    """
+    return _axis_mean(diff * diff - 10.0 * np.cos(_TWO_PI * diff))
+
+
+def _ackley(diff: np.ndarray) -> np.ndarray:
+    """-20 exp(-0.2 rms(x)) - exp(mean_i cos(2 pi x_i)) + 20 + e over axis 1.
+
+    ``diff`` holds ``(shifts, d, n)`` offsets. The root-mean-square and the
+    cosine average both use the dimension-normalized form, so the landscape
+    keeps the same scale in every dimension. Minimum 0 at the origin.
+    """
+    rms = np.sqrt(_axis_mean(diff * diff))
+    cos_mean = _axis_mean(np.cos(_TWO_PI * diff))
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + math.e
 
 
@@ -92,7 +140,7 @@ def evaluate_base(kind: Kind | str, x) -> float:
         )
     if not np.isfinite(point).all():
         raise ValueError("point has non-finite coordinates")
-    return float(_BASE_EVAL[Kind(kind)](point[np.newaxis, :])[0])
+    return float(_BASE_EVAL[Kind(kind)](point[np.newaxis, :, np.newaxis])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +214,13 @@ class ObjectiveSpec:
         return self._values(pts)
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` for an ``(n, dim)`` float64 array already known to be finite."""
-        base = _BASE_EVAL[self.kind]
-        values = base(pts - self.minimizers[0])
-        for shift in self.minimizers[1:]:
-            np.minimum(values, base(pts - shift), out=values)
-        return values
+        """:meth:`evaluate_batch` for an ``(n, dim)`` float64 array already known to be finite.
+
+        All shifts go through the base function at once, as one C-ordered
+        ``(shifts, dim, n)`` array of offsets whose rows are coordinates.
+        """
+        diff = np.subtract(pts.T, self.minimizers[:, :, np.newaxis], order="C")
+        return np.minimum.reduce(_BASE_EVAL[self.kind](diff), axis=0)
 
 
 def preset(name: str, dim: int) -> ObjectiveSpec:

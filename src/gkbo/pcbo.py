@@ -14,14 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
 from .objectives import ObjectiveSpec
 from .solver import (
     DiffusionMode,
     RunReport,
     StallTracker,
+    _check_energies,
+    _check_positions,
+    _consensus,
     _diffusion_scale,
     _distinct_rows,
+    _require_non_negative,
+    _require_positive,
+    _require_run_limits,
     _update_stall,
 )
 
@@ -49,25 +54,23 @@ class PcboConfig:
 
     def validate(self) -> None:
         """Raise ValueError on any out-of-range hyperparameter."""
-        if not np.isfinite(float(self.nu)) or float(self.nu) <= 0.0:
-            raise ValueError(f"nu must be finite and positive, got {self.nu}")
-        for name in ("sigma", "delta_stall"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if not np.isfinite(float(self.alpha)) or float(self.alpha) <= 0.0:
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        _require_positive(self, "nu")
+        _require_non_negative(self, "sigma", "delta_stall")
+        _require_positive(self, "alpha")
         if int(self.n_clusters) < 1:
             raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters}")
-        if int(self.n_steps) < 0:
-            raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
-        if int(self.j_stall) < 1:
-            raise ValueError(f"j_stall must be at least 1, got {self.j_stall}")
-        if int(self.seed) < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        lo, hi = float(self.init_lo), float(self.init_hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-            raise ValueError(f"invalid initialization box [{lo}, {hi}]")
+        _require_run_limits(self)
+
+
+def _nearest_centre(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Index of the nearest centre for every particle; see :func:`pcbo_assign`.
+
+    A difference or square that overflows becomes inf, which still orders
+    after every finite distance.
+    """
+    diff = positions[:, np.newaxis, :] - centres[np.newaxis, :, :]
+    sq_dist = np.einsum("njd,njd->nj", diff, diff)
+    return np.argmin(sq_dist, axis=1)
 
 
 def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
@@ -81,15 +84,7 @@ def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
             f"dimension mismatch: particles are {positions.shape[1]}-d, "
             f"centres are {centres.shape[1]}-d"
         )
-    diff = positions[:, np.newaxis, :] - centres[np.newaxis, :, :]
-    sq_dist = np.einsum("njd,njd->nj", diff, diff)
-    return np.argmin(sq_dist, axis=1)
-
-
-def _finite_energies(energies: np.ndarray) -> None:
-    if not np.isfinite(energies).all():
-        bad = int(np.flatnonzero(~np.isfinite(energies))[0])
-        raise NumericError(f"particle {bad} has a non-finite objective value")
+    return _nearest_centre(positions, centres)
 
 
 def _soft_centres(
@@ -104,39 +99,30 @@ def _soft_centres(
     exponentiation; the shift cancels in the ratio and keeps every exponent
     non-positive.
     """
-    weights = np.exp(-alpha * (energies - energies.min()))
+    # an exponent that overflows to -inf gives weight 0, the value it rounds to anyway
+    with np.errstate(over="ignore"):
+        weights = np.exp(-alpha * (energies - energies.min()))
     weighted = memberships * weights[:, np.newaxis]
     denom = weighted.sum(axis=0)
     return (weighted.T @ positions) / denom[:, np.newaxis]
 
 
-def _hard_centres(
+def _move(
     positions: np.ndarray,
-    energies: np.ndarray,
-    assignment: np.ndarray,
-    n_clusters: int,
-    alpha: float,
-    prev_centres: np.ndarray,
+    estimates: np.ndarray,
+    cfg: PcboConfig,
+    rng: np.random.Generator,
+    step: int | None,
 ) -> np.ndarray:
-    """Per-cluster softmax centres under a hard assignment.
-
-    Weights are shifted by each cluster's own minimum. A cluster with no
-    particles keeps its previous centre.
-    """
-    cluster_min = np.full(n_clusters, np.inf)
-    np.minimum.at(cluster_min, assignment, energies)
-    occupied = np.isfinite(cluster_min)
-    shift = np.where(occupied, cluster_min, 0.0)
-    weights = np.exp(-alpha * (energies - shift[assignment]))
-    denom = np.bincount(assignment, weights=weights, minlength=n_clusters)
-    centres = np.empty((n_clusters, positions.shape[1]))
-    for axis in range(positions.shape[1]):
-        centres[:, axis] = np.bincount(
-            assignment, weights=weights * positions[:, axis], minlength=n_clusters
-        )
-    centres[occupied] /= denom[occupied, np.newaxis]
-    centres[~occupied] = prev_centres[~occupied]
-    return centres
+    """New positions after one synchronous move toward ``estimates``; see :func:`pcbo_step`."""
+    noise = rng.standard_normal(positions.shape)
+    # an overflow here is reported as NumericError below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = estimates - positions
+        scale = _diffusion_scale(gap, cfg.diffusion)
+        new_positions = positions + cfg.nu * gap + cfg.sigma * scale * noise
+    _check_positions(new_positions, "pcbo_step", step)
+    return new_positions
 
 
 def pcbo_step(
@@ -155,7 +141,8 @@ def pcbo_step(
     ``centres``). Every particle then moves by ``nu`` times its gap to its
     cluster's new centre plus ``sigma * D(x) xi`` with a fresh standard normal
     draw per particle in particle order. Returns the new positions and the new
-    centres.
+    centres. Raises NumericError naming the first offending particle if an
+    energy or a new position is non-finite.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if energies is None:
@@ -166,23 +153,11 @@ def pcbo_step(
             raise ValueError(
                 f"energies must have shape ({positions.shape[0]},), got {energies.shape}"
             )
-    _finite_energies(energies)
-
-    new_centres = _hard_centres(
-        positions, energies, assignment, centres.shape[0], cfg.alpha, centres
+    _check_energies(energies, "pcbo_step")
+    new_centres = _consensus(
+        positions, energies, assignment, centres.shape[0], float(cfg.alpha), centres
     )
-    gap = new_centres[assignment] - positions
-    noise = rng.standard_normal(positions.shape)
-    scale = _diffusion_scale(gap, cfg.diffusion)
-    # an overflow here is reported as NumericError below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        new_positions = positions + cfg.nu * gap + cfg.sigma * scale * noise
-
-    finite_rows = np.isfinite(new_positions).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0])
-        raise NumericError(f"particle {bad} reached a non-finite position")
-    return new_positions, new_centres
+    return _move(positions, new_centres[assignment], cfg, rng, None), new_centres
 
 
 def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> RunReport:
@@ -193,7 +168,8 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     seed the first centres, after which assignment is always hard nearest
     centre. Stall detection watches each particle's own centre, same rule as
     the leader-follower solver. Equal configurations produce identical
-    reports.
+    reports. A non-finite position or objective value raises NumericError
+    naming the phase, the step and the first offending particle.
     """
     n_particles = int(n_particles)
     if n_particles < 1:
@@ -201,31 +177,38 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n_clusters = int(cfg.n_clusters)
+    alpha = float(cfg.alpha)
+    delta_stall = float(cfg.delta_stall)
 
     positions = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_particles, spec.dim))
     energies = spec.evaluate_batch(positions)
     evaluations = n_particles
-    _finite_energies(energies)
+    _check_energies(energies, "objective")
 
     memberships = rng.random((n_particles, n_clusters))
     memberships /= memberships.sum(axis=1, keepdims=True)
-    centres = _soft_centres(positions, energies, memberships, float(cfg.alpha))
-    assignment = pcbo_assign(positions, centres)
+    centres = _soft_centres(positions, energies, memberships, alpha)
+    assignment = _nearest_centre(positions, centres)
     tracker = StallTracker(
-        counters=np.zeros(n_particles, dtype=np.int64),
-        estimates=centres[assignment].copy(),
+        counters=np.zeros(n_particles, dtype=np.int64), estimates=centres[assignment]
     )
 
+    # As in run_gkbo, each array is checked once, where it is made: positions
+    # by the move, energies right after the objective.
     steps = 0
     stall = 0
     while steps < cfg.n_steps and stall < cfg.j_stall:
-        positions, centres = pcbo_step(
-            positions, assignment, centres, spec, cfg, rng, energies=energies
-        )
-        tracker, stall = _update_stall(tracker, centres[assignment], float(cfg.delta_stall))
-        energies = spec.evaluate_batch(positions)
+        centres = _consensus(positions, energies, assignment, n_clusters, alpha, centres)
+        estimates = centres[assignment]
+        positions = _move(positions, estimates, cfg, rng, steps)
+        tracker, stall = _update_stall(tracker, estimates, delta_stall)
+        # overflows in the objective end in the check, and in the distances
+        # they give inf, which orders last
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = spec._values(positions)
+            _check_energies(energies, "objective", steps)
+            assignment = _nearest_centre(positions, centres)
         evaluations += n_particles
-        assignment = pcbo_assign(positions, centres)
         steps += 1
 
     return RunReport(

@@ -32,6 +32,10 @@ CASES = {
         lambda: run_pcbo(preset("ackley2", 3), PcboConfig(n_steps=200, seed=4), 200),
         "00645aefedcab72a450d128b8948342c19856d91ee055e93adf92a927aac6e14",
     ),
+    "pcbo-rastrigin2-d5": (
+        lambda: run_pcbo(preset("rastrigin2", 5), PcboConfig(n_steps=200, seed=5), 200),
+        "5ea2b7469dce7b07e2e1c35f8e93ec8cec7fd8e074758eb69a57bfc637d89575",
+    ),
 }
 
 

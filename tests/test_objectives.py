@@ -16,6 +16,32 @@ from gkbo.objectives import (
 
 PRESETS = sorted(PRESET_SHIFTS)
 
+_TWO_PI = 2.0 * math.pi
+
+
+def _rastrigin_rows(points):
+    """Oracle: the Rastrigin base value of every row of an ``(n, d)`` array."""
+    return np.mean(points * points - 10.0 * np.cos(_TWO_PI * points), axis=1)
+
+
+def _ackley_rows(points):
+    """Oracle: the Ackley base value of every row of an ``(n, d)`` array."""
+    rms = np.sqrt(np.mean(points * points, axis=1))
+    cos_mean = np.mean(np.cos(_TWO_PI * points), axis=1)
+    return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + math.e
+
+
+_ROW_ORACLE = {Kind.RASTRIGIN: _rastrigin_rows, Kind.ACKLEY: _ackley_rows}
+
+
+def objective_oracle(spec, points):
+    """Row-by-row objective: the base value per shift, min-composed one shift at a time."""
+    base = _ROW_ORACLE[spec.kind]
+    values = base(points - spec.minimizers[0])
+    for shift in spec.minimizers[1:]:
+        np.minimum(values, base(points - shift), out=values)
+    return values
+
 
 def test_base_minimum_values():
     assert BASE_MINIMUM[Kind.RASTRIGIN] == -10.0
@@ -100,6 +126,40 @@ def test_min_composition_property(point, name):
     x = np.asarray(point)
     expected = min(evaluate_base(spec.kind, x - m) for m in spec.minimizers)
     assert spec.evaluate(x) == expected
+
+
+@given(
+    dim=st.sampled_from([1, 2, 3, 7, 8, 9, 10, 16, 17, 128, 129, 300]),
+    kind=st.sampled_from(list(Kind)),
+    log_scale=st.floats(-8, 4),
+    n_points=st.integers(1, 40),
+    n_min=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_values_bit_identical_to_row_oracle(dim, kind, log_scale, n_points, n_min, seed):
+    """The column-order sums reproduce numpy's row sums bit for bit, pairwise blocks included."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    spec = ObjectiveSpec(kind, dim, rng.normal(size=(n_min, dim)) * scale)
+    points = rng.normal(size=(n_points, dim)) * scale
+    got = spec.evaluate_batch(points)
+    assert np.array_equal(got.view(np.int64), objective_oracle(spec, points).view(np.int64))
+    single = evaluate_base(kind, points[0])
+    want = _ROW_ORACLE[kind](points[:1])[0]
+    assert np.array_equal(np.float64(single).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("dim", [1, 3, 10, 130])
+def test_evaluate_is_the_batch_row(name, dim):
+    spec = preset(name, dim)
+    points = np.random.default_rng(dim).uniform(-10, 10, size=(6, dim))
+    batch = spec.evaluate_batch(points)
+    for point, value in zip(points, batch):
+        single = spec.evaluate_batch(point[np.newaxis])[0]
+        assert np.float64(spec.evaluate(point)).view(np.int64) == single.view(np.int64)
+        assert single.view(np.int64) == value.view(np.int64)
 
 
 def test_spec_validation_rejects_mismatched_dim():

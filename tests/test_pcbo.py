@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
 from gkbo.pcbo import PcboConfig, pcbo_assign, pcbo_step, run_pcbo
-from gkbo.solver import DiffusionMode
+from gkbo.solver import ClusterState, DiffusionMode, RunReport, StallTracker, check_stall
 
 
 def test_config_defaults():
@@ -199,3 +201,104 @@ def test_run_finds_some_minimizer_in_majority_of_runs():
 def test_run_rejects_bad_particle_count():
     with pytest.raises(ValueError):
         run_pcbo(preset("ackley2", 1), PcboConfig(), 0)
+
+
+def _replay_pcbo(spec, cfg, n_particles):
+    """``run_pcbo`` re-driven from the public phase functions, as a reference."""
+    rng = np.random.default_rng(cfg.seed)
+    positions = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_particles, spec.dim))
+    energies = spec.evaluate_batch(positions)
+    evaluations = n_particles
+    memberships = rng.random((n_particles, cfg.n_clusters))
+    memberships /= memberships.sum(axis=1, keepdims=True)
+    # the initial fractional-membership centres
+    weights = memberships * np.exp(-cfg.alpha * (energies - energies.min()))[:, np.newaxis]
+    centres = (weights.T @ positions) / weights.sum(axis=0)[:, np.newaxis]
+    assignment = pcbo_assign(positions, centres)
+    tracker = StallTracker(np.zeros(n_particles, dtype=np.int64), centres[assignment])
+    slots = np.arange(cfg.n_clusters)
+    steps = stall = 0
+    while steps < cfg.n_steps and stall < cfg.j_stall:
+        positions, centres = pcbo_step(
+            positions, assignment, centres, spec, cfg, rng, energies=energies
+        )
+        own_centre = ClusterState(
+            leaders=slots,
+            leader_of=assignment,
+            cluster_of=assignment,
+            agent_estimate=centres[assignment],
+        )
+        tracker, stall = check_stall(tracker, own_centre, cfg.delta_stall)
+        energies = spec.evaluate_batch(positions)
+        evaluations += n_particles
+        assignment = pcbo_assign(positions, centres)
+        steps += 1
+    _, first = np.unique(centres, axis=0, return_index=True)
+    return RunReport(
+        iterations=steps,
+        stalled=stall >= cfg.j_stall,
+        final_consensus=centres[np.sort(first)],
+        leader_count=cfg.n_clusters,
+        best_value=float(energies.min()),
+        evaluations=evaluations,
+        seed=cfg.seed,
+    )
+
+
+@pytest.mark.parametrize(
+    "dim, cfg",
+    [
+        # one centre goes empty along the way at d=1
+        (1, PcboConfig(n_steps=400, seed=2)),
+        # at d=4 the einsum and a per-axis sum of squares round differently;
+        # per-axis sums in the loop would make this run stall at step 113, not 81
+        (4, PcboConfig(n_steps=300, j_stall=50, seed=10)),
+    ],
+)
+def test_run_equals_replay_from_public_phases(dim, cfg):
+    spec = preset("ackley2", dim)
+    report = run_pcbo(spec, cfg, 120)
+    replay = _replay_pcbo(spec, cfg, 120)
+    assert report.iterations == replay.iterations
+    assert report.stalled == replay.stalled
+    assert report.evaluations == replay.evaluations
+    assert report.best_value == replay.best_value
+    assert np.array_equal(report.final_consensus, replay.final_consensus)
+
+
+@pytest.mark.parametrize(
+    "objective, dim, sigma, message",
+    [
+        ("rastrigin2", 1, 5, r"objective: agent 20 has a non-finite objective value at step 318"),
+        ("rastrigin2", 1, 40, r"objective: agent 26 has a non-finite objective value at step 108"),
+        ("rastrigin2", 2, 5, r"objective: agent 51 has a non-finite objective value at step 320"),
+        ("rastrigin2", 2, 40, r"objective: agent 4 has a non-finite objective value at step 108"),
+        ("ackley2", 1, 40, r"pcbo_step: agent 38 reached a non-finite position at step 220"),
+    ],
+    ids=["rastrigin2-d1-sigma5", "rastrigin2-d1-sigma40", "rastrigin2-d2-sigma5",
+         "rastrigin2-d2-sigma40", "ackley2-d1-sigma40"],
+)
+def test_divergence_is_one_numeric_error_without_numpy_warnings(objective, dim, sigma, message):
+    # strong noise diverges; the centre weights and the objective overflow on
+    # the way, and only the final error may surface
+    cfg = PcboConfig(sigma=sigma, seed=0, n_steps=3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=message):
+            run_pcbo(preset(objective, dim), cfg, 60)
+
+
+def test_step_errors_name_phase_and_particle():
+    spec = preset("rastrigin2", 1)
+    positions = np.array([[0.0], [5.0]])
+    assignment = np.zeros(2, dtype=np.int64)
+    with pytest.raises(NumericError, match="pcbo_step: agent 1 has a non-finite objective value"):
+        pcbo_step(
+            positions, assignment, np.array([[0.0]]), spec, PcboConfig(n_clusters=1),
+            np.random.default_rng(0), energies=np.array([0.0, np.inf]),
+        )
+    with pytest.raises(NumericError, match="pcbo_step: agent 1 reached a non-finite position"):
+        pcbo_step(
+            positions, assignment, np.array([[1e8]]), spec, PcboConfig(sigma=1e308, n_clusters=1),
+            np.random.default_rng(0), energies=np.array([0.0, 1.0]),
+        )
