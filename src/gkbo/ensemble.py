@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import _check_energies
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -126,9 +126,7 @@ def compute_weights(
             raise ValueError(
                 f"energies must have shape ({ensemble.n_agents},), got {energies.shape}"
             )
-    if not np.isfinite(energies).all():
-        bad = int(np.flatnonzero(~np.isfinite(energies))[0])
-        raise NumericError(f"agent {bad} has a non-finite objective value")
+    _check_energies(energies, "compute_weights")
 
     best = int(np.argmin(energies))
     gaps = np.abs(energies - energies[best])

@@ -104,6 +104,107 @@ _BASE_EVAL = {
     Kind.ACKLEY: _ackley,
 }
 
+#: Shape from which :func:`_min_base` screens the shifts first: at least this
+#: many planted minimizers, and at least the dimension given for the kind.
+_SCREEN_MIN_SHIFTS = 3
+_SCREEN_MIN_DIM = {Kind.RASTRIGIN: 6, Kind.ACKLEY: 4}
+
+#: Rounding allowance of the Ackley bracket; see :func:`_screened_min_base`.
+_ACKLEY_MARGIN = 1e-12
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _screened_min_base(kind: Kind, diff: np.ndarray) -> np.ndarray | None:
+    """:func:`_min_base` computing the base only where it can be the minimum.
+
+    Each ``(shift, point)`` value is first bracketed from its mean square
+    ``q = mean(diff**2)``: a Rastrigin value lies in ``[q - 10, q + 10]``,
+    since each cosine lies in [-1, 1]; an Ackley value lies in
+    ``[h + 20, h + 20 + e - 1/e]`` with ``h = -20 exp(-0.2 sqrt(q))``,
+    since ``exp`` of a cosine mean lies in ``[1/e, e]``. The base function
+    then runs, column by column in the order it always uses, only on the
+    pairs whose lower bound reaches the point's smallest upper bound; the
+    other pairs lie above a computed value and cannot be the minimum, so the
+    result is bit-identical to the full evaluation.
+
+    The margins widen each bracket by more than the rounding of both the
+    bound and the value. Rastrigin, per pair with ``u = eps / 2``: the
+    computed value is within ``(d + 67) u (q + 10)`` of the exact value of
+    the computed offsets (squares, cosines whose argument carries a relative
+    error of ``2u``, any summation order, the division by d), and each bound
+    within ``(d + 2) u (q + 10)``; the margin ``(2d + 70) eps (q + 10)`` is
+    twice their sum. Ackley: ``h`` is the same computed array in bound and
+    value, every later intermediate is below 46 in magnitude, and the
+    roundings of both sides together, one ulp of ``exp`` included, stay
+    under 1e-13; the margin is 1e-12.
+
+    Returns None when a mean square is not finite, so that the caller's full
+    evaluation keeps its inf and NaN values.
+    """
+    mean_sq = _axis_mean(diff * diff)
+    if not np.isfinite(mean_sq).all():
+        return None
+    if kind is Kind.ACKLEY:
+        head = -20.0 * np.exp(-0.2 * np.sqrt(mean_sq))
+        lower = head + (20.0 - _ACKLEY_MARGIN)
+        upper = head + (20.0 + math.e - math.exp(-1.0) + _ACKLEY_MARGIN)
+    else:
+        margin = (2 * diff.shape[1] + 70) * _EPS * (mean_sq + 10.0)
+        lower = mean_sq - 10.0 - margin
+        upper = mean_sq + 10.0 + margin
+    shift, point = np.nonzero(lower <= upper.min(axis=0))
+    # the candidate columns as one (1, d, pairs) array
+    candidates = diff.transpose(1, 0, 2)[np.newaxis, :, shift, point]
+    values = np.full(mean_sq.shape, np.inf)
+    values[shift, point] = _BASE_EVAL[kind](candidates)[0]
+    return np.minimum.reduce(values, axis=0)
+
+
+def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``min_k base(x - shifts[k])`` for every row x of ``(n, d)`` points, as ``(n,)``.
+
+    All shifts go through the base function at once, as one C-ordered
+    ``(shifts, d, n)`` array of offsets whose rows are coordinates.
+
+    With at least 3 shifts, from d = 4 for Ackley and d = 6 for Rastrigin,
+    :func:`_screened_min_base` evaluates the base only where it can be the
+    minimum, with the same result; otherwise, or when a mean square is not
+    finite, every shift is evaluated. The screen costs a pass over the
+    squares, a gather and a scatter, and saves the cosines of the pairs it
+    discards (about 70% from 3 shifts on). Median microseconds per call,
+    full > screened, on inputs recorded from 600-agent ``run_gkbo`` runs
+    with shifts from (-3, 3, -7, 7) (numpy 2.4, 2 vCPUs):
+
+    =========  ======  =========  =========  =========  =========  =========
+    kind       shifts  d = 3      d = 4      d = 5      d = 6      d = 10
+    =========  ======  =========  =========  =========  =========  =========
+    Ackley     2       82 > 102   166 > 200  123 > 142  209 > 225  253 > 221
+    Ackley     3       113 > 114  228 > 221  216 > 180  311 > 250  603 > 472
+    Ackley     4       137 > 118  227 > 189  334 > 276  246 > 169  750 > 502
+    Rastrigin  2       99 > 129   128 > 145  165 > 180  202 > 209  318 > 309
+    Rastrigin  3       144 > 172  190 > 210  241 > 244  208 > 210  529 > 495
+    Rastrigin  4       175 > 218  245 > 261  297 > 297  293 > 253  646 > 545
+    =========  ======  =========  =========  =========  =========  =========
+
+    The Rastrigin bracket is 20 wide, against 2.35 for Ackley, so it keeps
+    more pairs and pays off only from d = 6; at one shift a screen discards
+    nothing.
+
+    Offsets and squares that overflow give inf, and a cosine of an infinite
+    argument NaN, without a numpy warning; the solvers report such a value as
+    NumericError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(points.T, shifts[:, :, np.newaxis], order="C")
+        n_shifts, dim, _ = diff.shape
+        if n_shifts >= _SCREEN_MIN_SHIFTS and dim >= _SCREEN_MIN_DIM[kind]:
+            values = _screened_min_base(kind, diff)
+            if values is not None:
+                return values
+        return np.minimum.reduce(_BASE_EVAL[kind](diff), axis=0)
+
+
 #: Global minimum value of each base function (attained at the origin).
 BASE_MINIMUM = {
     Kind.RASTRIGIN: -10.0,
@@ -140,7 +241,8 @@ def evaluate_base(kind: Kind | str, x) -> float:
         )
     if not np.isfinite(point).all():
         raise ValueError("point has non-finite coordinates")
-    return float(_BASE_EVAL[Kind(kind)](point[np.newaxis, :, np.newaxis])[0, 0])
+    # the offset from a zero shift is the point itself, bit for bit
+    return float(_min_base(Kind(kind), point[np.newaxis], np.zeros((1, point.size)))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,13 +316,8 @@ class ObjectiveSpec:
         return self._values(pts)
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` for an ``(n, dim)`` float64 array already known to be finite.
-
-        All shifts go through the base function at once, as one C-ordered
-        ``(shifts, dim, n)`` array of offsets whose rows are coordinates.
-        """
-        diff = np.subtract(pts.T, self.minimizers[:, :, np.newaxis], order="C")
-        return np.minimum.reduce(_BASE_EVAL[self.kind](diff), axis=0)
+        """:meth:`evaluate_batch` for an ``(n, dim)`` float64 array already known to be finite."""
+        return _min_base(self.kind, pts, self.minimizers)
 
 
 def preset(name: str, dim: int) -> ObjectiveSpec:

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_energies, _check_positions
 from .objectives import ObjectiveSpec
 from .solver import (
     DiffusionMode,
     RunReport,
     StallTracker,
-    _check_energies,
-    _check_positions,
     _consensus,
     _diffusion_scale,
     _distinct_rows,
@@ -65,11 +64,12 @@ class PcboConfig:
 def _nearest_centre(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Index of the nearest centre for every particle; see :func:`pcbo_assign`.
 
-    A difference or square that overflows becomes inf, which still orders
-    after every finite distance.
+    A difference or square that overflows becomes inf without a warning; it
+    still orders after every finite distance.
     """
-    diff = positions[:, np.newaxis, :] - centres[np.newaxis, :, :]
-    sq_dist = np.einsum("njd,njd->nj", diff, diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = positions[:, np.newaxis, :] - centres[np.newaxis, :, :]
+        sq_dist = np.einsum("njd,njd->nj", diff, diff)
     return np.argmin(sq_dist, axis=1)
 
 
@@ -202,12 +202,9 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
         estimates = centres[assignment]
         positions = _move(positions, estimates, cfg, rng, steps)
         tracker, stall = _update_stall(tracker, estimates, delta_stall)
-        # overflows in the objective end in the check, and in the distances
-        # they give inf, which orders last
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = spec._values(positions)
-            _check_energies(energies, "objective", steps)
-            assignment = _nearest_centre(positions, centres)
+        energies = spec._values(positions)
+        _check_energies(energies, "objective", steps)
+        assignment = _nearest_centre(positions, centres)
         evaluations += n_particles
         steps += 1
 

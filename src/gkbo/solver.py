@@ -25,7 +25,7 @@ from .ensemble import (
     deterministic_label_pass,
     init_uniform,
 )
-from .errors import EmptyLeaderSetError, NumericError
+from .errors import EmptyLeaderSetError, _check_energies, _check_positions
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -206,18 +206,23 @@ class _Workspace:
         )
 
 
-def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Cluster slot of every agent: its nearest leader, or its own slot for a leader.
+#: Dimension from which :func:`_nearest_leader` screens with a matrix product.
+_SCREEN_MIN_DIM = 6
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _dense_nearest(positions: np.ndarray, leader_pos: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Slot of the nearest leader of every agent, from every exact squared distance.
 
     Squared distances are accumulated one axis at a time, adding terms in the
     same order as a contraction over the trailing axis would, without the
-    ``(n, leaders, dim)`` intermediate. ``argmin`` returns the first minimum,
-    which is the lowest leader index since ``leaders`` is ascending. A square
-    that overflows becomes inf without a warning; it still orders after every
-    finite distance.
+    ``(n, leaders, dim)`` intermediate. ``argmin`` returns the first minimum.
+    A square that overflows becomes inf without a warning; it still orders
+    after every finite distance.
     """
-    leader_pos = positions[leaders]
-    sq_dist, term = work.matrices(positions.shape[0], leaders.size)
+    sq_dist, term = work.matrices(positions.shape[0], leader_pos.shape[0])
     with np.errstate(over="ignore"):
         for axis in range(positions.shape[1]):
             out = term if axis else sq_dist
@@ -228,7 +233,106 @@ def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace
             np.square(out, out=out)
             if axis:
                 np.add(sq_dist, term, out=sq_dist)
-    cluster_of = np.argmin(sq_dist, axis=1)
+    return np.argmin(sq_dist, axis=1)
+
+
+def _screened_nearest(
+    positions: np.ndarray, leader_pos: np.ndarray, work: _Workspace
+) -> np.ndarray | None:
+    """:func:`_dense_nearest` with exact distances only where the nearest leader is in doubt.
+
+    One matrix product ``[-2x, 1] @ [l; |l|^2]`` gives ``s_k = |l_k|^2 - 2 x.l_k``,
+    the squared distance minus ``|x|^2``, for every agent and leader at
+    once. Its argmin ``g`` is a guess. Any leader with ``s_k`` within
+    ``slack = 8 (d + 2) eps (|x|^2 + max|l|^2) + tiny`` of ``s_g`` stays a
+    candidate, and a row with several candidates takes the lowest slot among
+    the least exact per-axis distances over them, as the dense kernel does.
+
+    The slack is rigorous for any summation order of the product, with or
+    without fused multiply-adds, so neither BLAS nor its thread count can
+    change a result. With ``u = eps / 2`` and ``M = |x|^2 + max|l|^2``:
+    ``-2x`` is exact; ``|l|^2`` is within ``d u |l|^2``; the product of
+    ``d + 1`` terms whose magnitudes sum to at most ``|x|^2 + 2|l|^2`` is
+    within ``(d + 1) u (|x|^2 + 2|l|^2)``, so each ``s_k`` is within
+    ``(3d + 2) u M``; each exact per-axis distance is within
+    ``(d + 2) u |x - l|^2 <= (2d + 4) u M`` of the true one. A leader with
+    ``s_k > s_g + slack`` therefore has an exact distance strictly above
+    that of ``g``, since ``slack`` exceeds the four errors together,
+    ``4 (3d + 4) u M``, with room for higher-order terms. ``tiny``, the
+    smallest normal float, covers the absolute error of squares and products
+    that underflow. Returns None when ``4 (|x|^2 + |l|^2)``, a bound on every
+    intermediate, could overflow (coordinates beyond about 1e154, or a NaN),
+    leaving the call to the dense kernel, whose inf distances order last.
+    """
+    n_agents, dim = positions.shape
+    with np.errstate(over="ignore"):
+        sq_norm = np.einsum("ij,ij->i", leader_pos, leader_pos)
+        agent_sq = np.einsum("ij,ij->i", positions, positions)
+        if not np.isfinite(4.0 * (agent_sq.max() + sq_norm.max())):
+            return None
+    lhs = np.empty((n_agents, dim + 1))
+    np.multiply(positions, -2.0, out=lhs[:, :dim])
+    lhs[:, dim] = 1.0
+    rhs = np.empty((dim + 1, leader_pos.shape[0]))
+    rhs[:dim] = leader_pos.T
+    rhs[dim] = sq_norm
+    approx, _ = work.matrices(n_agents, leader_pos.shape[0])
+    np.matmul(lhs, rhs, out=approx)
+    rows = np.arange(n_agents)
+    guess = np.argmin(approx, axis=1)
+    bound = approx[rows, guess]
+    bound += (8.0 * (dim + 2) * _EPS) * (agent_sq + sq_norm.max()) + _TINY
+    # rows whose second-best screened leader is also within the slack
+    approx[rows, guess] = np.inf
+    doubt = np.flatnonzero(approx.min(axis=1) <= bound)
+    if doubt.size:
+        near = approx[doubt] <= bound[doubt, np.newaxis]
+        near[np.arange(doubt.size), guess[doubt]] = True
+        row, slot = np.nonzero(near)
+        sq = np.square(positions[doubt[row]] - leader_pos[slot])
+        exact = sq[:, 0].copy()
+        for axis in range(1, dim):
+            exact += sq[:, axis]
+        # candidates are grouped by row with ascending slots
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        least = np.minimum.reduceat(exact, starts)[row]
+        ties = np.where(exact == least, slot, leader_pos.shape[0])
+        guess[doubt] = np.minimum.reduceat(ties, starts)
+    return guess
+
+
+def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Cluster slot of every agent: its nearest leader, or its own slot for a leader.
+
+    Distances are squared Euclidean distances summed one axis at a time, and
+    a tie goes to the first minimum, the lowest leader index since
+    ``leaders`` is ascending. From ``_SCREEN_MIN_DIM`` dimensions on,
+    :func:`_screened_nearest` computes those exact sums only for the leaders
+    a matrix-product screen cannot rule out, with the same result; below, or
+    when the screen could overflow, :func:`_dense_nearest` computes all of
+    them. The screen replaces 3d + 1 passes over the ``(n, leaders)`` matrix
+    by a product and three passes, plus the exact sums of the rows in doubt.
+    Those are many where leaders have converged to within about 1e-6 of each
+    other, which happens in fewer steps at low d. Median microseconds per
+    call, dense > screened, on inputs recorded from 600-agent ``run_gkbo``
+    runs of 500 steps, seeds 0-1, 46 to 76 leaders (numpy 2.4, 2 vCPUs):
+
+    ==========  =========  =========  =========  =========  =========  =========
+    objective   d = 2      d = 3      d = 4      d = 5      d = 6      d = 10
+    ==========  =========  =========  =========  =========  =========  =========
+    rastrigin   138 > 200  199 > 183  265 > 201  362 > 173  269 > 122  555 > 200
+    ackley      185 > 897  262 > 647  258 > 420  274 > 647  345 > 212  687 > 196
+    ==========  =========  =========  =========  =========  =========  =========
+
+    (rastrigin2 and ackley2 at d = 2, rastrigin4 and ackley4 above.) On
+    Ackley half the rows are in doubt below d = 6.
+    """
+    leader_pos = positions[leaders]
+    cluster_of = None
+    if positions.shape[1] >= _SCREEN_MIN_DIM:
+        cluster_of = _screened_nearest(positions, leader_pos, work)
+    if cluster_of is None:
+        cluster_of = _dense_nearest(positions, leader_pos, work)
     cluster_of[leaders] = np.arange(leaders.size)
     return cluster_of
 
@@ -302,22 +406,6 @@ def _consensus(
             denom[empty] = 1.0
     consensus /= denom[:, np.newaxis]
     return consensus
-
-
-def _check_energies(energies: np.ndarray, phase: str, step: int | None = None) -> None:
-    """Raise NumericError naming the phase, the first non-finite agent and the step."""
-    if not np.isfinite(energies).all():
-        agent = int(np.flatnonzero(~np.isfinite(energies))[0])
-        at = "" if step is None else f" at step {step}"
-        raise NumericError(f"{phase}: agent {agent} has a non-finite objective value{at}")
-
-
-def _check_positions(positions: np.ndarray, phase: str, step: int | None = None) -> None:
-    """Raise NumericError naming the phase, the first agent with a non-finite coordinate and the step."""
-    if not np.isfinite(positions).all():
-        agent = int(np.flatnonzero(~np.isfinite(positions).all(axis=1))[0])
-        at = "" if step is None else f" at step {step}"
-        raise NumericError(f"{phase}: agent {agent} reached a non-finite position{at}")
 
 
 def cluster_consensus(
@@ -569,8 +657,7 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
     stall = 0
     while steps < cfg.n_steps and stall < cfg.j_stall:
         positions = _interact(positions, labels, leaders[slots], estimates, cfg, rng, steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = spec._values(positions)
+        energies = spec._values(positions)
         _check_energies(energies, "objective", steps)
         evaluations += n_agents
         omega = _cluster_ranks(energies, slots, leaders.size)

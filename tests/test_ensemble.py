@@ -122,7 +122,9 @@ def test_weights_require_spec_or_energies():
 
 def test_weights_non_finite_energy_names_agent():
     ens = make_ensemble(np.zeros((3, 1)))
-    with pytest.raises(NumericError, match="agent 2"):
+    with pytest.raises(
+        NumericError, match="^compute_weights: agent 2 has a non-finite objective value$"
+    ):
         compute_weights(ens, energies=np.array([0.0, 1.0, np.nan]))
 
 

@@ -36,6 +36,16 @@ CASES = {
         lambda: run_pcbo(preset("rastrigin2", 5), PcboConfig(n_steps=200, seed=5), 200),
         "5ea2b7469dce7b07e2e1c35f8e93ec8cec7fd8e074758eb69a57bfc637d89575",
     ),
+    # four planted minimizers at d >= 4: the screened objective and, for
+    # gkbo, the screened nearest-leader assignment
+    "gkbo-rastrigin4-d6": (
+        lambda: run_gkbo(preset("rastrigin4", 6), SolverConfig(n_steps=120, seed=6), 200),
+        "fcc6daf170c6fe3d3ad1b8a935577844d247130fad07813f3ebd6a3e1292d968",
+    ),
+    "pcbo-ackley4-d4": (
+        lambda: run_pcbo(preset("ackley4", 4), PcboConfig(n_steps=200, seed=7), 200),
+        "bd4ca321465e77a2bcea92189cfbc8f0a493bce061fdb4b148976a1c5de6129f",
+    ),
 }
 
 

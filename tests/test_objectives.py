@@ -150,6 +150,85 @@ def test_values_bit_identical_to_row_oracle(dim, kind, log_scale, n_points, n_mi
     assert np.array_equal(np.float64(single).view(np.int64), want.view(np.int64))
 
 
+def balance_offsets(dim):
+    """Offsets of 9 in the first quarter of the coordinates and 0 elsewhere.
+
+    A point at these offsets from one minimizer and at 0.5 in every
+    coordinate from another has every cosine round to 1 or -1: the first
+    shift's Rastrigin value sits on its lower bound, the second's on its
+    upper bound, and the two mean squares are exactly 20 apart.
+    """
+    return np.where(np.arange(dim) < dim // 4, 9.0, 0.0)
+
+
+@st.composite
+def screened_cases(draw):
+    """An objective with 3 to 6 planted minimizers and points around them.
+
+    Dimensions cover both sides of the screen's per-kind rule. Minimizers are
+    spread at a scale of up to 1e300, so squares overflow at the top. Points
+    sit near one minimizer, at the midpoint of two, or, for Rastrigin in a
+    dimension divisible by 4, a few ulps from a point where one shift's
+    lower bound meets another's upper bound (see ``balance_offsets``).
+    """
+    kind = draw(st.sampled_from(list(Kind)))
+    dim = draw(st.sampled_from([3, 4, 5, 6, 8, 10, 12, 16]))
+    n_min = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 300))
+    minimizers = rng.normal(size=(n_min, dim)) * scale
+    balanced = kind is Kind.RASTRIGIN and dim % 4 == 0 and draw(st.booleans())
+    if balanced:
+        minimizers[0] = rng.uniform(-10, 10, dim)
+        minimizers[1] = minimizers[0] + balance_offsets(dim) - 0.5
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        how = draw(st.sampled_from(["near", "midpoint", "balance"]))
+        a, b = rng.choice(n_min, 2, replace=False)
+        if how == "balance" and balanced:
+            point = minimizers[0] + balance_offsets(dim)
+            points.append(point + rng.integers(-3, 4, dim) * np.spacing(point))
+        elif how == "midpoint":
+            points.append((minimizers[a] + minimizers[b]) / 2)
+        else:
+            spread = scale * 10.0 ** rng.uniform(-12, 0)
+            points.append(minimizers[a] + rng.normal(size=dim) * spread)
+    return ObjectiveSpec(kind, dim, minimizers), np.array(points)
+
+
+@given(case=screened_cases())
+@settings(max_examples=150, deadline=None)
+def test_screened_values_bit_identical_to_row_oracle(case):
+    """Discarding shifts by their brackets never changes a value, inf and NaN included."""
+    spec, points = case
+    got = spec.evaluate_batch(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = objective_oracle(spec, points)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_screen_keeps_a_shift_that_rounding_puts_outside_its_bracket():
+    # a balance point a few ulps off, found by search: the two bracketed
+    # values differ in the last bit, and a bracket without its rounding
+    # margin discards the shift that holds the minimum
+    base = np.array([
+        3.3955164614470625, -5.340258141053084, 5.820969067018149, -5.373519466661525,
+        -8.562844244869849, -9.232297573091351, 1.971675871175183, -3.5384413499230805,
+        1.4913494563623182, -3.7854972521419157, -1.20956890698805, 7.403331783709234,
+        8.470809281202975, -9.13798306956652, 8.964094945046092, 0.09719975557282723,
+    ])
+    ulps = np.array([-1, 2, -1, 3, 3, -2, -2, -1, 1, 3, 1, 0, -1, 3, -3, 2])
+    point = base + balance_offsets(16)
+    point += ulps * np.spacing(point)
+    far = np.full(16, 100.0)
+    spec = ObjectiveSpec(
+        Kind.RASTRIGIN, 16, np.array([far, -far, base, base + balance_offsets(16) - 0.5])
+    )
+    got = spec.evaluate_batch(point[np.newaxis])
+    want = objective_oracle(spec, point[np.newaxis])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("name", PRESETS)
 @pytest.mark.parametrize("dim", [1, 3, 10, 130])
 def test_evaluate_is_the_batch_row(name, dim):
@@ -160,6 +239,16 @@ def test_evaluate_is_the_batch_row(name, dim):
         single = spec.evaluate_batch(point[np.newaxis])[0]
         assert np.float64(spec.evaluate(point)).view(np.int64) == single.view(np.int64)
         assert single.view(np.int64) == value.view(np.int64)
+
+
+def test_far_points_evaluate_without_numpy_warnings():
+    # squares beyond about 1.3e154 overflow and arguments near 1e308 give a
+    # NaN cosine; the suite turns any RuntimeWarning into an error
+    assert preset("rastrigin2", 1).evaluate_batch([[1e200]]).tolist() == [np.inf]
+    assert preset("rastrigin2", 1).evaluate([1e200]) == np.inf
+    assert evaluate_base("rastrigin", [1e200, 0.0]) == np.inf
+    assert math.isnan(evaluate_base("ackley", [1e308]))
+    assert math.isnan(preset("ackley4", 5).evaluate(np.full(5, 1e308)))
 
 
 def test_spec_validation_rejects_mismatched_dim():

@@ -302,3 +302,11 @@ def test_step_errors_name_phase_and_particle():
             positions, assignment, np.array([[1e8]]), spec, PcboConfig(sigma=1e308, n_clusters=1),
             np.random.default_rng(0), energies=np.array([0.0, 1.0]),
         )
+
+
+def test_step_on_a_far_point_is_one_numeric_error():
+    with pytest.raises(NumericError, match="^pcbo_step: agent 0 has a non-finite objective value$"):
+        pcbo_step(
+            np.array([[1e200], [0.0]]), np.zeros(2, dtype=np.int64), np.array([[0.0]]),
+            preset("rastrigin2", 1), PcboConfig(n_clusters=1), np.random.default_rng(0),
+        )

@@ -159,15 +159,65 @@ COORDINATES = st.one_of(
     st.floats(-10, 10, allow_nan=False),
 )
 
+#: Coordinate regimes: ordinary values, values near 1e-160 whose squares
+#: underflow, and a mix with values near 1e154 that sends the screened
+#: kernel to the dense one.
+REGIMES = {
+    "ordinary": st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 2.5]), st.floats(-10, 10, allow_nan=False)
+    ),
+    "subnormal": st.floats(-10, 10, allow_nan=False).map(lambda v: v * 1e-160),
+    "overflow": COORDINATES,
+}
+
 
 @st.composite
 def populations(draw):
-    """Positions (n, d) for d in {1, 2, 3, 10} with repeated rows, and ascending leaders."""
-    dim = draw(st.sampled_from([1, 2, 3, 10]))
-    n_distinct = draw(st.integers(1, 12))
-    rows = draw(st.lists(COORDINATES, min_size=n_distinct * dim, max_size=n_distinct * dim))
-    distinct = np.array(rows).reshape(n_distinct, dim)
-    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=30))
+    """Positions (n, d) and ascending leaders, with exact and near ties.
+
+    d covers both sides of the screened kernel's dimension rule. Besides
+    repeated rows, derived rows give a leader a few ulps from another one (a
+    near tie in distance far below the screen's rounding), its first two
+    coordinates swapped (an exact tie for agents whose first two coordinates
+    are equal, which another derived row provides) or its mirror image
+    through another row (equidistant from it up to rounding).
+    """
+    dim = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 10, 17]))
+    regime = draw(st.sampled_from(["generic", *REGIMES]))
+    n_base = draw(st.integers(1, 8))
+    if regime == "generic":
+        # Uniform draws, each row with a copy a few ulps away. Hypothesis
+        # favours short floats, whose products round exactly; a screen that
+        # leaves out its rounding slack fails only on rows like these.
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        base = rng.uniform(-10, 10, (n_base, dim))
+        rows = [*base, *(base + rng.integers(-3, 4, base.shape) * np.spacing(base))]
+    else:
+        size = n_base * dim
+        values = draw(st.lists(REGIMES[regime], min_size=size, max_size=size))
+        rows = list(np.array(values).reshape(n_base, dim))
+    derived = st.tuples(
+        st.sampled_from(["nudge", "swap", "even", "mirror"]),
+        st.integers(0, n_base - 1),
+        st.integers(0, n_base - 1),
+    )
+    for how, source, other in draw(st.lists(derived, max_size=8)):
+        row = rows[source].copy()
+        if how == "nudge":
+            ulps = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            row += np.array(ulps) * np.spacing(row)
+        elif how == "swap":
+            row[:2] = row[:2][::-1]
+        elif how == "even":
+            row[1:2] = row[0]
+        else:
+            with np.errstate(over="ignore"):
+                row = 2.0 * row - rows[other]
+            if not np.isfinite(row).all():
+                continue
+        rows.append(row)
+    distinct = np.array(rows)
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=30))
     positions = distinct[picks]
     leaders = draw(st.sets(st.integers(0, len(picks) - 1), min_size=1))
     return positions, np.array(sorted(leaders))
@@ -186,6 +236,27 @@ def test_nearest_leader_kernel_matches_oracle(cases):
         with np.errstate(over="ignore"):
             want = nearest_leader_oracle(positions, leaders)
         assert np.array_equal(slots, want)
+
+
+@pytest.mark.parametrize("dim", [6, 10, 17])
+def test_screened_assignment_of_converged_leaders_matches_oracle(dim):
+    # Converged runs leave leaders a few ulps apart: their distances to an
+    # agent differ far below the rounding of the screen's matrix product, so
+    # only the exact per-axis sums over every leader inside the slack order
+    # them as the oracle does. The last four leaders copy the first four
+    # exactly, and their ties go to the lower slot.
+    rng = np.random.default_rng(dim)
+    centres = rng.uniform(-10, 10, (3, dim))
+    leader_pos = np.repeat(centres, 8, axis=0)
+    leader_pos += rng.integers(-4, 5, leader_pos.shape) * np.spacing(leader_pos)
+    leader_pos = np.concatenate([leader_pos, leader_pos[:4]])
+    followers = np.concatenate(
+        [leader_pos[::2], np.repeat(centres, 20, axis=0) + rng.normal(size=(60, dim)) * 1e-9]
+    )
+    positions = np.concatenate([leader_pos, followers])
+    leaders = np.arange(leader_pos.shape[0])
+    slots = _nearest_leader(positions, leaders, _Workspace())
+    assert np.array_equal(slots, nearest_leader_oracle(positions, leaders))
 
 
 def test_assign_overflowing_distances_tie_to_lowest_leader():
@@ -361,6 +432,12 @@ def test_cluster_weights_validates():
         cluster_weights(ens, clusters)
     with pytest.raises(NumericError, match="agent 1"):
         cluster_weights(ens, clusters, energies=np.array([0.0, np.inf]))
+
+
+def test_consensus_of_a_far_point_is_one_numeric_error():
+    ens = make_ensemble([[0.0], [1e200]], labels=[1, 0])
+    with pytest.raises(NumericError, match="^cluster_consensus: agent 1 has a non-finite"):
+        cluster_consensus(ens, preset("rastrigin2", 1), assign_clusters(ens), alpha=1.0)
 
 
 # ----------------------------------------------------------------- diffusion
