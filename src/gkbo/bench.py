@@ -105,11 +105,6 @@ class ExperimentConfig:
             )
         if int(self.n_agents) < 1:
             raise ValueError(f"need at least one agent, got {self.n_agents}")
-        if self.solver == "gkbo" and int(self.solver_config.n_leaders) > int(self.n_agents):
-            raise ValueError(
-                f"n_leaders ({self.solver_config.n_leaders}) cannot exceed "
-                f"the population size ({self.n_agents})"
-            )
         if int(self.repetitions) < 1:
             raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
         if int(self.base_seed) < 0:
@@ -119,31 +114,25 @@ class ExperimentConfig:
         if self.sweep == "none":
             if self.sweep_values:
                 raise ValueError("sweep_values must be empty when sweep is 'none'")
-            return
-        if not self.sweep_values:
+        elif not self.sweep_values:
             raise ValueError(f"sweep {self.sweep!r} needs at least one sweep value")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep_values must be strictly increasing")
-        if self.sweep in ("dimension", "n_leaders"):
-            for value in self.sweep_values:
+        for value in self.sweep_values:
+            if self.sweep in ("dimension", "n_leaders"):
                 if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                     raise ValueError(f"{self.sweep} sweep values must be integers, got {value!r}")
                 if int(value) < 1:
                     raise ValueError(f"{self.sweep} sweep values must be at least 1, got {value}")
-            if self.sweep == "n_leaders" and self.solver == "gkbo":
-                if int(self.sweep_values[-1]) > int(self.n_agents):
-                    raise ValueError(
-                        f"n_leaders sweep value {self.sweep_values[-1]} exceeds "
-                        f"the population size ({self.n_agents})"
-                    )
-        else:
-            for value in self.sweep_values:
-                if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
-                    raise ValueError(f"sigma_f sweep values must be numbers, got {value!r}")
-                if not np.isfinite(float(value)) or float(value) < 0.0:
-                    raise ValueError(
-                        f"sigma_f sweep values must be finite and non-negative, got {value}"
-                    )
+            elif isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
+                raise ValueError(f"sigma_f sweep values must be numbers, got {value!r}")
+        # every run's solver config, checked here rather than in a pool worker
+        for value in self.sweep_values or (None,):
+            _, solver_cfg = _sweep_setup(self, value)
+            if self.solver == "gkbo":
+                solver_cfg.validate(int(self.n_agents))
+            else:
+                solver_cfg.validate()
 
     def to_dict(self) -> dict:
         return {

@@ -206,31 +206,23 @@ def _cmd_compare(args) -> int:
     sweep = "none" if len(dims) == 1 else "dimension"
     sweep_values = () if len(dims) == 1 else tuple(dims)
 
-    gkbo_config = SolverConfig(nu_f=args.nu, sigma_f=args.sigma, n_leaders=args.n_leaders)
-    pcbo_config = PcboConfig(nu=args.nu, sigma=args.sigma, n_clusters=args.n_leaders)
+    solver_configs = {
+        "gkbo": SolverConfig(nu_f=args.nu, sigma_f=args.sigma, n_leaders=args.n_leaders),
+        "pcbo": PcboConfig(nu=args.nu, sigma=args.sigma, n_clusters=args.n_leaders),
+    }
     experiments = {
-        "gkbo": ExperimentConfig(
+        name: ExperimentConfig(
             objective=args.objective,
             dim=dims[0],
-            solver="gkbo",
-            solver_config=gkbo_config,
+            solver=name,
+            solver_config=solver_config,
             n_agents=args.n_agents,
             repetitions=args.repetitions,
             sweep=sweep,
             sweep_values=sweep_values,
             base_seed=int(base_seed),
-        ),
-        "pcbo": ExperimentConfig(
-            objective=args.objective,
-            dim=dims[0],
-            solver="pcbo",
-            solver_config=pcbo_config,
-            n_agents=args.n_agents,
-            repetitions=args.repetitions,
-            sweep=sweep,
-            sweep_values=sweep_values,
-            base_seed=int(base_seed),
-        ),
+        )
+        for name, solver_config in solver_configs.items()
     }
 
     out_dir = Path(args.output_dir)

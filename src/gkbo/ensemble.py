@@ -127,13 +127,55 @@ def compute_weights(
                 f"energies must have shape ({ensemble.n_agents},), got {energies.shape}"
             )
     _check_energies(energies, "compute_weights")
+    omega = _cluster_ranks(energies, np.zeros(ensemble.n_agents, dtype=np.intp), 1)
+    return WeightVector(omega=omega, best_index=int(np.argmin(energies)))
 
-    best = int(np.argmin(energies))
-    gaps = np.abs(energies - energies[best])
-    # Counting strictly smaller gaps for all agents at once: position of each
-    # gap in the sorted gap array, left insertion point.
-    omega = np.searchsorted(np.sort(gaps), gaps, side="left") / ensemble.n_agents
-    return WeightVector(omega=omega, best_index=best)
+
+def _block_starts(sorted_slots: np.ndarray) -> np.ndarray:
+    """Mask of the entries that open a new cluster block in sorted slots."""
+    starts = np.ones(sorted_slots.shape[0], dtype=bool)
+    np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=starts[1:])
+    return starts
+
+
+def _slot_order(slots: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Stable argsort of cluster slots; slots that fit 16 bits sort by radix."""
+    if n_clusters <= 1 << 16:
+        slots = slots.astype(np.uint16)
+    return np.argsort(slots, kind="stable")
+
+
+def _cluster_ranks(energies: np.ndarray, slots: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Rank weight of every agent within its cluster, one block of agents per slot.
+
+    ``omega[i]`` is the fraction of agent ``i``'s cluster whose gap to the
+    cluster's best value is strictly smaller than its own. With one cluster
+    this is :func:`compute_weights`; :func:`gkbo.solver.cluster_weights` is
+    the per-cluster form. A gap that overflows becomes inf without a
+    warning and ranks after every finite gap.
+    """
+    n_agents = energies.shape[0]
+    # Sort by (cluster, energy): each cluster block starts with its best agent,
+    # and the gaps to it never decrease along the block, since rounding
+    # ``E - E_min`` is monotone in ``E``. The rank of an agent is then the
+    # offset of its run of equal gaps from the start of its block, so ties
+    # share the lowest rank whatever order the sort left them in.
+    by_energy = np.argsort(energies)
+    order = by_energy[_slot_order(slots[by_energy], n_clusters)]
+    sorted_slots = slots[order]
+    sorted_energies = energies[order]
+    position = np.arange(n_agents)
+    new_block = _block_starts(sorted_slots)
+    block_first = np.maximum.accumulate(np.where(new_block, position, -1))
+    with np.errstate(over="ignore"):
+        sorted_gaps = np.abs(sorted_energies - sorted_energies[block_first])
+    new_run = new_block.copy()
+    new_run[1:] |= sorted_gaps[1:] != sorted_gaps[:-1]
+    run_first = np.maximum.accumulate(np.where(new_run, position, -1))
+    sizes = np.bincount(slots, minlength=n_clusters)
+    omega = np.empty(n_agents, dtype=np.float64)
+    omega[order] = (run_first - block_first) / sizes[sorted_slots]
+    return omega
 
 
 def apply_label_transitions(

@@ -23,10 +23,12 @@ from .solver import (
     _consensus,
     _diffusion_scale,
     _distinct_rows,
+    _nearest_centre,
     _require_non_negative,
     _require_positive,
     _require_run_limits,
     _update_stall,
+    _Workspace,
 )
 
 __all__ = ["PcboConfig", "pcbo_assign", "pcbo_step", "run_pcbo"]
@@ -61,20 +63,12 @@ class PcboConfig:
         _require_run_limits(self)
 
 
-def _nearest_centre(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Index of the nearest centre for every particle; see :func:`pcbo_assign`.
-
-    A difference or square that overflows becomes inf without a warning; it
-    still orders after every finite distance.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = positions[:, np.newaxis, :] - centres[np.newaxis, :, :]
-        sq_dist = np.einsum("njd,njd->nj", diff, diff)
-    return np.argmin(sq_dist, axis=1)
-
-
 def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Index of the nearest centre for every particle, ties to the lowest index."""
+    """Index of the nearest centre for every particle, ties to the lowest index.
+
+    Squared distances are summed one axis at a time, as in the leader-follower
+    solver's assignment, which shares this kernel.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     centres = np.asarray(centres, dtype=np.float64)
     if positions.ndim != 2 or centres.ndim != 2 or centres.shape[0] < 1:
@@ -84,7 +78,7 @@ def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
             f"dimension mismatch: particles are {positions.shape[1]}-d, "
             f"centres are {centres.shape[1]}-d"
         )
-    return _nearest_centre(positions, centres)
+    return _nearest_centre(positions, centres, _Workspace())
 
 
 def _soft_centres(
@@ -179,6 +173,7 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     n_clusters = int(cfg.n_clusters)
     alpha = float(cfg.alpha)
     delta_stall = float(cfg.delta_stall)
+    work = _Workspace()
 
     positions = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_particles, spec.dim))
     energies = spec.evaluate_batch(positions)
@@ -188,7 +183,7 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     memberships = rng.random((n_particles, n_clusters))
     memberships /= memberships.sum(axis=1, keepdims=True)
     centres = _soft_centres(positions, energies, memberships, alpha)
-    assignment = _nearest_centre(positions, centres)
+    assignment = _nearest_centre(positions, centres, work)
     tracker = StallTracker(
         counters=np.zeros(n_particles, dtype=np.int64), estimates=centres[assignment]
     )
@@ -204,7 +199,7 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
         tracker, stall = _update_stall(tracker, estimates, delta_stall)
         energies = spec._values(positions)
         _check_energies(energies, "objective", steps)
-        assignment = _nearest_centre(positions, centres)
+        assignment = _nearest_centre(positions, centres, work)
         evaluations += n_particles
         steps += 1
 

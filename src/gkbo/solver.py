@@ -20,6 +20,7 @@ import numpy as np
 from .ensemble import (
     Ensemble,
     WeightVector,
+    _cluster_ranks,
     _relabel,
     compute_weights,
     deterministic_label_pass,
@@ -186,11 +187,11 @@ class RunReport:
 
 
 class _Workspace:
-    """Scratch memory of one solver run for the nearest-leader distances.
+    """Scratch memory of one solver run for the nearest-centre distances.
 
-    Holds two ``(n, leaders)`` float64 matrices in one flat buffer that grows
+    Holds two ``(n, centres)`` float64 matrices in one flat buffer that grows
     geometrically and never shrinks, so a run allocates it a handful of times
-    however the leader count moves. Contents between calls are undefined.
+    however the centre count moves. Contents between calls are undefined.
     """
 
     def __init__(self) -> None:
@@ -206,116 +207,113 @@ class _Workspace:
         )
 
 
-#: Dimension from which :func:`_nearest_leader` screens with a matrix product.
+#: Dimension from which :func:`_nearest_centre` screens with a matrix product.
 _SCREEN_MIN_DIM = 6
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _dense_nearest(positions: np.ndarray, leader_pos: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Slot of the nearest leader of every agent, from every exact squared distance.
+def _dense_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Index of the nearest centre of every agent, from every exact squared distance.
 
-    Squared distances are accumulated one axis at a time, adding terms in the
-    same order as a contraction over the trailing axis would, without the
-    ``(n, leaders, dim)`` intermediate. ``argmin`` returns the first minimum.
-    A square that overflows becomes inf without a warning; it still orders
-    after every finite distance.
+    Squared distances are accumulated one axis at a time, without the
+    ``(n, centres, dim)`` intermediate. ``argmin`` returns the first minimum.
     """
-    sq_dist, term = work.matrices(positions.shape[0], leader_pos.shape[0])
-    with np.errstate(over="ignore"):
-        for axis in range(positions.shape[1]):
-            out = term if axis else sq_dist
-            # x_i - l_k with l_k tiled row-wise first: subtracting a per-row
-            # scalar from a contiguous row is the fast broadcast direction.
-            np.copyto(out, leader_pos[:, axis])
-            np.subtract(positions[:, axis, np.newaxis], out, out=out)
-            np.square(out, out=out)
-            if axis:
-                np.add(sq_dist, term, out=sq_dist)
+    sq_dist, term = work.matrices(positions.shape[0], centres.shape[0])
+    for axis in range(positions.shape[1]):
+        out = term if axis else sq_dist
+        # x_i - c_k with c_k tiled row-wise first: subtracting a per-row
+        # scalar from a contiguous row is the fast broadcast direction.
+        np.copyto(out, centres[:, axis])
+        np.subtract(positions[:, axis, np.newaxis], out, out=out)
+        np.square(out, out=out)
+        if axis:
+            np.add(sq_dist, term, out=sq_dist)
     return np.argmin(sq_dist, axis=1)
 
 
 def _screened_nearest(
-    positions: np.ndarray, leader_pos: np.ndarray, work: _Workspace
+    positions: np.ndarray, centres: np.ndarray, work: _Workspace
 ) -> np.ndarray | None:
-    """:func:`_dense_nearest` with exact distances only where the nearest leader is in doubt.
+    """:func:`_dense_nearest` with exact distances only where the nearest centre is in doubt.
 
-    One matrix product ``[-2x, 1] @ [l; |l|^2]`` gives ``s_k = |l_k|^2 - 2 x.l_k``,
-    the squared distance minus ``|x|^2``, for every agent and leader at
-    once. Its argmin ``g`` is a guess. Any leader with ``s_k`` within
-    ``slack = 8 (d + 2) eps (|x|^2 + max|l|^2) + tiny`` of ``s_g`` stays a
-    candidate, and a row with several candidates takes the lowest slot among
+    One matrix product ``[-2x, 1] @ [c; |c|^2]`` gives ``s_k = |c_k|^2 - 2 x.c_k``,
+    the squared distance minus ``|x|^2``, for every agent and centre at
+    once. Its argmin ``g`` is a guess. Any centre with ``s_k`` within
+    ``slack = 8 (d + 2) eps (|x|^2 + max|c|^2) + tiny`` of ``s_g`` stays a
+    candidate, and a row with several candidates takes the lowest index among
     the least exact per-axis distances over them, as the dense kernel does.
 
     The slack is rigorous for any summation order of the product, with or
     without fused multiply-adds, so neither BLAS nor its thread count can
-    change a result. With ``u = eps / 2`` and ``M = |x|^2 + max|l|^2``:
-    ``-2x`` is exact; ``|l|^2`` is within ``d u |l|^2``; the product of
-    ``d + 1`` terms whose magnitudes sum to at most ``|x|^2 + 2|l|^2`` is
-    within ``(d + 1) u (|x|^2 + 2|l|^2)``, so each ``s_k`` is within
+    change a result. With ``u = eps / 2`` and ``M = |x|^2 + max|c|^2``:
+    ``-2x`` is exact; ``|c|^2`` is within ``d u |c|^2``; the product of
+    ``d + 1`` terms whose magnitudes sum to at most ``|x|^2 + 2|c|^2`` is
+    within ``(d + 1) u (|x|^2 + 2|c|^2)``, so each ``s_k`` is within
     ``(3d + 2) u M``; each exact per-axis distance is within
-    ``(d + 2) u |x - l|^2 <= (2d + 4) u M`` of the true one. A leader with
+    ``(d + 2) u |x - c|^2 <= (2d + 4) u M`` of the true one. A centre with
     ``s_k > s_g + slack`` therefore has an exact distance strictly above
     that of ``g``, since ``slack`` exceeds the four errors together,
     ``4 (3d + 4) u M``, with room for higher-order terms. ``tiny``, the
     smallest normal float, covers the absolute error of squares and products
-    that underflow. Returns None when ``4 (|x|^2 + |l|^2)``, a bound on every
+    that underflow. Returns None when ``4 (|x|^2 + |c|^2)``, a bound on every
     intermediate, could overflow (coordinates beyond about 1e154, or a NaN),
     leaving the call to the dense kernel, whose inf distances order last.
     """
     n_agents, dim = positions.shape
-    with np.errstate(over="ignore"):
-        sq_norm = np.einsum("ij,ij->i", leader_pos, leader_pos)
-        agent_sq = np.einsum("ij,ij->i", positions, positions)
-        if not np.isfinite(4.0 * (agent_sq.max() + sq_norm.max())):
-            return None
+    sq_norm = np.einsum("ij,ij->i", centres, centres)
+    agent_sq = np.einsum("ij,ij->i", positions, positions)
+    if not np.isfinite(4.0 * (agent_sq.max() + sq_norm.max())):
+        return None
     lhs = np.empty((n_agents, dim + 1))
     np.multiply(positions, -2.0, out=lhs[:, :dim])
     lhs[:, dim] = 1.0
-    rhs = np.empty((dim + 1, leader_pos.shape[0]))
-    rhs[:dim] = leader_pos.T
+    rhs = np.empty((dim + 1, centres.shape[0]))
+    rhs[:dim] = centres.T
     rhs[dim] = sq_norm
-    approx, _ = work.matrices(n_agents, leader_pos.shape[0])
+    approx, _ = work.matrices(n_agents, centres.shape[0])
     np.matmul(lhs, rhs, out=approx)
     rows = np.arange(n_agents)
     guess = np.argmin(approx, axis=1)
     bound = approx[rows, guess]
     bound += (8.0 * (dim + 2) * _EPS) * (agent_sq + sq_norm.max()) + _TINY
-    # rows whose second-best screened leader is also within the slack
+    # rows whose second-best screened centre is also within the slack
     approx[rows, guess] = np.inf
     doubt = np.flatnonzero(approx.min(axis=1) <= bound)
     if doubt.size:
         near = approx[doubt] <= bound[doubt, np.newaxis]
         near[np.arange(doubt.size), guess[doubt]] = True
         row, slot = np.nonzero(near)
-        sq = np.square(positions[doubt[row]] - leader_pos[slot])
+        sq = np.square(positions[doubt[row]] - centres[slot])
         exact = sq[:, 0].copy()
         for axis in range(1, dim):
             exact += sq[:, axis]
-        # candidates are grouped by row with ascending slots
+        # candidates are grouped by row with ascending indices
         starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
         least = np.minimum.reduceat(exact, starts)[row]
-        ties = np.where(exact == least, slot, leader_pos.shape[0])
+        ties = np.where(exact == least, slot, centres.shape[0])
         guess[doubt] = np.minimum.reduceat(ties, starts)
     return guess
 
 
-def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Cluster slot of every agent: its nearest leader, or its own slot for a leader.
+def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Index of the nearest centre of every agent, ties to the lowest index.
 
-    Distances are squared Euclidean distances summed one axis at a time, and
-    a tie goes to the first minimum, the lowest leader index since
-    ``leaders`` is ascending. From ``_SCREEN_MIN_DIM`` dimensions on,
-    :func:`_screened_nearest` computes those exact sums only for the leaders
+    The one assignment kernel of both solvers. Distances are squared
+    Euclidean distances summed one axis at a time, and a tie goes to the
+    first minimum. From ``_SCREEN_MIN_DIM`` dimensions on,
+    :func:`_screened_nearest` computes those exact sums only for the centres
     a matrix-product screen cannot rule out, with the same result; below, or
     when the screen could overflow, :func:`_dense_nearest` computes all of
-    them. The screen replaces 3d + 1 passes over the ``(n, leaders)`` matrix
-    by a product and three passes, plus the exact sums of the rows in doubt.
-    Those are many where leaders have converged to within about 1e-6 of each
-    other, which happens in fewer steps at low d. Median microseconds per
-    call, dense > screened, on inputs recorded from 600-agent ``run_gkbo``
-    runs of 500 steps, seeds 0-1, 46 to 76 leaders (numpy 2.4, 2 vCPUs):
+    them. A difference or square that overflows, or an inf - inf, gives an
+    inf or NaN distance without a warning. The screen replaces 3d + 1 passes
+    over the ``(n, centres)`` matrix by a product and three passes, plus the
+    exact sums of the rows in doubt. Those are many where centres have
+    converged to within about 1e-6 of each other, which happens in fewer
+    steps at low d. Median microseconds per call, dense > screened, on
+    inputs recorded from 600-agent ``run_gkbo`` runs of 500 steps, seeds
+    0-1, 46 to 76 leaders (numpy 2.4, 2 vCPUs):
 
     ==========  =========  =========  =========  =========  =========  =========
     objective   d = 2      d = 3      d = 4      d = 5      d = 6      d = 10
@@ -325,14 +323,24 @@ def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace
     ==========  =========  =========  =========  =========  =========  =========
 
     (rastrigin2 and ackley2 at d = 2, rastrigin4 and ackley4 above.) On
-    Ackley half the rows are in doubt below d = 6.
+    Ackley half the rows are in doubt below d = 6. With the four centres of
+    the clustered baseline the screen loses at d = 6 (600 agents: 88 > 66).
     """
-    leader_pos = positions[leaders]
-    cluster_of = None
-    if positions.shape[1] >= _SCREEN_MIN_DIM:
-        cluster_of = _screened_nearest(positions, leader_pos, work)
-    if cluster_of is None:
-        cluster_of = _dense_nearest(positions, leader_pos, work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if positions.shape[1] >= _SCREEN_MIN_DIM:
+            nearest = _screened_nearest(positions, centres, work)
+            if nearest is not None:
+                return nearest
+        return _dense_nearest(positions, centres, work)
+
+
+def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Cluster slot of every agent: its nearest leader, or its own slot for a leader.
+
+    Ties go to the lowest leader index since ``leaders`` is ascending; see
+    :func:`_nearest_centre`.
+    """
+    cluster_of = _nearest_centre(positions, positions[leaders], work)
     cluster_of[leaders] = np.arange(leaders.size)
     return cluster_of
 
@@ -350,20 +358,6 @@ def assign_clusters(ensemble: Ensemble) -> ClusterState:
         raise EmptyLeaderSetError("population has no leaders to cluster around")
     cluster_of = _nearest_leader(ensemble.positions, leaders, _Workspace())
     return ClusterState(leaders=leaders, leader_of=leaders[cluster_of], cluster_of=cluster_of)
-
-
-def _block_starts(sorted_slots: np.ndarray) -> np.ndarray:
-    """Mask of the entries that open a new cluster block in sorted slots."""
-    starts = np.ones(sorted_slots.shape[0], dtype=bool)
-    np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=starts[1:])
-    return starts
-
-
-def _slot_order(slots: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Stable argsort of cluster slots; slots that fit 16 bits sort by radix."""
-    if n_clusters <= 1 << 16:
-        slots = slots.astype(np.uint16)
-    return np.argsort(slots, kind="stable")
 
 
 def _cluster_min(energies: np.ndarray, slots: np.ndarray, n_clusters: int) -> np.ndarray:
@@ -440,31 +434,6 @@ def cluster_consensus(
     slots = clusters.cluster_of
     consensus = _consensus(ensemble.positions, energies, slots, clusters.n_clusters, alpha)
     return replace(clusters, consensus=consensus, agent_estimate=consensus[slots])
-
-
-def _cluster_ranks(energies: np.ndarray, slots: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Within-cluster rank weight of every agent; see :func:`cluster_weights`."""
-    n_agents = energies.shape[0]
-    # Sort by (cluster, energy): each cluster block starts with its best agent,
-    # and the gaps to it never decrease along the block, since rounding
-    # ``E - E_min`` is monotone in ``E``. The rank of an agent is then the
-    # offset of its run of equal gaps from the start of its block, so ties
-    # share the lowest rank whatever order the sort left them in.
-    by_energy = np.argsort(energies)
-    order = by_energy[_slot_order(slots[by_energy], n_clusters)]
-    sorted_slots = slots[order]
-    sorted_energies = energies[order]
-    position = np.arange(n_agents)
-    new_block = _block_starts(sorted_slots)
-    block_first = np.maximum.accumulate(np.where(new_block, position, -1))
-    sorted_gaps = np.abs(sorted_energies - sorted_energies[block_first])
-    new_run = new_block.copy()
-    new_run[1:] |= sorted_gaps[1:] != sorted_gaps[:-1]
-    run_first = np.maximum.accumulate(np.where(new_run, position, -1))
-    sizes = np.bincount(slots, minlength=n_clusters)
-    omega = np.empty(n_agents, dtype=np.float64)
-    omega[order] = (run_first - block_first) / sizes[sorted_slots]
-    return omega
 
 
 def cluster_weights(

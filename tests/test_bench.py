@@ -52,6 +52,28 @@ def test_experiment_config_json_round_trip(cfg):
     assert back.to_json() == cfg.to_json()
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (ExperimentConfig(solver_config=SolverConfig(eps=2.0)), "eps must be in"),
+        (ExperimentConfig(solver="pcbo", solver_config=PcboConfig(nu=0.0)), "nu must be"),
+        (tiny_experiment(n_agents=2), "population size"),
+        (tiny_experiment(sweep="n_leaders", sweep_values=(3, 30)), "population size"),
+        (tiny_experiment(sweep="sigma_f", sweep_values=(0.5, float("inf"))), "sigma_f must be"),
+        (
+            tiny_experiment(
+                solver="pcbo", solver_config=PcboConfig(), sweep="sigma_f", sweep_values=(-1, 1)
+            ),
+            "sigma must be",
+        ),
+    ],
+)
+def test_experiment_config_validates_the_solver_config_of_every_sweep_value(cfg, message):
+    # caught before any run starts, not inside a pool worker
+    with pytest.raises(ValueError, match=message):
+        cfg.validate()
+
+
 def test_experiment_config_rejects_unknown_keys():
     data = tiny_experiment().to_dict()
     data["solver_config"]["sigma"] = 1.0  # a pcbo field on a gkbo run

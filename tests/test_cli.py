@@ -73,3 +73,14 @@ def test_bench_writes_results_and_sidecar(tmp_path, capsys):
     sidecar = json.loads(output.with_suffix(".json").read_text(encoding="utf-8"))
     assert sidecar == effective_config(capsys.readouterr().out)
     assert sidecar["solver_config"]["n_steps"] == 10
+
+
+def test_compare_writes_both_solvers_results(tmp_path, capsys):
+    argv = ["compare", "--dims", "1,2", "--repetitions", "1", "--n-agents", "40"]
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    for solver in ("gkbo", "pcbo"):
+        rows = read_results(tmp_path / f"{solver}.csv")
+        assert [row["sweep_value"] for row in rows] == [1, 2]
+        sidecar = json.loads((tmp_path / f"{solver}.json").read_text(encoding="utf-8"))
+        assert (sidecar["solver"], sidecar["n_agents"], sidecar["repetitions"]) == (solver, 40, 1)
+    assert "mean success rate: gkbo=" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from gkbo.ensemble import (
 )
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
+from gkbo.solver import ClusterState, cluster_weights
 
 
 def make_ensemble(positions, labels=None):
@@ -31,6 +34,21 @@ def brute_force_weights(energies):
         gap_i = abs(energies[best] - energies[i])
         omega[i] = sum(abs(energies[best] - e) < gap_i for e in energies) / n
     return omega, best
+
+
+def sorted_gap_weights(energies):
+    """Oracle: count the strictly smaller gaps by binary search in the sorted gaps."""
+    best = int(np.argmin(energies))
+    with np.errstate(over="ignore"):
+        gaps = np.abs(energies - energies[best])
+    return np.searchsorted(np.sort(gaps), gaps, side="left") / energies.size
+
+
+#: Energies with exact ties, signed zeros, subnormals and gaps that overflow.
+EXTREME_ENERGIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 # ---------------------------------------------------------------- population
@@ -149,6 +167,34 @@ def test_weights_match_brute_force(energies):
     scaled = w.omega * energies.size
     assert np.array_equal(scaled, np.round(scaled))
     assert (w.omega < 1.0).all()
+
+
+@given(energies=st.lists(EXTREME_ENERGIES, min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_weights_match_sorted_gap_counts(energies):
+    energies = np.asarray(energies)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = compute_weights(make_ensemble(np.zeros((energies.size, 1))), energies=energies)
+    assert np.array_equal(w.omega, sorted_gap_weights(energies))
+    assert w.best_index == int(np.argmin(energies))
+
+
+def test_weights_of_an_overflowing_gap_without_warnings():
+    # the gap 1e308 - (-1e308) overflows to inf and ranks last
+    energies = np.array([1e308, -1e308, 0.0])
+    ens = make_ensemble(np.zeros((3, 1)))
+    one_cluster = ClusterState(
+        leaders=np.array([1]),
+        leader_of=np.ones(3, dtype=np.int64),
+        cluster_of=np.zeros(3, dtype=np.int64),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        population = compute_weights(ens, energies=energies)
+        clustered = cluster_weights(ens, one_cluster, energies=energies)
+    assert population.omega.tolist() == [2 / 3, 0.0, 1 / 3]
+    assert clustered.omega.tolist() == [2 / 3, 0.0, 1 / 3]
 
 
 @given(

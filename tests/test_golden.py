@@ -28,13 +28,18 @@ CASES = {
         ),
         "8086af886b9f8acde50609c8957f70d423962f0bbf8daa8173cf77c5a7be359c",
     ),
+    # d <= 2: per-axis sums and any other order of the two squares agree
+    "pcbo-ackley2-d2": (
+        lambda: run_pcbo(preset("ackley2", 2), PcboConfig(n_steps=200, seed=8), 200),
+        "bec37ce6e41c97919e0dd56490b6dc4c71bb01a78adae76b92d700f7859ab5dd",
+    ),
     "pcbo-ackley2-d3": (
         lambda: run_pcbo(preset("ackley2", 3), PcboConfig(n_steps=200, seed=4), 200),
-        "00645aefedcab72a450d128b8948342c19856d91ee055e93adf92a927aac6e14",
+        "da632645379d3e7bae15530ba320dee353fb031f69cf5a9a99342e2250d14048",
     ),
     "pcbo-rastrigin2-d5": (
         lambda: run_pcbo(preset("rastrigin2", 5), PcboConfig(n_steps=200, seed=5), 200),
-        "5ea2b7469dce7b07e2e1c35f8e93ec8cec7fd8e074758eb69a57bfc637d89575",
+        "32b1deb47347602da9b35a7b52835590408e2a9bf4bb6bdac9ab3c50dd967d9c",
     ),
     # four planted minimizers at d >= 4: the screened objective and, for
     # gkbo, the screened nearest-leader assignment
@@ -44,7 +49,7 @@ CASES = {
     ),
     "pcbo-ackley4-d4": (
         lambda: run_pcbo(preset("ackley4", 4), PcboConfig(n_steps=200, seed=7), 200),
-        "bd4ca321465e77a2bcea92189cfbc8f0a493bce061fdb4b148976a1c5de6129f",
+        "acf207d3a858a922453b6caebbc090f6599b927c1a748c28195e288562e24260",
     ),
 }
 

@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
 from gkbo.pcbo import PcboConfig, pcbo_assign, pcbo_step, run_pcbo
 from gkbo.solver import ClusterState, DiffusionMode, RunReport, StallTracker, check_stall
+from test_solver import nearest_centre_oracle, populations
 
 
 def test_config_defaults():
@@ -62,6 +64,45 @@ def test_assign_permutation_consistency():
     perm = np.array([2, 0, 3, 1])
     permuted = pcbo_assign(points, centres[perm])
     assert np.array_equal(perm[permuted], base)
+
+
+@given(case=populations())
+@settings(max_examples=200, deadline=None)
+def test_assign_matches_per_axis_oracle(case):
+    # centres copied from the population give exact and near ties, on both
+    # sides of the screened kernel's dimension rule and where squares overflow
+    positions, picks = case
+    centres = positions[picks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pcbo_assign(positions, centres)
+    with np.errstate(over="ignore"):
+        want = nearest_centre_oracle(positions, centres)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 10])
+def test_assign_near_ties_match_per_axis_oracle(dim):
+    # each agent sits midway between two centres up to a few ulps, so its two
+    # distances agree to rounding and only per-axis sums order them as the
+    # oracle does; a sum of squares split across SIMD lanes flips a few
+    rng = np.random.default_rng(dim)
+    agents = rng.uniform(-10, 10, (200, dim))
+    first = agents + rng.normal(size=(200, dim))
+    second = 2.0 * agents - first
+    second += rng.integers(-2, 3, second.shape) * np.spacing(second)
+    centres = np.concatenate([first, second])
+    assert np.array_equal(pcbo_assign(agents, centres), nearest_centre_oracle(agents, centres))
+
+
+def test_assign_infinite_coordinates_without_warnings():
+    # inf - inf makes a NaN distance, which argmin takes as the minimum
+    positions = np.array([[np.inf, 0.0], [1.0, -np.inf], [0.0, 0.0]])
+    centres = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pcbo_assign(positions, centres)
+    assert got.tolist() == [0, 0, 1]
 
 
 def test_assign_is_idempotent_under_reassignment():
@@ -250,8 +291,9 @@ def _replay_pcbo(spec, cfg, n_particles):
     [
         # one centre goes empty along the way at d=1
         (1, PcboConfig(n_steps=400, seed=2)),
-        # at d=4 the einsum and a per-axis sum of squares round differently;
-        # per-axis sums in the loop would make this run stall at step 113, not 81
+        # at d=4 a lane-split sum of squares (numpy's einsum) rounds unlike
+        # the per-axis sums the loop shares with pcbo_assign; with einsum in
+        # the loop this run would stall at step 81, not 222
         (4, PcboConfig(n_steps=300, j_stall=50, seed=10)),
     ],
 )

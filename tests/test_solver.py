@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkbo.ensemble import Ensemble, compute_weights, init_uniform
+from gkbo.ensemble import Ensemble, _slot_order, compute_weights, init_uniform
 from gkbo.errors import EmptyLeaderSetError, NumericError
 from gkbo.objectives import Kind, ObjectiveSpec, evaluate_base, preset
 from gkbo.solver import (
@@ -21,7 +21,7 @@ from gkbo.solver import (
     interaction_step,
     run_gkbo,
 )
-from gkbo.solver import _cluster_min, _diffusion_scale, _nearest_leader, _slot_order, _Workspace
+from gkbo.solver import _cluster_min, _diffusion_scale, _nearest_leader, _Workspace
 
 
 def diffusion_matrix(x, x_hat, mode):
@@ -37,17 +37,21 @@ def diffusion_matrix(x, x_hat, mode):
     return np.diag(delta)
 
 
-def nearest_leader_oracle(positions, leaders):
-    """Oracle: nearest-leader slots, one fresh (n, L) temporary per axis.
+def nearest_centre_oracle(positions, centres):
+    """Oracle: nearest-centre indices, one fresh (n, k) temporary per axis.
 
     Squared distances are accumulated axis by axis, so a faster kernel must
     round exactly as this does; argmin takes the first minimum.
     """
-    leader_pos = positions[leaders]
-    sq_dist = np.square(positions[:, 0, np.newaxis] - leader_pos[np.newaxis, :, 0])
+    sq_dist = np.square(positions[:, 0, np.newaxis] - centres[np.newaxis, :, 0])
     for axis in range(1, positions.shape[1]):
-        sq_dist += np.square(positions[:, axis, np.newaxis] - leader_pos[np.newaxis, :, axis])
-    cluster_of = np.argmin(sq_dist, axis=1)
+        sq_dist += np.square(positions[:, axis, np.newaxis] - centres[np.newaxis, :, axis])
+    return np.argmin(sq_dist, axis=1)
+
+
+def nearest_leader_oracle(positions, leaders):
+    """Oracle: nearest-leader slots, each leader in its own slot."""
+    cluster_of = nearest_centre_oracle(positions, positions[leaders])
     cluster_of[leaders] = np.arange(leaders.size)
     return cluster_of
 
