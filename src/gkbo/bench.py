@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .objectives import PRESET_NAMES, preset
-from .pcbo import PcboConfig, run_pcbo
+from .pcbo import PcboConfig, _run_replicas
 from .solver import RunReport, SolverConfig, run_gkbo
 
 __all__ = [
@@ -185,7 +185,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Aggregates for one sweep value, plus the per-run records behind them."""
+    """Aggregates for one sweep value, plus the per-run records behind them.
+
+    ``run_seconds`` holds each run's share of worker time. pcbo runs step in
+    batches of replicas (see :func:`run_experiment`), so each batch's elapsed
+    seconds are split among its runs in proportion to their objective
+    evaluations; the entries still add up to the worker time spent.
+    """
 
     sweep_value: object
     success_rate: float
@@ -256,49 +262,74 @@ def _sweep_setup(cfg: ExperimentConfig, value) -> tuple[int, SolverConfig | Pcbo
     return dim, solver_cfg
 
 
-def _execute_run(task) -> tuple[RunReport, float]:
-    """Run one seeded solver instance; must stay module-level for pickling."""
-    solver, objective, dim, solver_cfg, n_agents, seed = task
+def _execute_run(task) -> list[tuple[RunReport, float]]:
+    """Run one batch of seeded solver instances; must stay module-level for pickling.
+
+    Returns ``(report, seconds)`` per seed. The batch's elapsed time is split
+    among its runs in proportion to their objective evaluations.
+    """
+    solver, objective, dim, solver_cfg, n_agents, seeds = task
     spec = preset(objective, dim)
-    cfg = dataclasses.replace(solver_cfg, seed=int(seed))
     start = time.perf_counter()
     if solver == "gkbo":
-        report = run_gkbo(spec, cfg, n_agents)
+        reports = [
+            run_gkbo(spec, dataclasses.replace(solver_cfg, seed=seed), n_agents) for seed in seeds
+        ]
     else:
-        report = run_pcbo(spec, cfg, n_agents)
-    return report, time.perf_counter() - start
+        reports = _run_replicas(spec, solver_cfg, n_agents, seeds)
+    elapsed = time.perf_counter() - start
+    evaluations = sum(report.evaluations for report in reports)
+    return [(report, elapsed * report.evaluations / evaluations) for report in reports]
+
+
+def _seed_batches(seeds: range, solver: str, workers: int) -> list[tuple]:
+    """The seeds of one sweep value as the batches of the pool's tasks.
+
+    pcbo steps a batch of replicas together (see ``pcbo._run_replicas``), so
+    its seeds go in ``workers`` contiguous batches of near-equal size, one per
+    worker. gkbo runs one seed per task.
+    """
+    if solver == "gkbo":
+        return [(seed,) for seed in seeds]
+    count = min(workers, len(seeds))
+    size, extra = divmod(len(seeds), count)
+    bounds = [index * size + min(index, extra) for index in range(count + 1)]
+    return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentSummary:
     """Run all repetitions of every sweep value and aggregate.
 
     ``workers`` caps the process pool; ``None`` uses every available CPU and 1
-    runs inline. Results are aggregated in task order either way, so the
-    summary does not depend on the worker count.
+    runs inline. Results are aggregated in seed order either way, so the
+    summary does not depend on the worker count. A failing run raises the
+    NumericError of the lowest failing seed.
     """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if int(workers) < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = int(workers)
     cfg.validate()
     values = list(cfg.sweep_values) if cfg.sweep != "none" else [None]
     repetitions = int(cfg.repetitions)
     base_seed = int(cfg.base_seed)
+    seeds = range(base_seed, base_seed + repetitions)
 
     tasks = []
     minimizers = []
     for value in values:
         dim, solver_cfg = _sweep_setup(cfg, value)
         minimizers.append(preset(cfg.objective, dim).minimizers)
-        for rep in range(repetitions):
-            tasks.append(
-                (cfg.solver, cfg.objective, dim, solver_cfg, int(cfg.n_agents), base_seed + rep)
-            )
+        for batch in _seed_batches(seeds, cfg.solver, workers):
+            tasks.append((cfg.solver, cfg.objective, dim, solver_cfg, int(cfg.n_agents), batch))
 
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
     if workers == 1 or len(tasks) == 1:
-        outcomes = [_execute_run(task) for task in tasks]
+        batches = [_execute_run(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_execute_run, tasks))
+            batches = list(pool.map(_execute_run, tasks))
+    outcomes = [outcome for batch in batches for outcome in batch]
 
     results = []
     for index, value in enumerate(values):
@@ -316,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
             mean_detected_minima=sum(detected) / repetitions,
             repetitions=repetitions,
             base_seed=base_seed,
-            seeds=tuple(base_seed + rep for rep in range(repetitions)),
+            seeds=tuple(seeds),
             successes=successes,
             detected=detected,
             iterations=iterations,

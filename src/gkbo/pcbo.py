@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_energies, _check_positions
+from .errors import NumericError, _check_energies, _check_positions
 from .objectives import ObjectiveSpec
 from .solver import (
     DiffusionMode,
@@ -78,6 +78,8 @@ def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
             f"dimension mismatch: particles are {positions.shape[1]}-d, "
             f"centres are {centres.shape[1]}-d"
         )
+    if not (np.isfinite(positions).all() and np.isfinite(centres).all()):
+        raise ValueError("positions and centres must have finite coordinates")
     return _nearest_centre(positions, centres, _Workspace())
 
 
@@ -102,21 +104,17 @@ def _soft_centres(
 
 
 def _move(
-    positions: np.ndarray,
-    estimates: np.ndarray,
-    cfg: PcboConfig,
-    rng: np.random.Generator,
-    step: int | None,
+    positions: np.ndarray, estimates: np.ndarray, cfg: PcboConfig, noise: np.ndarray
 ) -> np.ndarray:
-    """New positions after one synchronous move toward ``estimates``; see :func:`pcbo_step`."""
-    noise = rng.standard_normal(positions.shape)
-    # an overflow here is reported as NumericError below, not as a warning
+    """Unchecked new positions after one synchronous move toward ``estimates``.
+
+    See :func:`pcbo_step`. An overflow gives a non-finite position without a
+    warning; the caller reports it as NumericError.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         gap = estimates - positions
         scale = _diffusion_scale(gap, cfg.diffusion)
-        new_positions = positions + cfg.nu * gap + cfg.sigma * scale * noise
-    _check_positions(new_positions, "pcbo_step", step)
-    return new_positions
+        return positions + cfg.nu * gap + cfg.sigma * scale * noise
 
 
 def pcbo_step(
@@ -151,7 +149,10 @@ def pcbo_step(
     new_centres = _consensus(
         positions, energies, assignment, centres.shape[0], float(cfg.alpha), centres
     )
-    return _move(positions, new_centres[assignment], cfg, rng, None), new_centres
+    noise = rng.standard_normal(positions.shape)
+    new_positions = _move(positions, new_centres[assignment], cfg, noise)
+    _check_positions(new_positions, "pcbo_step")
+    return new_positions, new_centres
 
 
 def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> RunReport:
@@ -165,50 +166,141 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     reports. A non-finite position or objective value raises NumericError
     naming the phase, the step and the first offending particle.
     """
-    n_particles = int(n_particles)
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    return _run_replicas(spec, cfg, n_particles, (cfg.seed,))[0]
+
+
+def _first_failure(
+    positions: np.ndarray, energies: np.ndarray, n: int, step: int
+) -> tuple[int, NumericError] | None:
+    """Slot of the first replica with a non-finite position or value, and its own run's error.
+
+    None when every row is finite. A replica's positions are checked before
+    its values, in the order of its own run's checks.
+    """
+    if np.isfinite(positions).all() and np.isfinite(energies).all():
+        return None
+    for slot in range(energies.size // n):
+        rows = slice(slot * n, (slot + 1) * n)
+        try:
+            _check_positions(positions[rows], "pcbo_step", step)
+            _check_energies(energies[rows], "objective", step)
+        except NumericError as exc:
+            return slot, exc
+
+
+def _keep(stacked: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of the replicas ``keep`` selects from an array stacked replica by replica."""
+    rest = stacked.shape[1:]
+    return stacked.reshape(keep.size, -1, *rest)[keep].reshape(-1, *rest)
+
+
+def _run_replicas(
+    spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int, seeds
+) -> list[RunReport]:
+    """One :func:`run_pcbo` report per seed, from replicas stepped together.
+
+    Replica r is the run with ``seed=seeds[r]``: it owns
+    ``default_rng(seeds[r])``, draws from it in that run's order, and its
+    rows of the stacked ``(R n, d)`` arrays go through the same kernels,
+    whose result for a row does not depend on other rows. Its centres are
+    slots ``r k .. r k + k - 1`` of one consensus, so ``bincount`` still adds
+    each cluster's terms in particle order, and the report is bit-identical.
+    A replica that stalls or reaches the step budget is frozen there: its
+    report is taken and its rows are dropped.
+
+    When a replica fails, it and the replicas after it are dropped, the ones
+    before it run on, and the NumericError of the first failing replica is
+    raised at the end: the error its own run raises, with replica-local agent
+    and step.
+    """
+    n = int(n_particles)
+    if n < 1:
+        raise ValueError(f"need at least one particle, got {n}")
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    n_clusters = int(cfg.n_clusters)
+    k = int(cfg.n_clusters)
+    dim = spec.dim
     alpha = float(cfg.alpha)
     delta_stall = float(cfg.delta_stall)
     work = _Workspace()
+    reports: list[RunReport | None] = [None] * len(seeds)
+    error = None
 
-    positions = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_particles, spec.dim))
-    energies = spec.evaluate_batch(positions)
-    evaluations = n_particles
-    _check_energies(energies, "objective")
-
-    memberships = rng.random((n_particles, n_clusters))
-    memberships /= memberships.sum(axis=1, keepdims=True)
-    centres = _soft_centres(positions, energies, memberships, alpha)
-    assignment = _nearest_centre(positions, centres, work)
+    rngs, starts = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n, dim))
+        energies = spec.evaluate_batch(positions)
+        try:
+            _check_energies(energies, "objective")
+        except NumericError as exc:
+            error = exc
+            break
+        memberships = rng.random((n, k))
+        memberships /= memberships.sum(axis=1, keepdims=True)
+        rngs.append(rng)
+        starts.append((positions, energies, _soft_centres(positions, energies, memberships, alpha)))
+    if not rngs:
+        raise error
+    positions, energies, centres = (np.concatenate(part) for part in zip(*starts))
+    live = np.arange(len(rngs))  # the replica in every slot of the stack
+    nearest = _nearest_centre(positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), work)
+    offsets = live[:, np.newaxis] * k
     tracker = StallTracker(
-        counters=np.zeros(n_particles, dtype=np.int64), estimates=centres[assignment]
+        counters=np.zeros(positions.shape[0], dtype=np.int64),
+        estimates=centres[(nearest + offsets).ravel()],
     )
+    stall = [0] * live.size  # the minimum stall counter of every slot
+    failed = live.size  # slots from here on are dropped
+    noise = np.empty_like(positions)
+    draws = [(rng, noise[slot * n : (slot + 1) * n]) for slot, rng in enumerate(rngs)]
 
-    # As in run_gkbo, each array is checked once, where it is made: positions
-    # by the move, energies right after the objective.
+    # As in run_gkbo, each array is checked once: positions and energies right
+    # after the objective. A replica that fails there is dropped at the top of
+    # the next step; until then its rows only pass the stall update and the
+    # assignment, which take non-finite rows without a warning.
     steps = 0
-    stall = 0
-    while steps < cfg.n_steps and stall < cfg.j_stall:
-        centres = _consensus(positions, energies, assignment, n_clusters, alpha, centres)
-        estimates = centres[assignment]
-        positions = _move(positions, estimates, cfg, rng, steps)
-        tracker, stall = _update_stall(tracker, estimates, delta_stall)
+    while True:
+        if steps >= cfg.n_steps or max(stall) >= cfg.j_stall or failed < live.size:
+            done = (np.array(stall) >= cfg.j_stall) | (steps >= cfg.n_steps)
+            for slot in np.flatnonzero(done[:failed]):
+                reports[live[slot]] = RunReport(
+                    iterations=steps,
+                    stalled=stall[slot] >= cfg.j_stall,
+                    final_consensus=_distinct_rows(centres[slot * k : (slot + 1) * k]),
+                    leader_count=k,
+                    best_value=float(energies[slot * n : (slot + 1) * n].min()),
+                    evaluations=n * (steps + 1),
+                    seed=int(seeds[live[slot]]),
+                )
+            keep = ~done
+            keep[failed:] = False
+            positions, energies, centres, nearest, live, noise = (
+                _keep(a, keep) for a in (positions, energies, centres, nearest, live, noise)
+            )
+            tracker = StallTracker(_keep(tracker.counters, keep), _keep(tracker.estimates, keep))
+            stall = [count for count, kept in zip(stall, keep) if kept]
+            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+            draws = [(rng, noise[slot * n : (slot + 1) * n]) for slot, rng in enumerate(rngs)]
+            offsets = offsets[: live.size]
+            failed = live.size
+            if not live.size:
+                break
+
+        slots = (nearest + offsets).ravel()
+        centres = _consensus(positions, energies, slots, centres.shape[0], alpha, centres)
+        estimates = centres[slots]
+        for rng, rows in draws:
+            rng.standard_normal(out=rows)
+        positions = _move(positions, estimates, cfg, noise)
+        tracker = _update_stall(tracker, estimates, delta_stall)
+        stall = tracker.counters.reshape(-1, n).min(axis=1).tolist()
         energies = spec._values(positions)
-        _check_energies(energies, "objective", steps)
-        assignment = _nearest_centre(positions, centres, work)
-        evaluations += n_particles
+        failure = _first_failure(positions, energies, n, steps)
+        if failure is not None:
+            failed, error = failure
+        nearest = _nearest_centre(positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), work)
         steps += 1
 
-    return RunReport(
-        iterations=steps,
-        stalled=stall >= cfg.j_stall,
-        final_consensus=_distinct_rows(centres),
-        leader_count=n_clusters,
-        best_value=float(energies.min()),
-        evaluations=evaluations,
-        seed=int(cfg.seed),
-    )
+    if error is not None:
+        raise error
+    return reports

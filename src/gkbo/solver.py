@@ -189,26 +189,30 @@ class RunReport:
 class _Workspace:
     """Scratch memory of one solver run for the nearest-centre distances.
 
-    Holds two ``(n, centres)`` float64 matrices in one flat buffer that grows
-    geometrically and never shrinks, so a run allocates it a handful of times
-    however the centre count moves. Contents between calls are undefined.
+    Holds two float64 arrays of one shape, such as ``(n, centres)``, in one
+    flat buffer that grows geometrically and never shrinks, so a run
+    allocates it a handful of times however the centre count moves. Contents
+    between calls are undefined.
     """
 
     def __init__(self) -> None:
         self._flat = np.empty(0)
 
-    def matrices(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        size = rows * cols
+    def matrices(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        size = math.prod(shape)
         if 2 * size > self._flat.size:
             self._flat = np.empty(max(2 * size, 2 * self._flat.size))
         return (
-            self._flat[:size].reshape(rows, cols),
-            self._flat[size : 2 * size].reshape(rows, cols),
+            self._flat[:size].reshape(shape),
+            self._flat[size : 2 * size].reshape(shape),
         )
 
 
 #: Dimension from which :func:`_nearest_centre` screens with a matrix product.
 _SCREEN_MIN_DIM = 6
+
+#: Centre count up to which :func:`_dense_nearest` lays distances out one row per centre.
+_FEW_CENTRES = 8
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -219,18 +223,51 @@ def _dense_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace)
 
     Squared distances are accumulated one axis at a time, without the
     ``(n, centres, dim)`` intermediate. ``argmin`` returns the first minimum.
+    Leading axes, if any, index replicas with centres of their own.
+
+    Up to ``_FEW_CENTRES`` centres the distances are laid out one row per
+    centre, ``(centres, n)``, so that every pass runs along rows of n agents
+    rather than along rows of a few centres; the sums are the same. Median
+    microseconds per call, 600 agents, ``(n, centres)`` / ``(centres, n)``,
+    both alternated on the same input (numpy 2.4, 2 vCPUs):
+
+    ==========  ===========  ===========  ===========
+    centres     d = 1        d = 3        d = 5
+    ==========  ===========  ===========  ===========
+    6           31 / 29      80 / 65      109 / 80
+    8           35 / 34      74 / 65      116 / 96
+    12          40 / 43      102 / 96     167 / 153
+    16          56 / 62      119 / 120    187 / 181
+    24          75 / 84      160 / 170    253 / 260
+    2 x 8       60 / 59      124 / 108    194 / 159
+    2 x 12      79 / 85      183 / 177    276 / 255
+    ==========  ===========  ===========  ===========
+
+    (``2 x k``: two replicas of k centres each.) Past 8 centres the row
+    layout starts to lose at d = 1, where ``argmin`` down the columns costs
+    more than the passes save.
     """
-    sq_dist, term = work.matrices(positions.shape[0], centres.shape[0])
-    for axis in range(positions.shape[1]):
+    few = centres.shape[-2] <= _FEW_CENTRES
+    if few:
+        shape = centres.shape[:-1] + positions.shape[-2:-1]
+    else:
+        shape = positions.shape[:-1] + centres.shape[-2:-1]
+    sq_dist, term = work.matrices(shape)
+    for axis in range(positions.shape[-1]):
         out = term if axis else sq_dist
-        # x_i - c_k with c_k tiled row-wise first: subtracting a per-row
-        # scalar from a contiguous row is the fast broadcast direction.
-        np.copyto(out, centres[:, axis])
-        np.subtract(positions[:, axis, np.newaxis], out, out=out)
+        if few:
+            np.subtract(
+                positions[..., np.newaxis, :, axis], centres[..., :, axis, np.newaxis], out=out
+            )
+        else:
+            # x_i - c_k with c_k tiled row-wise first: subtracting a per-row
+            # scalar from a contiguous row is the fast broadcast direction.
+            np.copyto(out, centres[..., np.newaxis, :, axis])
+            np.subtract(positions[..., axis, np.newaxis], out, out=out)
         np.square(out, out=out)
         if axis:
             np.add(sq_dist, term, out=sq_dist)
-    return np.argmin(sq_dist, axis=1)
+    return np.argmin(sq_dist, axis=-2 if few else -1)
 
 
 def _screened_nearest(
@@ -272,7 +309,7 @@ def _screened_nearest(
     rhs = np.empty((dim + 1, centres.shape[0]))
     rhs[:dim] = centres.T
     rhs[dim] = sq_norm
-    approx, _ = work.matrices(n_agents, centres.shape[0])
+    approx, _ = work.matrices((n_agents, centres.shape[0]))
     np.matmul(lhs, rhs, out=approx)
     rows = np.arange(n_agents)
     guess = np.argmin(approx, axis=1)
@@ -299,6 +336,12 @@ def _screened_nearest(
 
 def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace) -> np.ndarray:
     """Index of the nearest centre of every agent, ties to the lowest index.
+
+    ``positions`` ``(n, d)`` with ``centres`` ``(k, d)`` give ``(n,)``
+    indices; a stack of replicas, ``(R, n, d)`` with ``(R, k, d)``, gives
+    ``(R, n)`` indices, each replica against its own centres. Below
+    ``_SCREEN_MIN_DIM`` one dense pass covers every replica; from there on
+    each replica is screened on its own.
 
     The one assignment kernel of both solvers. Distances are squared
     Euclidean distances summed one axis at a time, and a tie goes to the
@@ -327,11 +370,12 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
     the clustered baseline the screen loses at d = 6 (600 agents: 88 > 66).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if positions.shape[1] >= _SCREEN_MIN_DIM:
-            nearest = _screened_nearest(positions, centres, work)
-            if nearest is not None:
-                return nearest
-        return _dense_nearest(positions, centres, work)
+        if positions.shape[-1] < _SCREEN_MIN_DIM:
+            return _dense_nearest(positions, centres, work)
+        if positions.ndim == 3:
+            return np.stack([_nearest_centre(p, c, work) for p, c in zip(positions, centres)])
+        nearest = _screened_nearest(positions, centres, work)
+        return _dense_nearest(positions, centres, work) if nearest is None else nearest
 
 
 def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -544,14 +588,18 @@ def interaction_step(
 
 def _update_stall(
     tracker: StallTracker, new_estimates: np.ndarray, delta_stall: float
-) -> tuple[StallTracker, int]:
-    """Advance ``tracker``; the new tracker keeps ``new_estimates`` without copying it."""
+) -> StallTracker:
+    """Advance ``tracker``; the new tracker keeps ``new_estimates`` without copying it.
+
+    The caller takes the stall indicator, the minimum counter, over the
+    agents it stops on.
+    """
     moved = np.abs(new_estimates - tracker.estimates)
     # the max over each row, taken down the columns of a transposed copy:
     # a reduction along short rows costs a loop call per agent
     small = np.ascontiguousarray(moved.T).max(axis=0) <= delta_stall
     counters = np.where(small, tracker.counters + 1, 0)
-    return StallTracker(counters=counters, estimates=new_estimates), int(counters.min())
+    return StallTracker(counters=counters, estimates=new_estimates)
 
 
 def check_stall(
@@ -571,7 +619,8 @@ def check_stall(
         raise ValueError(f"delta_stall must be finite and non-negative, got {delta_stall}")
     if tracker.estimates.shape != clusters.agent_estimate.shape:
         raise ValueError("stall tracker does not match the population")
-    return _update_stall(tracker, clusters.agent_estimate.copy(), delta_stall)
+    tracker = _update_stall(tracker, clusters.agent_estimate.copy(), delta_stall)
+    return tracker, int(tracker.counters.min())
 
 
 def _distinct_rows(points: np.ndarray) -> np.ndarray:
@@ -637,7 +686,8 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
         slots = _nearest_leader(positions, leaders, work)
         consensus = _consensus(positions, energies, slots, leaders.size, alpha)
         estimates = consensus[slots]
-        tracker, stall = _update_stall(tracker, estimates, delta_stall)
+        tracker = _update_stall(tracker, estimates, delta_stall)
+        stall = int(tracker.counters.min())
         steps += 1
 
     return RunReport(

@@ -1,17 +1,22 @@
+import dataclasses
 import json
+import re
+import warnings
 
-import numpy as np
 import pytest
 
 from gkbo.bench import (
     CSV_HEADER,
     ExperimentConfig,
     _parse_number,
+    _seed_batches,
     read_results,
     run_experiment,
     write_results,
 )
-from gkbo.pcbo import PcboConfig
+from gkbo.errors import NumericError
+from gkbo.objectives import preset
+from gkbo.pcbo import PcboConfig, run_pcbo
 from gkbo.solver import DiffusionMode, SolverConfig
 
 
@@ -127,20 +132,78 @@ def test_parse_number(token, value):
 @pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
 def test_summary_does_not_depend_on_the_worker_count(solver):
     # each run owns its scratch memory, so pooled runs share no state and
-    # must reproduce the inline reports exactly
-    config = SolverConfig(n_steps=15, n_leaders=3) if solver == "gkbo" else PcboConfig(n_steps=15)
-    cfg = tiny_experiment(solver=solver, solver_config=config)
-    inline = run_experiment(cfg, workers=1)
-    pooled = run_experiment(cfg, workers=2)
-    for a, b in zip(inline.results, pooled.results, strict=True):
-        assert (a.successes, a.detected, a.iterations) == (b.successes, b.detected, b.iterations)
-        for x, y in zip(a.reports, b.reports, strict=True):
-            assert (x.iterations, x.stalled, x.leader_count, x.evaluations, x.seed) == (
-                y.iterations,
-                y.stalled,
-                y.leader_count,
-                y.evaluations,
-                y.seed,
-            )
-            assert x.best_value == y.best_value
-            assert np.array_equal(x.final_consensus, y.final_consensus)
+    # must reproduce the inline reports exactly; pcbo's 5 seeds per sweep
+    # value go in batches of 5, 3 + 2 and 2 + 2 + 1, and stall at different
+    # steps within a batch
+    if solver == "gkbo":
+        config = SolverConfig(n_steps=15, n_leaders=3)
+    else:
+        config = PcboConfig(n_steps=40, j_stall=4)
+    cfg = tiny_experiment(solver=solver, solver_config=config, repetitions=5)
+    inline, *pooled = (run_experiment(cfg, workers=workers) for workers in (1, 2, 3))
+    if solver == "pcbo":
+        assert all(len(set(result.iterations)) > 1 for result in inline.results)
+    for summary in (inline, *pooled):
+        for result in summary.results:
+            assert result.seeds == tuple(range(11, 16))
+            assert len(result.run_seconds) == 5
+            assert all(seconds > 0.0 for seconds in result.run_seconds)
+    for other in pooled:
+        for a, b in zip(inline.results, other.results, strict=True):
+            assert (a.successes, a.detected, a.iterations) == (b.successes, b.detected, b.iterations)
+            for x, y in zip(a.reports, b.reports, strict=True):
+                assert (x.iterations, x.stalled, x.leader_count, x.evaluations, x.seed) == (
+                    y.iterations,
+                    y.stalled,
+                    y.leader_count,
+                    y.evaluations,
+                    y.seed,
+                )
+                assert x.best_value == y.best_value
+                assert x.final_consensus.tobytes() == y.final_consensus.tobytes()
+
+
+@pytest.mark.parametrize(
+    "repetitions, workers, batches",
+    [(4, 2, [(0, 1), (2, 3)]), (5, 2, [(0, 1, 2), (3, 4)]), (5, 3, [(0, 1), (2, 3), (4,)]),
+     (2, 4, [(0,), (1,)]), (3, 1, [(0, 1, 2)])],
+)
+def test_pcbo_seeds_go_in_one_contiguous_batch_per_worker(repetitions, workers, batches):
+    assert _seed_batches(range(repetitions), "pcbo", workers) == batches
+    assert _seed_batches(range(repetitions), "gkbo", workers) == [
+        (seed,) for seed in range(repetitions)
+    ]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_experiment_rejects_a_worker_count_below_one(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_experiment(tiny_experiment(), workers=workers)
+
+
+@pytest.mark.parametrize(
+    "objective, sigma, base_seed",
+    [("rastrigin2", 5, 0), ("ackley2", 40, 2)],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_experiment_raises_the_lowest_failing_seeds_error(
+    objective, sigma, base_seed, workers
+):
+    # both seeds diverge and the higher one fails first; whether they share
+    # a batch (one worker) or not (two), the lower seed's own error surfaces
+    solver_cfg = PcboConfig(sigma=sigma, n_steps=3000)
+    with pytest.raises(NumericError) as alone:
+        run_pcbo(preset(objective, 1), dataclasses.replace(solver_cfg, seed=base_seed), 60)
+    cfg = ExperimentConfig(
+        objective=objective,
+        dim=1,
+        solver="pcbo",
+        solver_config=solver_cfg,
+        n_agents=60,
+        repetitions=2,
+        base_seed=base_seed,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(str(alone.value))}$"):
+            run_experiment(cfg, workers=workers)

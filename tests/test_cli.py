@@ -64,6 +64,12 @@ def test_diverging_run_exits_2(capsys):
     assert "runtime error: interaction_step: agent 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bench", "compare"])
+def test_a_worker_count_below_one_exits_1(command, capsys):
+    assert main([command, "--workers", "-1"]) == 1
+    assert "error: workers must be at least 1, got -1" in capsys.readouterr().err
+
+
 def test_bench_writes_results_and_sidecar(tmp_path, capsys):
     output = tmp_path / "out.csv"
     argv = ["bench", "--output", str(output), "--repetitions", "2", "--workers", "1"]

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
-from gkbo.pcbo import PcboConfig, pcbo_assign, pcbo_step, run_pcbo
+from gkbo.pcbo import PcboConfig, _run_replicas, pcbo_assign, pcbo_step, run_pcbo
 from gkbo.solver import ClusterState, DiffusionMode, RunReport, StallTracker, check_stall
 from test_solver import nearest_centre_oracle, populations
 
@@ -95,14 +97,22 @@ def test_assign_near_ties_match_per_axis_oracle(dim):
     assert np.array_equal(pcbo_assign(agents, centres), nearest_centre_oracle(agents, centres))
 
 
-def test_assign_infinite_coordinates_without_warnings():
-    # inf - inf makes a NaN distance, which argmin takes as the minimum
-    positions = np.array([[np.inf, 0.0], [1.0, -np.inf], [0.0, 0.0]])
-    centres = np.array([[np.inf, 0.0], [0.0, 1.0]])
+@pytest.mark.parametrize(
+    "positions, centres",
+    [
+        ([[np.inf, 0.0], [1.0, -np.inf], [0.0, 0.0]], [[np.inf, 0.0], [0.0, 1.0]]),
+        ([[np.inf, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]),
+        ([[1.0, 0.0], [0.0, 0.0]], [[0.0, np.nan], [0.0, 1.0]]),
+    ],
+    ids=["both", "positions", "centres"],
+)
+def test_assign_rejects_non_finite_input_without_warnings(positions, centres):
+    # as assign_clusters does; an inf - inf distance would be a NaN that
+    # argmin takes as the minimum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pcbo_assign(positions, centres)
-    assert got.tolist() == [0, 0, 1]
+        with pytest.raises(ValueError, match="must have finite coordinates"):
+            pcbo_assign(np.array(positions), np.array(centres))
 
 
 def test_assign_is_idempotent_under_reassignment():
@@ -352,3 +362,81 @@ def test_step_on_a_far_point_is_one_numeric_error():
             np.array([[1e200], [0.0]]), np.zeros(2, dtype=np.int64), np.array([[0.0]]),
             preset("rastrigin2", 1), PcboConfig(n_clusters=1), np.random.default_rng(0),
         )
+
+
+# ------------------------------------------------------------ replica batches
+
+
+def assert_reports_identical(got, want):
+    for field in dataclasses.fields(RunReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "final_consensus":
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b and type(a) is type(b), field.name
+
+
+@pytest.mark.parametrize(
+    "objective, dim, cfg, n_particles, seeds",
+    [
+        # centres go empty in every replica; seed 2 alone is the replay test's run
+        ("ackley2", 1, PcboConfig(n_steps=400), 120, (2, 3)),
+        # the replicas stall at steps 40 to 60
+        ("ackley2", 3, PcboConfig(n_steps=200, j_stall=15), 80, (0, 1, 2, 3, 4)),
+        # 10 centres: the other layout of the dense distances
+        ("rastrigin2", 3, PcboConfig(n_steps=60, n_clusters=10), 80, (7, 8, 9)),
+        # d >= 6: each replica is screened on its own
+        ("ackley4", 6, PcboConfig(n_steps=80, j_stall=20), 80, (0, 1, 2)),
+        ("ackley4", 10, PcboConfig(n_steps=60, diffusion="isotropic"), 80, (5, 6, 7, 8, 9)),
+        ("ackley2", 2, PcboConfig(n_steps=100, diffusion="isotropic", j_stall=10), 80, (4, 5)),
+        ("rastrigin2", 1, PcboConfig(n_steps=0), 50, (0, 1, 2)),
+    ],
+)
+def test_replicas_equal_their_standalone_runs(objective, dim, cfg, n_particles, seeds):
+    spec = preset(objective, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _run_replicas(spec, cfg, n_particles, seeds)
+    assert len(batch) == len(seeds)
+    for seed, report in zip(seeds, batch, strict=True):
+        assert_reports_identical(
+            report, run_pcbo(spec, dataclasses.replace(cfg, seed=seed), n_particles)
+        )
+
+
+def test_replicas_stall_at_different_steps():
+    # the staggered-stall case above would pass trivially if all stalled together
+    reports = _run_replicas(
+        preset("ackley2", 3), PcboConfig(n_steps=200, j_stall=15), 80, (0, 1, 2, 3, 4)
+    )
+    assert all(report.stalled for report in reports)
+    assert len({report.iterations for report in reports}) > 1
+
+
+def standalone_error(objective, dim, cfg, seed) -> tuple[str, int]:
+    """Message and step of the NumericError the run with ``seed`` raises."""
+    with pytest.raises(NumericError) as raised:
+        run_pcbo(preset(objective, dim), dataclasses.replace(cfg, seed=seed), 60)
+    message = str(raised.value)
+    return message, int(re.search(r"at step (\d+)$", message).group(1))
+
+
+@pytest.mark.parametrize(
+    "objective, dim, cfg, seeds, reported",
+    [
+        # both fail; the higher seed fails first (step 307 vs 318)
+        ("rastrigin2", 1, PcboConfig(sigma=5, n_steps=3000), (0, 1), 0),
+        # both fail, in different phases; the higher seed fails first (215 vs 222)
+        ("ackley2", 1, PcboConfig(sigma=40, n_steps=3000), (2, 3), 0),
+        # only the second replica fails, so the agent is counted within it
+        ("rastrigin2", 1, PcboConfig(sigma=5, n_steps=310), (0, 1), 1),
+    ],
+)
+def test_replicas_raise_the_first_failing_replicas_own_error(objective, dim, cfg, seeds, reported):
+    message, step = standalone_error(objective, dim, cfg, seeds[reported])
+    if reported == 0:
+        assert standalone_error(objective, dim, cfg, seeds[1])[1] < step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            _run_replicas(preset(objective, dim), cfg, 60, seeds)

@@ -21,7 +21,13 @@ from gkbo.solver import (
     interaction_step,
     run_gkbo,
 )
-from gkbo.solver import _cluster_min, _diffusion_scale, _nearest_leader, _Workspace
+from gkbo.solver import (
+    _cluster_min,
+    _diffusion_scale,
+    _nearest_centre,
+    _nearest_leader,
+    _Workspace,
+)
 
 
 def diffusion_matrix(x, x_hat, mode):
@@ -261,6 +267,29 @@ def test_screened_assignment_of_converged_leaders_matches_oracle(dim):
     leaders = np.arange(leader_pos.shape[0])
     slots = _nearest_leader(positions, leaders, _Workspace())
     assert np.array_equal(slots, nearest_leader_oracle(positions, leaders))
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("n_centres", [1, 4, 8, 9, 24])
+@pytest.mark.parametrize("dim", [1, 3, 6, 10])
+def test_stacked_nearest_centre_matches_oracle_per_replica(replicas, n_centres, dim):
+    # Each replica has centres of its own, a few ulps from some of its agents,
+    # with the last one an exact copy of the first, on both sides of the
+    # layout and screening rules; one workspace serves every call.
+    rng = np.random.default_rng(100 * dim + n_centres)
+    positions = rng.uniform(-10, 10, (replicas, 60, dim))
+    picks = rng.integers(0, 60, (replicas, n_centres, 1))
+    centres = np.take_along_axis(positions, picks, axis=1)
+    centres += rng.integers(-2, 3, centres.shape) * np.spacing(centres)
+    centres[:, -1] = centres[:, 0]
+    work = _Workspace()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _nearest_centre(positions, centres, work)
+        alone = [_nearest_centre(p, c, work) for p, c in zip(positions, centres)]
+    want = [nearest_centre_oracle(p, c) for p, c in zip(positions, centres)]
+    assert stacked.shape == (replicas, 60)
+    assert np.array_equal(stacked, want) and np.array_equal(alone, want)
 
 
 def test_assign_overflowing_distances_tie_to_lowest_leader():
