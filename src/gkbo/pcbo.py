@@ -175,9 +175,11 @@ def _first_failure(
     """Slot of the first replica with a non-finite position or value, and its own run's error.
 
     None when every row is finite. A replica's positions are checked before
-    its values, in the order of its own run's checks.
+    its values, in the order of its own run's checks. The values alone decide
+    whether a row failed: every coordinate of a point passes through a cosine
+    in both base functions, so a non-finite coordinate gives a NaN value.
     """
-    if np.isfinite(positions).all() and np.isfinite(energies).all():
+    if np.isfinite(energies).all():
         return None
     for slot in range(energies.size // n):
         rows = slice(slot * n, (slot + 1) * n)
@@ -252,12 +254,14 @@ def _run_replicas(
     stall = [0] * live.size  # the minimum stall counter of every slot
     failed = live.size  # slots from here on are dropped
     noise = np.empty_like(positions)
-    draws = [(rng, noise[slot * n : (slot + 1) * n]) for slot, rng in enumerate(rngs)]
+    draws = list(zip(rngs, noise.reshape(-1, n, dim)))
 
-    # As in run_gkbo, each array is checked once: positions and energies right
-    # after the objective. A replica that fails there is dropped at the top of
-    # the next step; until then its rows only pass the stall update and the
-    # assignment, which take non-finite rows without a warning.
+    # As in run_gkbo, the loop checks what it made once: the energies right
+    # after the objective, which turns a non-finite position into a
+    # non-finite value (see _first_failure). A replica that fails there is
+    # dropped at the top of the next step; until then its rows only pass the
+    # stall update and the assignment, which take non-finite rows without a
+    # warning.
     steps = 0
     while True:
         if steps >= cfg.n_steps or max(stall) >= cfg.j_stall or failed < live.size:
@@ -280,7 +284,7 @@ def _run_replicas(
             tracker = StallTracker(_keep(tracker.counters, keep), _keep(tracker.estimates, keep))
             stall = [count for count, kept in zip(stall, keep) if kept]
             rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-            draws = [(rng, noise[slot * n : (slot + 1) * n]) for slot, rng in enumerate(rngs)]
+            draws = list(zip(rngs, noise.reshape(-1, n, dim)))
             offsets = offsets[: live.size]
             failed = live.size
             if not live.size:

@@ -214,6 +214,10 @@ _SCREEN_MIN_DIM = 6
 #: Centre count up to which :func:`_dense_nearest` lays distances out one row per centre.
 _FEW_CENTRES = 8
 
+#: Centres times dimension up to which :func:`_nearest_centre` stays dense from
+#: ``_SCREEN_MIN_DIM`` on.
+_DENSE_MAX_TERMS = 48
+
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -339,9 +343,8 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
 
     ``positions`` ``(n, d)`` with ``centres`` ``(k, d)`` give ``(n,)``
     indices; a stack of replicas, ``(R, n, d)`` with ``(R, k, d)``, gives
-    ``(R, n)`` indices, each replica against its own centres. Below
-    ``_SCREEN_MIN_DIM`` one dense pass covers every replica; from there on
-    each replica is screened on its own.
+    ``(R, n)`` indices, each replica against its own centres. A dense pass
+    covers every replica at once; the screen runs replica by replica.
 
     The one assignment kernel of both solvers. Distances are squared
     Euclidean distances summed one axis at a time, and a tie goes to the
@@ -366,14 +369,31 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
     ==========  =========  =========  =========  =========  =========  =========
 
     (rastrigin2 and ackley2 at d = 2, rastrigin4 and ackley4 above.) On
-    Ackley half the rows are in doubt below d = 6. With the four centres of
-    the clustered baseline the screen loses at d = 6 (600 agents: 88 > 66).
+    Ackley half the rows are in doubt below d = 6.
+
+    With few centres the dense kernel's row-per-centre layout is cheaper
+    still, so the screen also waits until centres times d exceeds
+    ``_DENSE_MAX_TERMS``. Median microseconds per call, 600 agents near their
+    centres, dense / screened:
+
+    =========  ===========  ===========  ===========
+    centres    d = 6        d = 10       d = 17
+    =========  ===========  ===========  ===========
+    4          95 / 156     121 / 133    188 / 143
+    8          114 / 143    166 / 137    265 / 163
+    2 x 4      129 / 272    223 / 316    341 / 318
+    9          197 / 174    283 / 182    422 / 175
+    =========  ===========  ===========  ===========
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if positions.shape[-1] < _SCREEN_MIN_DIM:
+        dim = positions.shape[-1]
+        if dim < _SCREEN_MIN_DIM or centres.shape[-2] * dim <= _DENSE_MAX_TERMS:
             return _dense_nearest(positions, centres, work)
         if positions.ndim == 3:
-            return np.stack([_nearest_centre(p, c, work) for p, c in zip(positions, centres)])
+            nearest = np.empty(positions.shape[:2], dtype=np.intp)
+            for replica, (agents, own) in enumerate(zip(positions, centres)):
+                nearest[replica] = _nearest_centre(agents, own, work)
+            return nearest
         nearest = _screened_nearest(positions, centres, work)
         return _dense_nearest(positions, centres, work) if nearest is None else nearest
 
