@@ -64,9 +64,14 @@ def test_diverging_run_exits_2(capsys):
     assert "runtime error: interaction_step: agent 8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["bench", "compare"])
-def test_a_worker_count_below_one_exits_1(command, capsys):
-    assert main([command, "--workers", "-1"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [["bench", "--output", "out.csv"], ["compare", "--output-dir", "."]],
+    ids=["bench", "compare"],
+)
+def test_a_worker_count_below_one_exits_1(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--workers", "-1"]) == 1
     assert "error: workers must be at least 1, got -1" in capsys.readouterr().err
 
 
