@@ -385,8 +385,10 @@ def assert_reports_identical(got, want):
         ("ackley2", 3, PcboConfig(n_steps=200, j_stall=15), 80, (0, 1, 2, 3, 4)),
         # 10 centres: the other layout of the dense distances
         ("rastrigin2", 3, PcboConfig(n_steps=60, n_clusters=10), 80, (7, 8, 9)),
-        # d >= 6: each replica is screened on its own
+        # 4 centres at d = 6 and 10 stay in one dense pass; 12 centres at
+        # d = 10 are screened replica by replica
         ("ackley4", 6, PcboConfig(n_steps=80, j_stall=20), 80, (0, 1, 2)),
+        ("ackley4", 10, PcboConfig(n_steps=60, n_clusters=12), 80, (3, 4, 5)),
         ("ackley4", 10, PcboConfig(n_steps=60, diffusion="isotropic"), 80, (5, 6, 7, 8, 9)),
         ("ackley2", 2, PcboConfig(n_steps=100, diffusion="isotropic", j_stall=10), 80, (4, 5)),
         ("rastrigin2", 1, PcboConfig(n_steps=0), 50, (0, 1, 2)),
