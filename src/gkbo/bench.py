@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .objectives import PRESET_NAMES, preset
-from .pcbo import PcboConfig, _run_replicas
-from .solver import RunReport, SolverConfig, run_gkbo
+from .pcbo import PcboConfig
+from .pcbo import _run_replicas as _pcbo_replicas
+from .solver import RunReport, SolverConfig, _integer
+from .solver import _run_replicas as _gkbo_replicas
 
 __all__ = [
     "CSV_HEADER",
@@ -52,6 +55,12 @@ CSV_HEADER = (
 
 _SOLVERS = ("gkbo", "pcbo")
 _SWEEPS = ("none", "dimension", "n_leaders", "sigma_f")
+_REPLICA_LOOPS = {"gkbo": _gkbo_replicas, "pcbo": _pcbo_replicas}
+
+#: Most float64 coordinates, R n d, that one batch of R replicas stacks. At
+#: 14400 (115200 bytes) every stacked ``(R n, d)`` array stays below glibc's
+#: default mmap threshold of 128 KiB, so the heap serves it.
+_MAX_BATCH_COORDINATES = 14_400
 
 
 def _config_as_dict(config: SolverConfig | PcboConfig) -> dict:
@@ -88,12 +97,20 @@ class ExperimentConfig:
         self.sweep_values = tuple(self.sweep_values)
 
     def validate(self) -> None:
-        """Raise ValueError on any inconsistent experiment setting."""
+        """Raise ValueError on any inconsistent experiment setting.
+
+        Types are checked before values: the integer fields must be integers
+        and the sweep values integers or numbers as the sweep needs, so a
+        wrong type never reaches a comparison or an ``int()`` that would
+        truncate it.
+        """
         if self.objective not in PRESET_NAMES:
             raise ValueError(
                 f"unknown objective preset {self.objective!r}; available: {', '.join(PRESET_NAMES)}"
             )
-        if int(self.dim) < 1:
+        for name in ("dim", "n_agents", "repetitions", "base_seed"):
+            _integer(self, name)
+        if self.dim < 1:
             raise ValueError(f"dimension must be at least 1, got {self.dim}")
         if self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; available: {', '.join(_SOLVERS)}")
@@ -103,11 +120,11 @@ class ExperimentConfig:
                 f"solver {self.solver!r} requires a {expected.__name__}, "
                 f"got {type(self.solver_config).__name__}"
             )
-        if int(self.n_agents) < 1:
+        if self.n_agents < 1:
             raise ValueError(f"need at least one agent, got {self.n_agents}")
-        if int(self.repetitions) < 1:
+        if self.repetitions < 1:
             raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
-        if int(self.base_seed) < 0:
+        if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.sweep not in _SWEEPS:
             raise ValueError(f"unknown sweep {self.sweep!r}; available: {', '.join(_SWEEPS)}")
@@ -116,8 +133,6 @@ class ExperimentConfig:
                 raise ValueError("sweep_values must be empty when sweep is 'none'")
         elif not self.sweep_values:
             raise ValueError(f"sweep {self.sweep!r} needs at least one sweep value")
-        if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
-            raise ValueError("sweep_values must be strictly increasing")
         for value in self.sweep_values:
             if self.sweep in ("dimension", "n_leaders"):
                 if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -126,6 +141,8 @@ class ExperimentConfig:
                     raise ValueError(f"{self.sweep} sweep values must be at least 1, got {value}")
             elif isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
                 raise ValueError(f"sigma_f sweep values must be numbers, got {value!r}")
+        if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
+            raise ValueError("sweep_values must be strictly increasing")
         # every run's solver config, checked here rather than in a pool worker
         for value in self.sweep_values or (None,):
             _, solver_cfg = _sweep_setup(self, value)
@@ -168,6 +185,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key: 'solver_config.{key}'")
         kwargs = {key: value for key, value in data.items() if key != "solver_config"}
         if "sweep_values" in kwargs:
+            if not isinstance(kwargs["sweep_values"], (list, tuple)):
+                raise ValueError(f"sweep_values must be a list, got {kwargs['sweep_values']!r}")
             kwargs["sweep_values"] = tuple(kwargs["sweep_values"])
         return cls(solver_config=config_cls(**raw), **kwargs)
 
@@ -187,7 +206,7 @@ class ExperimentConfig:
 class SweepResult:
     """Aggregates for one sweep value, plus the per-run records behind them.
 
-    ``run_seconds`` holds each run's share of worker time. pcbo runs step in
+    ``run_seconds`` holds each run's share of worker time. Runs step in
     batches of replicas (see :func:`run_experiment`), so each batch's elapsed
     seconds are split among its runs in proportion to their objective
     evaluations; the entries still add up to the worker time spent.
@@ -222,7 +241,8 @@ def evaluate_success(
 
     A minimizer is detected when some final consensus point lies within
     ``threshold`` of it in the max norm; the run is a success when every
-    minimizer is detected. Returns ``(success, detected_count)``.
+    minimizer is detected. Returns ``(success, detected_count)``. A flat
+    list of minimizers is one point, or on a 1-d run one point per entry.
     """
     threshold = float(threshold)
     if not np.isfinite(threshold) or threshold < 0.0:
@@ -230,7 +250,10 @@ def evaluate_success(
     points = np.asarray(report.final_consensus, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"final consensus must be a non-empty (m, d) array, got {points.shape}")
-    mins = np.atleast_2d(np.asarray(minimizers, dtype=np.float64))
+    mins = np.asarray(minimizers, dtype=np.float64)
+    if mins.ndim == 1 and points.shape[1] == 1:
+        mins = mins[:, np.newaxis]  # a flat list of 1-d minimizers, as ObjectiveSpec reads it
+    mins = np.atleast_2d(mins)
     if mins.shape[1] != points.shape[1]:
         raise ValueError(
             f"dimension mismatch: consensus is {points.shape[1]}-d, "
@@ -265,51 +288,55 @@ def _sweep_setup(cfg: ExperimentConfig, value) -> tuple[int, SolverConfig | Pcbo
 def _execute_run(task) -> list[tuple[RunReport, float]]:
     """Run one batch of seeded solver instances; must stay module-level for pickling.
 
-    Returns ``(report, seconds)`` per seed. The batch's elapsed time is split
-    among its runs in proportion to their objective evaluations.
+    The seeds step together as the replicas of one batch (see
+    ``solver._run_replicas`` and ``pcbo._run_replicas``). Returns
+    ``(report, seconds)`` per seed: the batch's elapsed time split among its
+    runs in proportion to their objective evaluations.
     """
     solver, objective, dim, solver_cfg, n_agents, seeds = task
     spec = preset(objective, dim)
     start = time.perf_counter()
-    if solver == "gkbo":
-        reports = [
-            run_gkbo(spec, dataclasses.replace(solver_cfg, seed=seed), n_agents) for seed in seeds
-        ]
-    else:
-        reports = _run_replicas(spec, solver_cfg, n_agents, seeds)
+    reports = _REPLICA_LOOPS[solver](spec, solver_cfg, n_agents, seeds)
     elapsed = time.perf_counter() - start
     evaluations = sum(report.evaluations for report in reports)
     return [(report, elapsed * report.evaluations / evaluations) for report in reports]
 
 
-def _seed_batches(seeds: range, solver: str, workers: int) -> list[tuple]:
+def _seed_batches(seeds: range, workers: int, coordinates: int) -> list[tuple]:
     """The seeds of one sweep value as the batches of the pool's tasks.
 
-    pcbo steps a batch of replicas together (see ``pcbo._run_replicas``), so
-    its seeds go in ``workers`` contiguous batches of near-equal size, one per
-    worker. gkbo runs one seed per task.
+    Both solvers step a batch of replicas together, so the seeds go in
+    contiguous batches of near-equal size: one per worker, or more where a
+    batch would stack more than ``_MAX_BATCH_COORDINATES`` coordinates.
+    ``coordinates`` is the size of one replica, agents times dimension.
     """
-    if solver == "gkbo":
-        return [(seed,) for seed in seeds]
-    count = min(workers, len(seeds))
+    per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
+    count = max(min(workers, len(seeds)), math.ceil(len(seeds) / per_batch))
     size, extra = divmod(len(seeds), count)
     bounds = [index * size + min(index, extra) for index in range(count + 1)]
     return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _worker_count(workers: int | None) -> int:
+    """The pool size ``workers`` asks for: every available CPU for None."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if int(workers) < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return int(workers)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentSummary:
     """Run all repetitions of every sweep value and aggregate.
 
     ``workers`` caps the process pool; ``None`` uses every available CPU and 1
-    runs inline. Results are aggregated in seed order either way, so the
-    summary does not depend on the worker count. A failing run raises the
-    NumericError of the lowest failing seed.
+    runs inline. Each task is one batch of a sweep value's seeds, stepped
+    together as replicas (see :func:`_seed_batches`); every report is the one
+    its standalone run gives. Results are aggregated in seed order either
+    way, so the summary does not depend on the worker count. A failing run
+    raises the NumericError of the lowest failing seed.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if int(workers) < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    workers = int(workers)
+    workers = _worker_count(workers)
     cfg.validate()
     values = list(cfg.sweep_values) if cfg.sweep != "none" else [None]
     repetitions = int(cfg.repetitions)
@@ -321,7 +348,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     for value in values:
         dim, solver_cfg = _sweep_setup(cfg, value)
         minimizers.append(preset(cfg.objective, dim).minimizers)
-        for batch in _seed_batches(seeds, cfg.solver, workers):
+        for batch in _seed_batches(seeds, workers, int(cfg.n_agents) * dim):
             tasks.append((cfg.solver, cfg.objective, dim, solver_cfg, int(cfg.n_agents), batch))
 
     if workers == 1 or len(tasks) == 1:

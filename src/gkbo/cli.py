@@ -22,6 +22,7 @@ from .bench import (
     ExperimentConfig,
     _config_as_dict,
     _parse_number,
+    _worker_count,
     evaluate_success,
     run_experiment,
     write_results,
@@ -225,6 +226,10 @@ def _cmd_compare(args) -> int:
         for name, solver_config in solver_configs.items()
     }
 
+    workers = _worker_count(args.workers)
+    for experiment in experiments.values():
+        experiment.validate()
+    # only once both experiments and the pool size are valid
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     effective = {
@@ -243,8 +248,7 @@ def _cmd_compare(args) -> int:
 
     means = {}
     for name, experiment in experiments.items():
-        experiment.validate()
-        summary = run_experiment(experiment, workers=args.workers)
+        summary = run_experiment(experiment, workers=workers)
         path = write_results(summary, out_dir / f"{name}.csv")
         rates = [result.success_rate for result in summary.results]
         means[name] = sum(rates) / len(rates)

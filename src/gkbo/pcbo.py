@@ -23,6 +23,9 @@ from .solver import (
     _consensus,
     _diffusion_scale,
     _distinct_rows,
+    _first_failure,
+    _integer,
+    _keep,
     _nearest_centre,
     _require_non_negative,
     _require_positive,
@@ -58,7 +61,7 @@ class PcboConfig:
         _require_positive(self, "nu")
         _require_non_negative(self, "sigma", "delta_stall")
         _require_positive(self, "alpha")
-        if int(self.n_clusters) < 1:
+        if _integer(self, "n_clusters") < 1:
             raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters}")
         _require_run_limits(self)
 
@@ -169,33 +172,6 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     return _run_replicas(spec, cfg, n_particles, (cfg.seed,))[0]
 
 
-def _first_failure(
-    positions: np.ndarray, energies: np.ndarray, n: int, step: int
-) -> tuple[int, NumericError] | None:
-    """Slot of the first replica with a non-finite position or value, and its own run's error.
-
-    None when every row is finite. A replica's positions are checked before
-    its values, in the order of its own run's checks. The values alone decide
-    whether a row failed: every coordinate of a point passes through a cosine
-    in both base functions, so a non-finite coordinate gives a NaN value.
-    """
-    if np.isfinite(energies).all():
-        return None
-    for slot in range(energies.size // n):
-        rows = slice(slot * n, (slot + 1) * n)
-        try:
-            _check_positions(positions[rows], "pcbo_step", step)
-            _check_energies(energies[rows], "objective", step)
-        except NumericError as exc:
-            return slot, exc
-
-
-def _keep(stacked: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows of the replicas ``keep`` selects from an array stacked replica by replica."""
-    rest = stacked.shape[1:]
-    return stacked.reshape(keep.size, -1, *rest)[keep].reshape(-1, *rest)
-
-
 def _run_replicas(
     spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int, seeds
 ) -> list[RunReport]:
@@ -299,7 +275,7 @@ def _run_replicas(
         tracker = _update_stall(tracker, estimates, delta_stall)
         stall = tracker.counters.reshape(-1, n).min(axis=1).tolist()
         energies = spec._values(positions)
-        failure = _first_failure(positions, energies, n, steps)
+        failure = _first_failure(positions, energies, n, steps, "pcbo_step")
         if failure is not None:
             failed, error = failure
         nearest = _nearest_centre(positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), work)

@@ -26,7 +26,7 @@ from .ensemble import (
     deterministic_label_pass,
     init_uniform,
 )
-from .errors import EmptyLeaderSetError, _check_energies, _check_positions
+from .errors import EmptyLeaderSetError, NumericError, _check_energies, _check_positions
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -57,31 +57,47 @@ class DiffusionMode(enum.Enum):
     ANISOTROPIC = "anisotropic"
 
 
+def _number(cfg, name: str) -> float:
+    """Field ``name`` of ``cfg`` as a float; ValueError unless it is a real number."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(cfg, name: str) -> int:
+    """Field ``name`` of ``cfg`` as an int; ValueError unless it is an integer."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_positive(cfg, *names: str) -> None:
     """Raise ValueError unless every named field of ``cfg`` is finite and positive."""
     for name in names:
-        value = getattr(cfg, name)
-        if not np.isfinite(float(value)) or float(value) <= 0.0:
+        value = _number(cfg, name)
+        if not np.isfinite(value) or value <= 0.0:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _require_non_negative(cfg, *names: str) -> None:
     """Raise ValueError unless every named field of ``cfg`` is finite and non-negative."""
     for name in names:
-        value = float(getattr(cfg, name))
+        value = _number(cfg, name)
         if not np.isfinite(value) or value < 0.0:
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _require_run_limits(cfg) -> None:
     """Check the step budget, stall window, seed and initialization box both solvers share."""
-    if int(cfg.n_steps) < 0:
+    if _integer(cfg, "n_steps") < 0:
         raise ValueError(f"n_steps must be non-negative, got {cfg.n_steps}")
-    if int(cfg.j_stall) < 1:
+    if _integer(cfg, "j_stall") < 1:
         raise ValueError(f"j_stall must be at least 1, got {cfg.j_stall}")
-    if int(cfg.seed) < 0:
+    if _integer(cfg, "seed") < 0:
         raise ValueError(f"seed must be non-negative, got {cfg.seed}")
-    lo, hi = float(cfg.init_lo), float(cfg.init_hi)
+    lo, hi = _number(cfg, "init_lo"), _number(cfg, "init_hi")
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise ValueError(f"invalid initialization box [{lo}, {hi}]")
 
@@ -118,10 +134,10 @@ class SolverConfig:
         """Raise ValueError on any out-of-range hyperparameter."""
         _require_positive(self, "nu_f", "nu_l")
         _require_non_negative(self, "sigma_f", "delta_stall")
-        if not 0.0 < float(self.eps) <= 1.0:
+        if not 0.0 < _number(self, "eps") <= 1.0:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         _require_positive(self, "alpha")
-        if int(self.n_leaders) < 1:
+        if _integer(self, "n_leaders") < 1:
             raise ValueError(f"n_leaders must be at least 1, got {self.n_leaders}")
         _require_run_limits(self)
         if n_agents is not None and int(self.n_leaders) > int(n_agents):
@@ -546,31 +562,26 @@ def _diffusion_scale(delta: np.ndarray, mode: DiffusionMode) -> np.ndarray:
 
 def _interact(
     positions: np.ndarray,
-    labels: np.ndarray,
+    followers: np.ndarray,
     leader_of: np.ndarray,
     estimates: np.ndarray,
     cfg: SolverConfig,
-    rng: np.random.Generator,
-    step: int | None,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """New positions after one synchronous move; see :func:`interaction_step`.
+    """Unchecked new positions after one synchronous move; see :func:`interaction_step`.
 
-    Both updates are formed for every agent and the label picks one, so the
-    draws land in follower rows in agent order and leader rows draw nothing.
+    Both updates are formed for every agent and the ``followers`` mask picks
+    one, so only the follower rows of ``noise`` matter. An overflow gives a
+    non-finite position without a warning; the caller reports it as
+    NumericError.
     """
-    followers = labels == 0
-    noise = np.zeros(positions.shape)
-    noise[followers] = rng.standard_normal((np.count_nonzero(followers), positions.shape[1]))
     gap = estimates - positions
-    # an overflow here is reported as NumericError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         leader_step = positions + cfg.eps * cfg.nu_l * gap
         drift = cfg.eps * cfg.nu_f * (positions[leader_of] - positions)
         scale = _diffusion_scale(gap, cfg.diffusion)
         follower_step = positions + drift + math.sqrt(cfg.eps) * cfg.sigma_f * scale * noise
-        new_positions = np.where(followers[:, np.newaxis], follower_step, leader_step)
-    _check_positions(new_positions, "interaction_step", step)
-    return new_positions
+        return np.where(followers[:, np.newaxis], follower_step, leader_step)
 
 
 def interaction_step(
@@ -594,15 +605,14 @@ def interaction_step(
     """
     if clusters.agent_estimate is None:
         raise ValueError("cluster state lacks consensus estimates; run cluster_consensus first")
+    positions = ensemble.positions
+    followers = ensemble.labels == 0
+    noise = np.zeros(positions.shape)
+    noise[followers] = rng.standard_normal((np.count_nonzero(followers), positions.shape[1]))
     new_positions = _interact(
-        ensemble.positions,
-        ensemble.labels,
-        clusters.leader_of,
-        clusters.agent_estimate,
-        cfg,
-        rng,
-        step,
+        positions, followers, clusters.leader_of, clusters.agent_estimate, cfg, noise
     )
+    _check_positions(new_positions, "interaction_step", step)
     return Ensemble._unchecked(new_positions, ensemble.labels.copy())
 
 
@@ -666,56 +676,202 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
     All randomness comes from one generator seeded with ``cfg.seed``, so equal
     configurations produce identical reports. A non-finite position or
     objective value raises NumericError naming the phase, the step and the
-    first offending agent.
+    first offending agent. The run is a batch of one replica; see
+    :func:`_run_replicas`.
     """
-    n_agents = int(n_agents)
-    cfg.validate(n_agents)
-    rng = np.random.default_rng(cfg.seed)
-    omega_bar = cfg.omega_bar(n_agents)
+    return _run_replicas(spec, cfg, n_agents, (cfg.seed,))[0]
+
+
+def _first_failure(
+    positions: np.ndarray, energies: np.ndarray, n: int, step: int, phase: str
+) -> tuple[int, NumericError] | None:
+    """Slot of the first replica with a non-finite position or value, and its own run's error.
+
+    None when every row is finite. A replica's positions are checked before
+    its values, in the order of its own run's checks; ``phase`` names the
+    kernel that made the positions. The values alone decide whether a row
+    failed: every coordinate of a point passes through a cosine in both base
+    functions, so a non-finite coordinate gives a NaN value.
+    """
+    if np.isfinite(energies).all():
+        return None
+    for slot in range(energies.size // n):
+        rows = slice(slot * n, (slot + 1) * n)
+        try:
+            _check_positions(positions[rows], phase, step)
+            _check_energies(energies[rows], "objective", step)
+        except NumericError as exc:
+            return slot, exc
+
+
+def _keep(stacked: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of the replicas ``keep`` selects from an array stacked replica by replica."""
+    rest = stacked.shape[1:]
+    return stacked.reshape(keep.size, -1, *rest)[keep].reshape(-1, *rest)
+
+
+def _leader_bounds(labels: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leaders of stacked replicas, ascending, and where each replica's leaders begin.
+
+    ``row_starts`` holds the first row of every replica and, last, the row
+    count. Replica r's leaders are ``leaders[bounds[r]:bounds[r + 1]]``;
+    they take the cluster slots of those positions.
+    """
+    leaders = np.flatnonzero(labels)
+    return leaders, np.searchsorted(leaders, row_starts)
+
+
+def _replica_slots(
+    positions: np.ndarray, leaders: np.ndarray, bounds: list, n: int, work: _Workspace
+) -> np.ndarray:
+    """Cluster slot of every agent of stacked replicas, each against its own leaders.
+
+    Replica r's slots are its own run's slots, those of
+    :func:`_nearest_leader`, offset by ``bounds[r]``. The leader counts
+    differ between replicas, so the assignment runs replica by replica.
+    """
+    parts = []
+    for lo, hi, first in zip(bounds, bounds[1:], range(0, positions.shape[0], n)):
+        own = _nearest_centre(positions[first : first + n], positions[leaders[lo:hi]], work)
+        own += lo
+        parts.append(own)
+    slots = np.concatenate(parts)
+    slots[leaders] = np.arange(leaders.size)
+    return slots
+
+
+def _run_replicas(
+    spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int, seeds
+) -> list[RunReport]:
+    """One :func:`run_gkbo` report per seed, from replicas stepped together.
+
+    Replica r is the run with ``seed=seeds[r]``: it owns
+    ``default_rng(seeds[r])`` and draws from it in that run's order, the
+    follower normals of a step before its transition uniforms. Its rows of
+    the stacked ``(R n, d)`` arrays go through the same kernels, whose result
+    for a row does not depend on other rows. Its leaders take the cluster
+    slots after those of replicas 0 .. r-1, so one rank call and one
+    consensus call serve every replica: ``bincount`` still adds each
+    cluster's terms in agent order, and ranks do not depend on the order of
+    ties, so the report is bit-identical. The nearest-leader assignment and
+    the leaderless safety net run per replica. A replica that stalls or
+    reaches the step budget is frozen there: its report is taken and its
+    rows are dropped.
+
+    When a replica fails, it and the replicas after it are dropped before the
+    ranks, the ones before it run on, and the NumericError of the first
+    failing replica is raised at the end: the error its own run raises, with
+    replica-local agent and step.
+    """
+    n = int(n_agents)
+    cfg.validate(n)
+    omega_bar = cfg.omega_bar(n)
     eps = float(cfg.eps)
     alpha = float(cfg.alpha)
     delta_stall = float(cfg.delta_stall)
+    dim = spec.dim
     work = _Workspace()
+    reports: list[RunReport | None] = [None] * len(seeds)
+    error = None
 
-    ens = init_uniform(n_agents, spec.dim, cfg.init_lo, cfg.init_hi, rng)
-    positions = ens.positions
-    energies = spec.evaluate_batch(positions)
-    evaluations = n_agents
-    labels = deterministic_label_pass(ens, compute_weights(ens, energies=energies), omega_bar).labels
-    leaders = np.flatnonzero(labels)
-    slots = _nearest_leader(positions, leaders, work)
+    rngs, starts = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        ens = init_uniform(n, dim, cfg.init_lo, cfg.init_hi, rng)
+        energies = spec.evaluate_batch(ens.positions)
+        try:
+            weights = compute_weights(ens, energies=energies)
+        except NumericError as exc:
+            error = exc
+            break
+        labels = deterministic_label_pass(ens, weights, omega_bar).labels
+        rngs.append(rng)
+        starts.append((ens.positions, energies, labels))
+    if not rngs:
+        raise error
+    positions, energies, labels = (np.concatenate(part) for part in zip(*starts))
+    live = np.arange(len(rngs))  # the replica in every slot of the stack
+    row_starts = np.arange(0, positions.shape[0] + 1, n)
+    leaders, bounds = _leader_bounds(labels, row_starts)
+    slots = _replica_slots(positions, leaders, bounds.tolist(), n, work)
     consensus = _consensus(positions, energies, slots, leaders.size, alpha)
     estimates = consensus[slots]
-    tracker = StallTracker(counters=np.zeros(n_agents, dtype=np.int64), estimates=estimates)
+    tracker = StallTracker(np.zeros(positions.shape[0], dtype=np.int64), estimates)
+    stall = [0] * live.size  # the minimum stall counter of every slot
 
-    # The steps run on raw arrays through the phase kernels. Each array is
-    # checked once, where it is made: positions by the interaction kernel,
-    # energies right after the objective, whose overflows end in that check.
+    # Each array is checked once, where it is made: the energies right after
+    # the objective, which turns a non-finite position into a non-finite
+    # value (see _first_failure). The failing replica and those after it are
+    # dropped there, so the ranks and all later phases see finite rows only.
     steps = 0
-    stall = 0
-    while steps < cfg.n_steps and stall < cfg.j_stall:
-        positions = _interact(positions, labels, leaders[slots], estimates, cfg, rng, steps)
+    while True:
+        if steps >= cfg.n_steps or max(stall) >= cfg.j_stall:
+            done = (np.array(stall) >= cfg.j_stall) | (steps >= cfg.n_steps)
+            for slot in np.flatnonzero(done):
+                reports[live[slot]] = RunReport(
+                    iterations=steps,
+                    stalled=stall[slot] >= cfg.j_stall,
+                    final_consensus=_distinct_rows(consensus[bounds[slot] : bounds[slot + 1]]),
+                    leader_count=int(bounds[slot + 1] - bounds[slot]),
+                    best_value=float(energies[slot * n : (slot + 1) * n].min()),
+                    evaluations=n * (steps + 1),
+                    seed=int(seeds[live[slot]]),
+                )
+            keep = ~done
+            if not keep.any():
+                break
+            first = bounds[:-1][keep]
+            positions, energies, labels, slots, estimates, live = (
+                _keep(a, keep) for a in (positions, energies, labels, slots, estimates, live)
+            )
+            tracker = StallTracker(_keep(tracker.counters, keep), estimates)
+            stall = [count for count, kept in zip(stall, keep) if kept]
+            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+            row_starts = row_starts[: live.size + 1]
+            leaders, bounds = _leader_bounds(labels, row_starts)
+            slots -= np.repeat(first - bounds[:-1], n)
+
+        followers = labels == 0
+        drawn = (row_starts - bounds).tolist()  # followers of the replicas before each
+        normals = np.empty((drawn[-1], dim))
+        for rng, lo, hi in zip(rngs, drawn, drawn[1:]):
+            rng.standard_normal(out=normals[lo:hi])
+        noise = np.zeros(positions.shape)
+        noise[followers] = normals
+        positions = _interact(positions, followers, leaders[slots], estimates, cfg, noise)
         energies = spec._values(positions)
-        _check_energies(energies, "objective", steps)
-        evaluations += n_agents
-        omega = _cluster_ranks(energies, slots, leaders.size)
-        labels = _relabel(labels, omega, omega_bar, rng.random(n_agents) < eps)
-        if not labels.any():
-            labels = _relabel(labels, omega, omega_bar)
-        leaders = np.flatnonzero(labels)
-        slots = _nearest_leader(positions, leaders, work)
+        failure = _first_failure(positions, energies, n, steps, "interaction_step")
+        if failure is not None:
+            failed, error = failure
+            if not failed:
+                break
+            rows = failed * n
+            positions, energies, labels, slots, estimates = (
+                a[:rows] for a in (positions, energies, labels, slots, estimates)
+            )
+            tracker = StallTracker(tracker.counters[:rows], tracker.estimates[:rows])
+            live, rngs = live[:failed], rngs[:failed]
+            row_starts, bounds = row_starts[: failed + 1], bounds[: failed + 1]
+
+        omega = _cluster_ranks(energies, slots, int(bounds[-1]))
+        uniforms = np.empty(positions.shape[0])
+        for rng, rows in zip(rngs, uniforms.reshape(-1, n)):
+            rng.random(out=rows)
+        labels = _relabel(labels, omega, omega_bar, uniforms < eps)
+        leaders, bounds = _leader_bounds(labels, row_starts)
+        leaderless = np.flatnonzero(bounds[1:] == bounds[:-1])
+        if leaderless.size:
+            for slot in leaderless:
+                rows = slice(slot * n, (slot + 1) * n)
+                labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
+            leaders, bounds = _leader_bounds(labels, row_starts)
+        slots = _replica_slots(positions, leaders, bounds.tolist(), n, work)
         consensus = _consensus(positions, energies, slots, leaders.size, alpha)
         estimates = consensus[slots]
         tracker = _update_stall(tracker, estimates, delta_stall)
-        stall = int(tracker.counters.min())
+        stall = tracker.counters.reshape(-1, n).min(axis=1).tolist()
         steps += 1
 
-    return RunReport(
-        iterations=steps,
-        stalled=stall >= cfg.j_stall,
-        final_consensus=_distinct_rows(consensus),
-        leader_count=leaders.size,
-        best_value=float(energies.min()),
-        evaluations=evaluations,
-        seed=int(cfg.seed),
-    )
+    if error is not None:
+        raise error
+    return reports

@@ -3,6 +3,7 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from gkbo.bench import (
@@ -10,6 +11,7 @@ from gkbo.bench import (
     ExperimentConfig,
     _parse_number,
     _seed_batches,
+    evaluate_success,
     read_results,
     run_experiment,
     write_results,
@@ -17,7 +19,7 @@ from gkbo.bench import (
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
 from gkbo.pcbo import PcboConfig, run_pcbo
-from gkbo.solver import DiffusionMode, SolverConfig
+from gkbo.solver import DiffusionMode, RunReport, SolverConfig, run_gkbo
 
 
 def tiny_experiment(**overrides) -> ExperimentConfig:
@@ -132,8 +134,8 @@ def test_parse_number(token, value):
 @pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
 def test_summary_does_not_depend_on_the_worker_count(solver):
     # each run owns its scratch memory, so pooled runs share no state and
-    # must reproduce the inline reports exactly; pcbo's 5 seeds per sweep
-    # value go in batches of 5, 3 + 2 and 2 + 2 + 1, and stall at different
+    # must reproduce the inline reports exactly; the 5 seeds per sweep value
+    # go in batches of 5, 3 + 2 and 2 + 2 + 1, and pcbo's stall at different
     # steps within a batch
     if solver == "gkbo":
         config = SolverConfig(n_steps=15, n_leaders=3)
@@ -169,10 +171,26 @@ def test_summary_does_not_depend_on_the_worker_count(solver):
      (2, 4, [(0,), (1,)]), (3, 1, [(0, 1, 2)])],
 )
 def test_pcbo_seeds_go_in_one_contiguous_batch_per_worker(repetitions, workers, batches):
-    assert _seed_batches(range(repetitions), "pcbo", workers) == batches
-    assert _seed_batches(range(repetitions), "gkbo", workers) == [
-        (seed,) for seed in range(repetitions)
-    ]
+    # one rule for both solvers; 24 agents in 2-d are far below the cap
+    assert _seed_batches(range(repetitions), workers, 24 * 2) == batches
+
+
+@pytest.mark.parametrize(
+    "repetitions, workers, coordinates, sizes",
+    [
+        (24, 2, 600 * 2, [12, 12]),  # 600 agents at d = 2: 12 replicas fit
+        (12, 2, 600 * 10, [2] * 6),  # at d = 10 only 2 do
+        (4, 2, 600 * 5, [2, 2]),  # the cap binds only past 4 replicas
+        (25, 2, 600 * 2, [9, 8, 8]),
+        (3, 1, 20_000, [1, 1, 1]),  # one replica alone may exceed it
+    ],
+)
+def test_no_seed_batch_stacks_more_than_the_coordinate_cap(
+    repetitions, workers, coordinates, sizes
+):
+    batches = _seed_batches(range(100, 100 + repetitions), workers, coordinates)
+    assert [len(batch) for batch in batches] == sizes
+    assert [seed for batch in batches for seed in batch] == list(range(100, 100 + repetitions))
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -207,3 +225,57 @@ def test_a_failing_experiment_raises_the_lowest_failing_seeds_error(
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(str(alone.value))}$"):
             run_experiment(cfg, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_gkbo_experiment_raises_the_lowest_failing_seeds_error(workers):
+    # seed 3 fails at step 249 and seed 2 at step 262; whether they share a
+    # batch (one worker) or not (two), seed 2's own error surfaces
+    solver_cfg = SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=400)
+    spec = preset("ackley2", 2)
+    with pytest.raises(NumericError) as alone:
+        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=2), 60)
+    with pytest.raises(NumericError, match="at step 249$"):
+        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=3), 60)
+    cfg = ExperimentConfig(
+        objective="ackley2",
+        dim=2,
+        solver_config=solver_cfg,
+        n_agents=60,
+        repetitions=2,
+        base_seed=2,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(str(alone.value))}$"):
+            run_experiment(cfg, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"repetitions": "3"}, "repetitions must be an integer"),
+        ({"base_seed": True}, "base_seed must be an integer"),
+        ({"solver_config": SolverConfig(eps="0.1")}, "eps must be a number"),
+    ],
+)
+def test_experiment_config_checks_types_before_values(overrides, message):
+    # values int() or float() would take; the CLI tests cover the JSON cases
+    with pytest.raises(ValueError, match=message):
+        tiny_experiment(**overrides).validate()
+
+
+def test_a_flat_list_of_minimizers_is_one_per_entry_on_a_1d_run():
+    report = RunReport(
+        iterations=0,
+        stalled=False,
+        final_consensus=np.array([[-3.1], [0.0]]),
+        leader_count=2,
+        best_value=0.0,
+        evaluations=1,
+        seed=0,
+    )
+    assert evaluate_success(report, [-3.0, 3.0]) == (False, 1)
+    assert evaluate_success(report, preset("ackley2", 1).minimizers) == (False, 1)
+    with pytest.raises(ValueError, match="minimizers are 2-d"):
+        evaluate_success(report, [[-3.0, 3.0]])

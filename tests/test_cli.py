@@ -75,6 +75,38 @@ def test_a_worker_count_below_one_exits_1(argv, tmp_path, monkeypatch, capsys):
     assert "error: workers must be at least 1, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"sweep": "sigma_f", "sweep_values": [2, "a"]}, "sigma_f sweep values must be numbers"),
+        ({"dim": [2]}, "dim must be an integer"),
+        ({"dim": 2.5}, "dim must be an integer, got 2.5"),
+        ({"n_agents": None}, "n_agents must be an integer, got None"),
+        ({"sweep": "dimension", "sweep_values": 3}, "sweep_values must be a list"),
+        ({"solver_config": {"n_steps": None}}, "n_steps must be an integer"),
+    ],
+)
+def test_bench_config_of_the_wrong_type_exits_1(config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["bench", "--config", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--workers", "0"], ["--n-leaders", "50", "--n-agents", "30"], ["--sigma", "-1"]],
+    ids=["workers", "leaders", "sigma"],
+)
+def test_compare_validates_before_it_creates_the_output_dir(argv, tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    assert main(["compare", *argv, "--output-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_bench_writes_results_and_sidecar(tmp_path, capsys):
     output = tmp_path / "out.csv"
     argv = ["bench", "--output", str(output), "--repetitions", "2", "--workers", "1"]

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from gkbo.ensemble import Ensemble, _slot_order, compute_weights, init_uniform
 from gkbo.errors import EmptyLeaderSetError, NumericError
 from gkbo.objectives import Kind, ObjectiveSpec, evaluate_base, preset
+from gkbo import solver
 from gkbo.solver import (
     ClusterState,
     DiffusionMode,
+    RunReport,
     SolverConfig,
     StallTracker,
     assign_clusters,
@@ -26,6 +30,7 @@ from gkbo.solver import (
     _diffusion_scale,
     _nearest_centre,
     _nearest_leader,
+    _run_replicas,
     _Workspace,
 )
 
@@ -772,3 +777,100 @@ def test_run_rejects_oversized_leader_budget():
     spec = preset("rastrigin2", 2)
     with pytest.raises(ValueError):
         run_gkbo(spec, SolverConfig(n_leaders=100), 50)
+
+
+# ------------------------------------------------------------ replica batches
+
+
+def assert_reports_identical(got, want):
+    for field in dataclasses.fields(RunReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "final_consensus":
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b and type(a) is type(b), field.name
+
+
+def run_batch(objective, dim, cfg, n_agents, seeds) -> list[RunReport]:
+    """The batch's reports, each checked against the standalone run of its seed."""
+    spec = preset(objective, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _run_replicas(spec, cfg, n_agents, seeds)
+    assert len(batch) == len(seeds)
+    for seed, report in zip(seeds, batch, strict=True):
+        assert_reports_identical(
+            report, run_gkbo(spec, dataclasses.replace(cfg, seed=seed), n_agents)
+        )
+    return batch
+
+
+@pytest.mark.parametrize(
+    "objective, dim, cfg, n_agents, seeds",
+    [
+        ("rastrigin2", 2, SolverConfig(n_steps=150), 100, (0, 1, 2, 3)),
+        ("ackley2", 2, SolverConfig(n_steps=120, diffusion="isotropic"), 60, (0, 1, 2)),
+        ("rastrigin4", 6, SolverConfig(n_steps=60, n_leaders=20), 120, (4, 5)),
+        ("rastrigin2", 1, SolverConfig(n_steps=0), 30, (0, 1, 2)),
+    ],
+)
+def test_replicas_equal_their_standalone_runs(objective, dim, cfg, n_agents, seeds):
+    run_batch(objective, dim, cfg, n_agents, seeds)
+
+
+def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on():
+    # the replicas stall at steps 104 to 218; seed 4 runs to the budget
+    reports = run_batch("ackley2", 1, SolverConfig(n_steps=300, j_stall=20), 60, (0, 1, 2, 3, 4))
+    assert [report.stalled for report in reports] == [True, True, True, True, False]
+    assert len({report.iterations for report in reports}) == 5
+
+
+def test_replicas_at_d10_are_screened_replica_by_replica():
+    # more than 4 leaders at d = 10 take the screened assignment
+    reports = run_batch("ackley4", 10, SolverConfig(n_steps=60), 120, (0, 1, 2))
+    assert all(report.leader_count * 10 > solver._DENSE_MAX_TERMS for report in reports)
+
+
+def test_a_replica_whose_leader_set_empties_takes_the_safety_net(monkeypatch):
+    # one target leader in ten agents: with eps = 0.3 a leader that is no
+    # longer its cluster's best can step down while no follower steps up
+    nets = []
+    relabel = solver._relabel
+
+    def spy(labels, omega, omega_bar, fire=None):
+        if fire is None:
+            nets.append(labels.size)
+        return relabel(labels, omega, omega_bar, fire)
+
+    monkeypatch.setattr(solver, "_relabel", spy)
+    run_batch("rastrigin2", 2, SolverConfig(n_steps=60, n_leaders=1, eps=0.3), 10, (2, 3, 4, 5))
+    # the net fired on one replica's rows at a time, in the batch and alone
+    assert nets and set(nets) == {10}
+
+
+def standalone_error(cfg, seed) -> tuple[str, int]:
+    """Message and step of the NumericError the run with ``seed`` raises."""
+    with pytest.raises(NumericError) as raised:
+        run_gkbo(preset("ackley2", 2), dataclasses.replace(cfg, seed=seed), 60)
+    message = str(raised.value)
+    return message, int(re.search(r"at step (\d+)$", message).group(1))
+
+
+@pytest.mark.parametrize(
+    "cfg, reported",
+    [
+        # both fail; the higher seed fails first (step 249 vs 262)
+        (SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=400), 0),
+        # only the second replica fails, so the agent is counted within it
+        (SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=255), 1),
+    ],
+)
+def test_replicas_raise_the_first_failing_replicas_own_error(cfg, reported):
+    seeds = (2, 3)
+    message, step = standalone_error(cfg, seeds[reported])
+    if reported == 0:
+        assert standalone_error(cfg, seeds[1])[1] < step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            _run_replicas(preset("ackley2", 2), cfg, 60, seeds)
