@@ -714,8 +714,8 @@ def _leader_bounds(labels: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarr
     """Leaders of stacked replicas, ascending, and where each replica's leaders begin.
 
     ``row_starts`` holds the first row of every replica and, last, the row
-    count. Replica r's leaders are ``leaders[bounds[r]:bounds[r + 1]]``;
-    they take the cluster slots of those positions.
+    count. Replica r's leaders are ``leaders[bounds[r]:bounds[r + 1]]`` and
+    own the cluster slots ``bounds[r]`` to ``bounds[r + 1] - 1``.
     """
     leaders = np.flatnonzero(labels)
     return leaders, np.searchsorted(leaders, row_starts)
