@@ -755,8 +755,8 @@ def _run_replicas(
     cluster's terms in agent order, and ranks do not depend on the order of
     ties, so the report is bit-identical. The nearest-leader assignment and
     the leaderless safety net run per replica. A replica that stalls or
-    reaches the step budget is frozen there: its report is taken and its
-    rows are dropped.
+    reaches the step budget is frozen there: its report is taken, its rows
+    are dropped and the others' slots are assigned again.
 
     When a replica fails, it and the replicas after it are dropped before the
     ranks, the ones before it run on, and the NumericError of the first
@@ -820,16 +820,15 @@ def _run_replicas(
             keep = ~done
             if not keep.any():
                 break
-            first = bounds[:-1][keep]
-            positions, energies, labels, slots, estimates, live = (
-                _keep(a, keep) for a in (positions, energies, labels, slots, estimates, live)
+            positions, energies, labels, estimates, live = (
+                _keep(a, keep) for a in (positions, energies, labels, estimates, live)
             )
             tracker = StallTracker(_keep(tracker.counters, keep), estimates)
             stall = [count for count, kept in zip(stall, keep) if kept]
             rngs = [rng for rng, kept in zip(rngs, keep) if kept]
             row_starts = row_starts[: live.size + 1]
             leaders, bounds = _leader_bounds(labels, row_starts)
-            slots -= np.repeat(first - bounds[:-1], n)
+            slots = _replica_slots(positions, leaders, bounds.tolist(), n, work)
 
         followers = labels == 0
         drawn = (row_starts - bounds).tolist()  # followers of the replicas before each
