@@ -710,7 +710,7 @@ def _keep(stacked: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return stacked.reshape(keep.size, -1, *rest)[keep].reshape(-1, *rest)
 
 
-def _leader_bounds(labels: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leader_bounds(labels: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, list]:
     """Leaders of stacked replicas, ascending, and where each replica's leaders begin.
 
     ``row_starts`` holds the first row of every replica and, last, the row
@@ -718,7 +718,12 @@ def _leader_bounds(labels: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarr
     own the cluster slots ``bounds[r]`` to ``bounds[r + 1] - 1``.
     """
     leaders = np.flatnonzero(labels)
-    return leaders, np.searchsorted(leaders, row_starts)
+    return leaders, np.searchsorted(leaders, row_starts).tolist()
+
+
+def _joined(parts: list) -> np.ndarray:
+    """Per-replica arrays stacked in replica order; a batch of one copies nothing."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _replica_slots(
@@ -732,12 +737,10 @@ def _replica_slots(
     """
     parts = []
     for lo, hi, first in zip(bounds, bounds[1:], range(0, positions.shape[0], n)):
-        own = _nearest_centre(positions[first : first + n], positions[leaders[lo:hi]], work)
+        own = _nearest_leader(positions[first : first + n], leaders[lo:hi] - first, work)
         own += lo
         parts.append(own)
-    slots = np.concatenate(parts)
-    slots[leaders] = np.arange(leaders.size)
-    return slots
+    return _joined(parts)
 
 
 def _run_replicas(
@@ -793,7 +796,7 @@ def _run_replicas(
     live = np.arange(len(rngs))  # the replica in every slot of the stack
     row_starts = np.arange(0, positions.shape[0] + 1, n)
     leaders, bounds = _leader_bounds(labels, row_starts)
-    slots = _replica_slots(positions, leaders, bounds.tolist(), n, work)
+    slots = _replica_slots(positions, leaders, bounds, n, work)
     consensus = _consensus(positions, energies, slots, leaders.size, alpha)
     estimates = consensus[slots]
     tracker = StallTracker(np.zeros(positions.shape[0], dtype=np.int64), estimates)
@@ -812,7 +815,7 @@ def _run_replicas(
                     iterations=steps,
                     stalled=stall[slot] >= cfg.j_stall,
                     final_consensus=_distinct_rows(consensus[bounds[slot] : bounds[slot + 1]]),
-                    leader_count=int(bounds[slot + 1] - bounds[slot]),
+                    leader_count=bounds[slot + 1] - bounds[slot],
                     best_value=float(energies[slot * n : (slot + 1) * n].min()),
                     evaluations=n * (steps + 1),
                     seed=int(seeds[live[slot]]),
@@ -828,15 +831,16 @@ def _run_replicas(
             rngs = [rng for rng, kept in zip(rngs, keep) if kept]
             row_starts = row_starts[: live.size + 1]
             leaders, bounds = _leader_bounds(labels, row_starts)
-            slots = _replica_slots(positions, leaders, bounds.tolist(), n, work)
+            slots = _replica_slots(positions, leaders, bounds, n, work)
 
         followers = labels == 0
-        drawn = (row_starts - bounds).tolist()  # followers of the replicas before each
-        normals = np.empty((drawn[-1], dim))
-        for rng, lo, hi in zip(rngs, drawn, drawn[1:]):
-            rng.standard_normal(out=normals[lo:hi])
         noise = np.zeros(positions.shape)
-        noise[followers] = normals
+        noise[followers] = _joined(
+            [
+                rng.standard_normal((n - hi + lo, dim))
+                for rng, lo, hi in zip(rngs, bounds, bounds[1:])
+            ]
+        )
         positions = _interact(positions, followers, leaders[slots], estimates, cfg, noise)
         energies = spec._values(positions)
         failure = _first_failure(positions, energies, n, steps, "interaction_step")
@@ -852,19 +856,17 @@ def _run_replicas(
             live, rngs = live[:failed], rngs[:failed]
             row_starts, bounds = row_starts[: failed + 1], bounds[: failed + 1]
 
-        omega = _cluster_ranks(energies, slots, int(bounds[-1]))
-        uniforms = np.empty(positions.shape[0])
-        for rng, rows in zip(rngs, uniforms.reshape(-1, n)):
-            rng.random(out=rows)
+        omega = _cluster_ranks(energies, slots, bounds[-1])
+        uniforms = _joined([rng.random(n) for rng in rngs])
         labels = _relabel(labels, omega, omega_bar, uniforms < eps)
         leaders, bounds = _leader_bounds(labels, row_starts)
-        leaderless = np.flatnonzero(bounds[1:] == bounds[:-1])
-        if leaderless.size:
+        leaderless = [slot for slot, lo in enumerate(bounds[:-1]) if bounds[slot + 1] == lo]
+        if leaderless:
             for slot in leaderless:
                 rows = slice(slot * n, (slot + 1) * n)
                 labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
             leaders, bounds = _leader_bounds(labels, row_starts)
-        slots = _replica_slots(positions, leaders, bounds.tolist(), n, work)
+        slots = _replica_slots(positions, leaders, bounds, n, work)
         consensus = _consensus(positions, energies, slots, leaders.size, alpha)
         estimates = consensus[slots]
         tracker = _update_stall(tracker, estimates, delta_stall)
