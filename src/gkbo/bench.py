@@ -309,6 +309,13 @@ def _seed_batches(seeds: range, workers: int, coordinates: int) -> list[tuple]:
     contiguous batches of near-equal size: one per worker, or more where a
     batch would stack more than ``_MAX_BATCH_COORDINATES`` coordinates.
     ``coordinates`` is the size of one replica, agents times dimension.
+
+    The split is fixed before any run starts, so it assumes the runs of a
+    batch take similar step counts. Where they do not, a batch steps fewer
+    replicas as its runs stop, and the pool cannot move work between
+    batches: a worker whose batch holds the long runs finishes last. gkbo
+    at its default budget is such a case, stopping after 1150 to 3900 steps
+    on rastrigin2 at d = 2 (``BENCH_7.json``, ``default_budget``).
     """
     per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
     count = max(min(workers, len(seeds)), math.ceil(len(seeds) / per_batch))
