@@ -738,8 +738,7 @@ def _replica_slots(
     parts = []
     for lo, hi, first in zip(bounds, bounds[1:], range(0, positions.shape[0], n)):
         own = _nearest_leader(positions[first : first + n], leaders[lo:hi] - first, work)
-        own += lo
-        parts.append(own)
+        parts.append(own + lo if lo else own)
     return _joined(parts)
 
 
