@@ -207,7 +207,7 @@ class SweepResult:
     """Aggregates for one sweep value, plus the per-run records behind them.
 
     ``run_seconds`` holds each run's share of worker time. Runs step in
-    batches of replicas (see :func:`run_experiment`), so each batch's elapsed
+    batches of one or more replicas (see :func:`run_experiment`), so each batch's elapsed
     seconds are split among its runs in proportion to their objective
     evaluations; the entries still add up to the worker time spent.
     """
@@ -309,19 +309,33 @@ def _seed_batches(seeds: range, workers: int, coordinates: int) -> list[tuple]:
     contiguous batches of near-equal size: one per worker, or more where a
     batch would stack more than ``_MAX_BATCH_COORDINATES`` coordinates.
     ``coordinates`` is the size of one replica, agents times dimension.
-
-    The split is fixed before any run starts, so it assumes the runs of a
-    batch take similar step counts. Where they do not, a batch steps fewer
-    replicas as its runs stop, and the pool cannot move work between
-    batches: a worker whose batch holds the long runs finishes last. gkbo
-    at its default budget is such a case, stopping after 1150 to 3900 steps
-    on rastrigin2 at d = 2 (``BENCH_7.json``, ``default_budget``).
+    The split is fixed before any run starts; :func:`_batched` says when it
+    is used.
     """
     per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
     count = max(min(workers, len(seeds)), math.ceil(len(seeds) / per_batch))
     size, extra = divmod(len(seeds), count)
     bounds = [index * size + min(index, extra) for index in range(count + 1)]
     return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _batched(solver_cfg: SolverConfig | PcboConfig) -> bool:
+    """Whether the seeds of one sweep value go in :func:`_seed_batches`, or one per task.
+
+    A batch's split is fixed before its runs start, so it pays only where
+    they take similar step counts: a batch that holds the long runs steps a
+    shrinking stack of them while the other workers idle, and the pool can
+    move no work between batches. With one seed per task it balances the
+    load as runs finish. pcbo runs stall within a few percent of each
+    other (1013 to 1058 steps, ackley2 at d = 1-5, ten seeds each). gkbo
+    runs do not: at the default budget rastrigin2 runs at d = 2 stop after
+    1120 to 6893 steps. A run takes at least ``j_stall`` steps to stall,
+    though, so with ``n_steps <= j_stall`` every gkbo run takes exactly
+    ``n_steps``.
+    """
+    if isinstance(solver_cfg, PcboConfig):
+        return True
+    return int(solver_cfg.n_steps) <= int(solver_cfg.j_stall)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -338,7 +352,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
     ``workers`` caps the process pool; ``None`` uses every available CPU and 1
     runs inline. Each task is one batch of a sweep value's seeds, stepped
-    together as replicas (see :func:`_seed_batches`); every report is the one
+    together as replicas (see :func:`_seed_batches`), or a single seed where
+    runs may stop far apart (see :func:`_batched`); every report is the one
     its standalone run gives. Results are aggregated in seed order either
     way, so the summary does not depend on the worker count. A failing run
     raises the NumericError of the lowest failing seed.
@@ -355,7 +370,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     for value in values:
         dim, solver_cfg = _sweep_setup(cfg, value)
         minimizers.append(preset(cfg.objective, dim).minimizers)
-        for batch in _seed_batches(seeds, workers, int(cfg.n_agents) * dim):
+        if _batched(solver_cfg):
+            split = _seed_batches(seeds, workers, int(cfg.n_agents) * dim)
+        else:
+            split = [(seed,) for seed in seeds]
+        for batch in split:
             tasks.append((cfg.solver, cfg.objective, dim, solver_cfg, int(cfg.n_agents), batch))
 
     if workers == 1 or len(tasks) == 1:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gkbo.bench as bench_module
 from gkbo.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -191,6 +192,35 @@ def test_no_seed_batch_stacks_more_than_the_coordinate_cap(
     batches = _seed_batches(range(100, 100 + repetitions), workers, coordinates)
     assert [len(batch) for batch in batches] == sizes
     assert [seed for batch in batches for seed in batch] == list(range(100, 100 + repetitions))
+
+
+@pytest.mark.parametrize(
+    "solver_config, batched",
+    [
+        (SolverConfig(n_steps=15, n_leaders=3), True),  # no run can stall before the budget
+        (SolverConfig(n_steps=15, n_leaders=3, j_stall=15), True),
+        (SolverConfig(n_steps=15, n_leaders=3, j_stall=4), False),  # runs may stop far apart
+        (PcboConfig(n_steps=15, n_clusters=2, j_stall=4), True),
+    ],
+)
+def test_gkbo_runs_that_may_stall_apart_go_one_seed_per_task(monkeypatch, solver_config, batched):
+    tasks = []
+
+    def spy(task):
+        tasks.append(task[-1])
+        return execute(task)
+
+    execute = bench_module._execute_run
+    monkeypatch.setattr(bench_module, "_execute_run", spy)
+    cfg = tiny_experiment(
+        solver="gkbo" if isinstance(solver_config, SolverConfig) else "pcbo",
+        solver_config=solver_config,
+        repetitions=4,
+    )
+    run_experiment(cfg, workers=1)
+    seeds = tuple(range(cfg.base_seed, cfg.base_seed + 4))
+    per_value = [seeds] if batched else [(seed,) for seed in seeds]
+    assert tasks == per_value * 2  # two sweep values
 
 
 @pytest.mark.parametrize("workers", [0, -1])
