@@ -207,9 +207,10 @@ class SweepResult:
     """Aggregates for one sweep value, plus the per-run records behind them.
 
     ``run_seconds`` holds each run's share of worker time. Runs step in
-    batches of one or more replicas (see :func:`run_experiment`), so each batch's elapsed
-    seconds are split among its runs in proportion to their objective
-    evaluations; the entries still add up to the worker time spent.
+    batches of one or more replicas (see :func:`run_experiment`), so each
+    batch's elapsed seconds are split among its runs in proportion to their
+    objective evaluations; the entries still add up to the worker time
+    spent.
     """
 
     sweep_value: object
