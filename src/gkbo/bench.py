@@ -120,8 +120,6 @@ class ExperimentConfig:
                 f"solver {self.solver!r} requires a {expected.__name__}, "
                 f"got {type(self.solver_config).__name__}"
             )
-        if self.n_agents < 1:
-            raise ValueError(f"need at least one agent, got {self.n_agents}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
         if self.base_seed < 0:
@@ -143,13 +141,10 @@ class ExperimentConfig:
                 raise ValueError(f"sigma_f sweep values must be numbers, got {value!r}")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep_values must be strictly increasing")
-        # every run's solver config, checked here rather than in a pool worker
+        # every run's solver config and the population size, checked here
+        # rather than in a pool worker
         for value in self.sweep_values or (None,):
-            _, solver_cfg = _sweep_setup(self, value)
-            if self.solver == "gkbo":
-                solver_cfg.validate(int(self.n_agents))
-            else:
-                solver_cfg.validate()
+            _sweep_setup(self, value)[1].validate(self.n_agents)
 
     def to_dict(self) -> dict:
         return {
@@ -289,10 +284,11 @@ def _sweep_setup(cfg: ExperimentConfig, value) -> tuple[int, SolverConfig | Pcbo
 def _execute_run(task) -> list[tuple[RunReport, float]]:
     """Run one batch of seeded solver instances; must stay module-level for pickling.
 
-    The seeds step together as the replicas of one batch (see
-    ``solver._run_replicas`` and ``pcbo._run_replicas``). Returns
-    ``(report, seconds)`` per seed: the batch's elapsed time split among its
-    runs in proportion to their objective evaluations.
+    The seeds step together as the replicas of one ``solver._Replicas``
+    batch, which both solvers' loops (``solver._run_replicas`` and
+    ``pcbo._run_replicas``) share. Returns ``(report, seconds)`` per seed:
+    the batch's elapsed time split among its runs in proportion to their
+    objective evaluations.
     """
     solver, objective, dim, solver_cfg, n_agents, seeds = task
     spec = preset(objective, dim)
@@ -356,8 +352,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     together as replicas (see :func:`_seed_batches`), or a single seed where
     runs may stop far apart (see :func:`_batched`); every report is the one
     its standalone run gives. Results are aggregated in seed order either
-    way, so the summary does not depend on the worker count. A failing run
-    raises the NumericError of the lowest failing seed.
+    way, so the summary does not depend on the worker count. The population
+    size and every solver config are checked before any run starts. A
+    failing run raises the NumericError of the lowest failing seed: both
+    solvers drop a failing replica and the ones after it in its batch, and
+    the batch raises the first one's error.
     """
     workers = _worker_count(workers)
     cfg.validate()

@@ -14,23 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, _check_energies, _check_positions
+from .errors import _check_energies, _check_positions
 from .objectives import ObjectiveSpec
 from .solver import (
     DiffusionMode,
     RunReport,
-    StallTracker,
     _consensus,
     _diffusion_scale,
-    _distinct_rows,
-    _first_failure,
     _integer,
     _keep,
     _nearest_centre,
+    _Replicas,
     _require_non_negative,
+    _require_population,
     _require_positive,
     _require_run_limits,
-    _update_stall,
     _Workspace,
 )
 
@@ -56,8 +54,10 @@ class PcboConfig:
     def __post_init__(self) -> None:
         self.diffusion = DiffusionMode(self.diffusion)
 
-    def validate(self) -> None:
-        """Raise ValueError on any out-of-range hyperparameter."""
+    def validate(self, n_particles: int | None = None) -> None:
+        """Raise ValueError on any out-of-range hyperparameter, or population size when given."""
+        if n_particles is not None:
+            _require_population(n_particles)
         _require_positive(self, "nu")
         _require_non_negative(self, "sigma", "delta_stall")
         _require_positive(self, "alpha")
@@ -165,9 +165,12 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     fractional memberships uniformly from [0, 1] (rows normalized); those only
     seed the first centres, after which assignment is always hard nearest
     centre. Stall detection watches each particle's own centre, same rule as
-    the leader-follower solver. Equal configurations produce identical
-    reports. A non-finite position or objective value raises NumericError
-    naming the phase, the step and the first offending particle.
+    the leader-follower solver. ``n_particles`` must be an integer of at
+    least 1; it is checked before the configuration. Equal configurations
+    produce identical reports. A non-finite position or objective value
+    raises NumericError naming the phase, the step and the first offending
+    particle; at the start, before any step, it names the objective. The run
+    is a batch of one replica; see :func:`_run_replicas`.
     """
     return _run_replicas(spec, cfg, n_particles, (cfg.seed,))[0]
 
@@ -175,112 +178,56 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
 def _run_replicas(
     spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int, seeds
 ) -> list[RunReport]:
-    """One :func:`run_pcbo` report per seed, from replicas stepped together.
+    """One :func:`run_pcbo` report per seed, from the replicas of one ``solver._Replicas`` batch.
 
-    Replica r is the run with ``seed=seeds[r]``: it owns
-    ``default_rng(seeds[r])``, draws from it in that run's order, and its
-    rows of the stacked ``(R n, d)`` arrays go through the same kernels,
-    whose result for a row does not depend on other rows. Its centres are
-    slots ``r k .. r k + k - 1`` of one consensus, so ``bincount`` still adds
-    each cluster's terms in particle order, and the report is bit-identical.
-    A replica that stalls or reaches the step budget is frozen there: its
-    report is taken and its rows are dropped.
-
-    When a replica fails, it and the replicas after it are dropped, the ones
-    before it run on, and the NumericError of the first failing replica is
-    raised at the end: the error its own run raises, with replica-local agent
-    and step.
+    Replica r's centres are slots ``r k .. r k + k - 1`` of one consensus,
+    so ``bincount`` still adds each cluster's terms in particle order, and
+    the report is bit-identical. When replicas are frozen, the others'
+    slots are assigned again. A step draws every replica's normals, one per
+    coordinate.
     """
-    n = int(n_particles)
-    if n < 1:
-        raise ValueError(f"need at least one particle, got {n}")
-    cfg.validate()
+    batch = _Replicas(spec, cfg, n_particles, seeds)
+    n = batch.n
     k = int(cfg.n_clusters)
     dim = spec.dim
     alpha = float(cfg.alpha)
-    delta_stall = float(cfg.delta_stall)
     work = _Workspace()
-    reports: list[RunReport | None] = [None] * len(seeds)
-    error = None
 
-    rngs, starts = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        positions = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n, dim))
-        energies = spec.evaluate_batch(positions)
-        try:
-            _check_energies(energies, "objective")
-        except NumericError as exc:
-            error = exc
-            break
+    def start(positions, energies, rng):
         memberships = rng.random((n, k))
         memberships /= memberships.sum(axis=1, keepdims=True)
-        rngs.append(rng)
-        starts.append((positions, energies, _soft_centres(positions, energies, memberships, alpha)))
-    if not rngs:
-        raise error
-    positions, energies, centres = (np.concatenate(part) for part in zip(*starts))
-    live = np.arange(len(rngs))  # the replica in every slot of the stack
-    nearest = _nearest_centre(positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), work)
-    offsets = live[:, np.newaxis] * k
-    tracker = StallTracker(
-        counters=np.zeros(positions.shape[0], dtype=np.int64),
-        estimates=centres[(nearest + offsets).ravel()],
-    )
-    stall = [0] * live.size  # the minimum stall counter of every slot
-    failed = live.size  # slots from here on are dropped
-    noise = np.empty_like(positions)
-    draws = list(zip(rngs, noise.reshape(-1, n, dim)))
+        return _soft_centres(positions, energies, memberships, alpha)
 
-    # As in run_gkbo, the loop checks what it made once: the energies right
-    # after the objective, which turns a non-finite position into a
-    # non-finite value (see _first_failure). A replica that fails there is
-    # dropped at the top of the next step; until then its rows only pass the
-    # stall update and the assignment, which take non-finite rows without a
-    # warning.
-    steps = 0
+    def slots_of(centres):
+        """Every particle's centre slot: the nearest of its own replica's centres."""
+        nearest = _nearest_centre(
+            batch.positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), work
+        )
+        return (nearest + offsets[: nearest.shape[0]]).ravel()
+
+    centres = batch.start(start)
+    offsets = np.arange(0, centres.shape[0], k)[:, np.newaxis]  # replica r's first slot, r k
+    slots = slots_of(centres)
+    batch.watch(centres[slots])
+
     while True:
-        if steps >= cfg.n_steps or max(stall) >= cfg.j_stall or failed < live.size:
-            done = (np.array(stall) >= cfg.j_stall) | (steps >= cfg.n_steps)
-            for slot in np.flatnonzero(done[:failed]):
-                reports[live[slot]] = RunReport(
-                    iterations=steps,
-                    stalled=stall[slot] >= cfg.j_stall,
-                    final_consensus=_distinct_rows(centres[slot * k : (slot + 1) * k]),
-                    leader_count=k,
-                    best_value=float(energies[slot * n : (slot + 1) * n].min()),
-                    evaluations=n * (steps + 1),
-                    seed=int(seeds[live[slot]]),
-                )
-            keep = ~done
-            keep[failed:] = False
-            positions, energies, centres, nearest, live, noise = (
-                _keep(a, keep) for a in (positions, energies, centres, nearest, live, noise)
-            )
-            tracker = StallTracker(_keep(tracker.counters, keep), _keep(tracker.estimates, keep))
-            stall = [count for count, kept in zip(stall, keep) if kept]
-            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-            draws = list(zip(rngs, noise.reshape(-1, n, dim)))
-            offsets = offsets[: live.size]
-            failed = live.size
-            if not live.size:
+        keep = batch.freeze(centres, range(0, centres.shape[0] + 1, k))
+        if keep is not None:
+            if not keep.any():
                 break
+            centres = _keep(centres, keep)
+            slots = slots_of(centres)
 
-        slots = (nearest + offsets).ravel()
-        centres = _consensus(positions, energies, slots, centres.shape[0], alpha, centres)
+        centres = _consensus(
+            batch.positions, batch.energies, slots, centres.shape[0], alpha, centres
+        )
         estimates = centres[slots]
-        for rng, rows in draws:
-            rng.standard_normal(out=rows)
-        positions = _move(positions, estimates, cfg, noise)
-        tracker = _update_stall(tracker, estimates, delta_stall)
-        stall = tracker.counters.reshape(-1, n).min(axis=1).tolist()
-        energies = spec._values(positions)
-        failure = _first_failure(positions, energies, n, steps, "pcbo_step")
-        if failure is not None:
-            failed, error = failure
-        nearest = _nearest_centre(positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), work)
-        steps += 1
+        kept = batch.evaluate(_move(batch.positions, estimates, cfg, batch.normals()), "pcbo_step")
+        if kept == 0:
+            break
+        if kept is not None:
+            centres, estimates = centres[: kept * k], estimates[: kept * n]
+        batch.end_step(estimates)
+        slots = slots_of(centres)
 
-    if error is not None:
-        raise error
-    return reports
+    return batch.reports()

@@ -17,15 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import (
-    Ensemble,
-    WeightVector,
-    _cluster_ranks,
-    _relabel,
-    compute_weights,
-    deterministic_label_pass,
-    init_uniform,
-)
+from .ensemble import Ensemble, WeightVector, _cluster_ranks, _relabel
 from .errors import EmptyLeaderSetError, NumericError, _check_energies, _check_positions
 from .objectives import ObjectiveSpec
 
@@ -89,6 +81,12 @@ def _require_non_negative(cfg, *names: str) -> None:
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+def _require_population(n_agents) -> None:
+    """Raise ValueError unless the population size is an integer of at least 1."""
+    if isinstance(n_agents, bool) or not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
+        raise ValueError(f"population size must be an integer of at least 1, got {n_agents!r}")
+
+
 def _require_run_limits(cfg) -> None:
     """Check the step budget, stall window, seed and initialization box both solvers share."""
     if _integer(cfg, "n_steps") < 0:
@@ -131,7 +129,9 @@ class SolverConfig:
         self.diffusion = DiffusionMode(self.diffusion)
 
     def validate(self, n_agents: int | None = None) -> None:
-        """Raise ValueError on any out-of-range hyperparameter."""
+        """Raise ValueError on any out-of-range hyperparameter, or population size when given."""
+        if n_agents is not None:
+            _require_population(n_agents)
         _require_positive(self, "nu_f", "nu_l")
         _require_non_negative(self, "sigma_f", "delta_stall")
         if not 0.0 < _number(self, "eps") <= 1.0:
@@ -140,7 +140,7 @@ class SolverConfig:
         if _integer(self, "n_leaders") < 1:
             raise ValueError(f"n_leaders must be at least 1, got {self.n_leaders}")
         _require_run_limits(self)
-        if n_agents is not None and int(self.n_leaders) > int(n_agents):
+        if n_agents is not None and int(self.n_leaders) > n_agents:
             raise ValueError(
                 f"n_leaders ({self.n_leaders}) cannot exceed the population size ({n_agents})"
             )
@@ -673,10 +673,12 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
     once every agent's consensus estimate has stayed within ``delta_stall``
     (max norm) for ``j_stall`` consecutive steps.
 
-    All randomness comes from one generator seeded with ``cfg.seed``, so equal
-    configurations produce identical reports. A non-finite position or
-    objective value raises NumericError naming the phase, the step and the
-    first offending agent. The run is a batch of one replica; see
+    ``n_agents`` must be an integer of at least 1; it is checked before the
+    configuration. All randomness comes from one generator seeded with
+    ``cfg.seed``, so equal configurations produce identical reports. A
+    non-finite position or objective value raises NumericError naming the
+    phase, the step and the first offending agent; at the start, before any
+    step, it names the objective. The run is a batch of one replica; see
     :func:`_run_replicas`.
     """
     return _run_replicas(spec, cfg, n_agents, (cfg.seed,))[0]
@@ -708,6 +710,154 @@ def _keep(stacked: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The rows of the replicas ``keep`` selects from an array stacked replica by replica."""
     rest = stacked.shape[1:]
     return stacked.reshape(keep.size, -1, *rest)[keep].reshape(-1, *rest)
+
+
+class _Replicas:
+    """The seeded replicas of one solver batch, stepped together on stacked ``(R n, d)`` arrays.
+
+    Replica r is the run with ``seed=seeds[r]``: it owns
+    ``default_rng(seeds[r])`` and draws from it in that run's order, and its
+    rows of the stacked arrays go through kernels whose result for a row
+    does not depend on other rows, so its report is its own run's, bit for
+    bit. The batch holds what both solvers' loops share: the start, the
+    draws, the positions and objective values, the stall counters, the
+    reports and the error. A loop keeps its own per-replica state, such as
+    labels or centres, and drops from it the replicas the batch drops.
+
+    A replica that stalls or reaches the step budget is frozen there: its
+    report is taken and its rows are dropped. When a replica fails, it and
+    the replicas after it are dropped right after the objective, so every
+    later phase sees finite rows only. The ones before it run on, and
+    :meth:`reports` raises the NumericError of the first failing replica:
+    the error its own run raises, with replica-local agent and step.
+    """
+
+    def __init__(self, spec: ObjectiveSpec, cfg, n_agents: int, seeds) -> None:
+        _require_population(n_agents)
+        cfg.validate(n_agents)
+        self.spec, self.cfg, self.n, self.seeds = spec, cfg, int(n_agents), seeds
+        self.delta_stall = float(cfg.delta_stall)
+        self.steps = 0
+        self.error: NumericError | None = None
+        self._reports: list[RunReport | None] = [None] * len(seeds)
+
+    def start(self, own_start) -> np.ndarray:
+        """Start the replicas in seed order, up to the first whose start fails.
+
+        A replica draws its positions uniformly from the box, and its
+        objective values are checked once; ``own_start(positions, energies,
+        rng)`` then makes the solver's own start array. Returns those arrays
+        stacked.
+        """
+        self.rngs, starts = [], []
+        for seed in self.seeds:
+            rng = np.random.default_rng(seed)
+            positions = rng.uniform(self.cfg.init_lo, self.cfg.init_hi, (self.n, self.spec.dim))
+            energies = self.spec.evaluate_batch(positions)
+            try:
+                _check_energies(energies, "objective")
+            except NumericError as exc:
+                self.error = exc
+                break
+            self.rngs.append(rng)
+            starts.append((positions, energies, own_start(positions, energies, rng)))
+        if not self.rngs:
+            raise self.error
+        self.positions, self.energies, own = (np.concatenate(part) for part in zip(*starts))
+        self.live = np.arange(len(self.rngs))  # the replica in every slot of the stack
+        return own
+
+    def watch(self, estimates: np.ndarray) -> None:
+        """Start every stall counter at zero on the first consensus estimates."""
+        self.tracker = StallTracker(np.zeros(estimates.shape[0], dtype=np.int64), estimates)
+        self.stall = [0] * self.live.size  # the minimum stall counter of every slot
+
+    def normals(self, rows: list | None = None) -> np.ndarray:
+        """``rows[r]`` rows of d standard normals from replica r's generator, stacked.
+
+        Every replica draws n rows when ``rows`` is None. A batch of one draws
+        a fresh array; in a larger batch each replica fills its own rows of
+        one array, which costs 2-10 us less a step than joining fresh draws
+        (two replicas of 600 rows, d = 1-5; numpy 2.4, 2 vCPUs). Either way
+        a replica's numbers are those of its own run.
+        """
+        if rows is None:
+            rows = [self.n] * len(self.rngs)
+        if len(self.rngs) == 1:
+            return self.rngs[0].standard_normal((rows[0], self.spec.dim))
+        noise = np.empty((sum(rows), self.spec.dim))
+        first = 0
+        for rng, count in zip(self.rngs, rows):
+            rng.standard_normal(out=noise[first : first + count])
+            first += count
+        return noise
+
+    def uniforms(self) -> np.ndarray:
+        """One uniform per agent from every replica's generator, stacked."""
+        return _joined([rng.random(self.n) for rng in self.rngs])
+
+    def evaluate(self, positions: np.ndarray, phase: str) -> int | None:
+        """Take a step's new positions and their objective values, checked once.
+
+        Returns None when every value is finite, else the number of replicas
+        kept: those before the first failing one. ``phase`` names the kernel
+        that made the positions.
+        """
+        self.positions = positions
+        self.energies = self.spec._values(positions)
+        failure = _first_failure(positions, self.energies, self.n, self.steps, phase)
+        if failure is None:
+            return None
+        failed, self.error = failure
+        self._drop(np.arange(self.live.size) < failed)
+        return failed
+
+    def end_step(self, estimates: np.ndarray) -> None:
+        """Close a step: advance the stall counters with the new consensus estimates."""
+        self.tracker = _update_stall(self.tracker, estimates, self.delta_stall)
+        self.stall = self.tracker.counters.reshape(-1, self.n).min(axis=1).tolist()
+        self.steps += 1
+
+    def freeze(self, consensus: np.ndarray, bounds) -> np.ndarray | None:
+        """Report and drop the replicas that have stalled or used up the step budget.
+
+        Returns None when no replica is done, else the mask of the slots
+        kept. Slot r's consensus points are
+        ``consensus[bounds[r]:bounds[r + 1]]``.
+        """
+        n, cfg, steps, stall = self.n, self.cfg, self.steps, self.stall
+        if steps < cfg.n_steps and max(stall) < cfg.j_stall:
+            return None
+        done = (np.array(stall) >= cfg.j_stall) | (steps >= cfg.n_steps)
+        for slot in np.flatnonzero(done):
+            self._reports[self.live[slot]] = RunReport(
+                iterations=steps,
+                stalled=stall[slot] >= cfg.j_stall,
+                final_consensus=_distinct_rows(consensus[bounds[slot] : bounds[slot + 1]]),
+                leader_count=bounds[slot + 1] - bounds[slot],
+                best_value=float(self.energies[slot * n : (slot + 1) * n].min()),
+                evaluations=n * (steps + 1),
+                seed=int(self.seeds[self.live[slot]]),
+            )
+        self._drop(~done)
+        return ~done
+
+    def _drop(self, keep: np.ndarray) -> None:
+        """Keep the slots ``keep`` selects in every array and list of the batch."""
+        self.positions, self.energies, self.live = (
+            _keep(a, keep) for a in (self.positions, self.energies, self.live)
+        )
+        self.tracker = StallTracker(
+            _keep(self.tracker.counters, keep), _keep(self.tracker.estimates, keep)
+        )
+        self.stall = [count for count, kept in zip(self.stall, keep) if kept]
+        self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
+
+    def reports(self) -> list[RunReport]:
+        """Every replica's report, or the first failing replica's NumericError."""
+        if self.error is not None:
+            raise self.error
+        return self._reports
 
 
 def _leader_bounds(labels: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, list]:
@@ -745,119 +895,61 @@ def _replica_slots(
 def _run_replicas(
     spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int, seeds
 ) -> list[RunReport]:
-    """One :func:`run_gkbo` report per seed, from replicas stepped together.
+    """One :func:`run_gkbo` report per seed, from the replicas of one :class:`_Replicas` batch.
 
-    Replica r is the run with ``seed=seeds[r]``: it owns
-    ``default_rng(seeds[r])`` and draws from it in that run's order, the
-    follower normals of a step before its transition uniforms. Its rows of
-    the stacked ``(R n, d)`` arrays go through the same kernels, whose result
-    for a row does not depend on other rows. Its leaders take the cluster
-    slots after those of replicas 0 .. r-1, so one rank call and one
-    consensus call serve every replica: ``bincount`` still adds each
-    cluster's terms in agent order, and ranks do not depend on the order of
-    ties, so the report is bit-identical. The nearest-leader assignment and
-    the leaderless safety net run per replica. A replica that stalls or
-    reaches the step budget is frozen there: its report is taken, its rows
-    are dropped and the others' slots are assigned again.
-
-    When a replica fails, it and the replicas after it are dropped before the
-    ranks, the ones before it run on, and the NumericError of the first
-    failing replica is raised at the end: the error its own run raises, with
-    replica-local agent and step.
+    A replica starts as its run does: the population-wide ranks of one
+    cluster promote the agents below ``n_leaders / n_agents``. Its leaders
+    take the cluster slots after those of replicas 0 .. r-1, so one rank
+    call and one consensus call serve every replica: ``bincount`` still adds
+    each cluster's terms in agent order, and ranks do not depend on the
+    order of ties, so the report is bit-identical. The nearest-leader
+    assignment and the leaderless safety net run per replica. When replicas
+    are frozen, the others' slots are assigned again. A step draws the
+    follower normals of every replica before its transition uniforms.
     """
-    n = int(n_agents)
-    cfg.validate(n)
+    batch = _Replicas(spec, cfg, n_agents, seeds)
+    n = batch.n
     omega_bar = cfg.omega_bar(n)
     eps = float(cfg.eps)
     alpha = float(cfg.alpha)
-    delta_stall = float(cfg.delta_stall)
-    dim = spec.dim
     work = _Workspace()
-    reports: list[RunReport | None] = [None] * len(seeds)
-    error = None
-
-    rngs, starts = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        ens = init_uniform(n, dim, cfg.init_lo, cfg.init_hi, rng)
-        energies = spec.evaluate_batch(ens.positions)
-        try:
-            weights = compute_weights(ens, energies=energies)
-        except NumericError as exc:
-            error = exc
-            break
-        labels = deterministic_label_pass(ens, weights, omega_bar).labels
-        rngs.append(rng)
-        starts.append((ens.positions, energies, labels))
-    if not rngs:
-        raise error
-    positions, energies, labels = (np.concatenate(part) for part in zip(*starts))
-    live = np.arange(len(rngs))  # the replica in every slot of the stack
-    row_starts = np.arange(0, positions.shape[0] + 1, n)
+    everyone = np.zeros(n, dtype=np.int64)  # one cluster, of followers only
+    labels = batch.start(
+        lambda positions, energies, rng: _relabel(
+            everyone, _cluster_ranks(energies, everyone, 1), omega_bar
+        )
+    )
+    row_starts = np.arange(0, labels.size + 1, n)
     leaders, bounds = _leader_bounds(labels, row_starts)
-    slots = _replica_slots(positions, leaders, bounds, n, work)
-    consensus = _consensus(positions, energies, slots, leaders.size, alpha)
-    estimates = consensus[slots]
-    tracker = StallTracker(np.zeros(positions.shape[0], dtype=np.int64), estimates)
-    stall = [0] * live.size  # the minimum stall counter of every slot
+    slots = _replica_slots(batch.positions, leaders, bounds, n, work)
+    consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
+    batch.watch(consensus[slots])
 
-    # Each array is checked once, where it is made: the energies right after
-    # the objective, which turns a non-finite position into a non-finite
-    # value (see _first_failure). The failing replica and those after it are
-    # dropped there, so the ranks and all later phases see finite rows only.
-    steps = 0
     while True:
-        if steps >= cfg.n_steps or max(stall) >= cfg.j_stall:
-            done = (np.array(stall) >= cfg.j_stall) | (steps >= cfg.n_steps)
-            for slot in np.flatnonzero(done):
-                reports[live[slot]] = RunReport(
-                    iterations=steps,
-                    stalled=stall[slot] >= cfg.j_stall,
-                    final_consensus=_distinct_rows(consensus[bounds[slot] : bounds[slot + 1]]),
-                    leader_count=bounds[slot + 1] - bounds[slot],
-                    best_value=float(energies[slot * n : (slot + 1) * n].min()),
-                    evaluations=n * (steps + 1),
-                    seed=int(seeds[live[slot]]),
-                )
-            keep = ~done
+        keep = batch.freeze(consensus, bounds)
+        if keep is not None:
             if not keep.any():
                 break
-            positions, energies, labels, estimates, live = (
-                _keep(a, keep) for a in (positions, energies, labels, estimates, live)
-            )
-            tracker = StallTracker(_keep(tracker.counters, keep), estimates)
-            stall = [count for count, kept in zip(stall, keep) if kept]
-            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-            row_starts = row_starts[: live.size + 1]
+            labels = _keep(labels, keep)
+            row_starts = np.arange(0, labels.size + 1, n)
             leaders, bounds = _leader_bounds(labels, row_starts)
-            slots = _replica_slots(positions, leaders, bounds, n, work)
+            slots = _replica_slots(batch.positions, leaders, bounds, n, work)
 
         followers = labels == 0
-        noise = np.zeros(positions.shape)
-        noise[followers] = _joined(
-            [
-                rng.standard_normal((n - hi + lo, dim))
-                for rng, lo, hi in zip(rngs, bounds, bounds[1:])
-            ]
+        noise = np.zeros(batch.positions.shape)
+        noise[followers] = batch.normals([n - hi + lo for lo, hi in zip(bounds, bounds[1:])])
+        positions = _interact(
+            batch.positions, followers, leaders[slots], batch.tracker.estimates, cfg, noise
         )
-        positions = _interact(positions, followers, leaders[slots], estimates, cfg, noise)
-        energies = spec._values(positions)
-        failure = _first_failure(positions, energies, n, steps, "interaction_step")
-        if failure is not None:
-            failed, error = failure
-            if not failed:
-                break
-            rows = failed * n
-            positions, energies, labels, slots, estimates = (
-                a[:rows] for a in (positions, energies, labels, slots, estimates)
-            )
-            tracker = StallTracker(tracker.counters[:rows], tracker.estimates[:rows])
-            live, rngs = live[:failed], rngs[:failed]
-            row_starts, bounds = row_starts[: failed + 1], bounds[: failed + 1]
+        kept = batch.evaluate(positions, "interaction_step")
+        if kept == 0:
+            break
+        if kept is not None:
+            labels, slots = labels[: kept * n], slots[: kept * n]
+            row_starts, bounds = row_starts[: kept + 1], bounds[: kept + 1]
 
-        omega = _cluster_ranks(energies, slots, bounds[-1])
-        uniforms = _joined([rng.random(n) for rng in rngs])
-        labels = _relabel(labels, omega, omega_bar, uniforms < eps)
+        omega = _cluster_ranks(batch.energies, slots, bounds[-1])
+        labels = _relabel(labels, omega, omega_bar, batch.uniforms() < eps)
         leaders, bounds = _leader_bounds(labels, row_starts)
         leaderless = [slot for slot, lo in enumerate(bounds[:-1]) if bounds[slot + 1] == lo]
         if leaderless:
@@ -865,13 +957,8 @@ def _run_replicas(
                 rows = slice(slot * n, (slot + 1) * n)
                 labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
             leaders, bounds = _leader_bounds(labels, row_starts)
-        slots = _replica_slots(positions, leaders, bounds, n, work)
-        consensus = _consensus(positions, energies, slots, leaders.size, alpha)
-        estimates = consensus[slots]
-        tracker = _update_stall(tracker, estimates, delta_stall)
-        stall = tracker.counters.reshape(-1, n).min(axis=1).tolist()
-        steps += 1
+        slots = _replica_slots(batch.positions, leaders, bounds, n, work)
+        consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
+        batch.end_step(consensus[slots])
 
-    if error is not None:
-        raise error
-    return reports
+    return batch.reports()

@@ -74,6 +74,7 @@ def test_experiment_config_json_round_trip(cfg):
             ),
             "sigma must be",
         ),
+        (tiny_experiment(solver="pcbo", solver_config=PcboConfig(), n_agents=0), "population size"),
     ],
 )
 def test_experiment_config_validates_the_solver_config_of_every_sweep_value(cfg, message):

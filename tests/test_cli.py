@@ -58,6 +58,12 @@ def test_invalid_environment_seed_exits_1(monkeypatch, capsys):
     assert "GKBO_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
+def test_an_empty_population_exits_1(solver, capsys):
+    assert main(["run", "--solver", solver, "--n-agents", "0"]) == 1
+    assert "population size must be an integer of at least 1, got 0" in capsys.readouterr().err
+
+
 def test_diverging_run_exits_2(capsys):
     argv = ["run", "--objective", "ackley2", "--diffusion", "isotropic", "--sigma-f", "10"]
     assert main([*argv, "--n-agents", "60", "--n-steps", "400"]) == 2

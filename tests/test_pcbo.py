@@ -367,15 +367,6 @@ def test_step_on_a_far_point_is_one_numeric_error():
 # ------------------------------------------------------------ replica batches
 
 
-def assert_reports_identical(got, want):
-    for field in dataclasses.fields(RunReport):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if field.name == "final_consensus":
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        else:
-            assert a == b and type(a) is type(b), field.name
-
-
 @pytest.mark.parametrize(
     "objective, dim, cfg, n_particles, seeds",
     [
@@ -394,7 +385,9 @@ def assert_reports_identical(got, want):
         ("rastrigin2", 1, PcboConfig(n_steps=0), 50, (0, 1, 2)),
     ],
 )
-def test_replicas_equal_their_standalone_runs(objective, dim, cfg, n_particles, seeds):
+def test_replicas_equal_their_standalone_runs(
+    objective, dim, cfg, n_particles, seeds, assert_reports_identical
+):
     spec = preset(objective, dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -432,12 +425,20 @@ def standalone_error(objective, dim, cfg, seed) -> tuple[str, int]:
         ("ackley2", 1, PcboConfig(sigma=40, n_steps=3000), (2, 3), 0),
         # only the second replica fails, so the agent is counted within it
         ("rastrigin2", 1, PcboConfig(sigma=5, n_steps=310), (0, 1), 1),
+        # the second replica fails at step 307, the last of the first one's budget
+        ("rastrigin2", 1, PcboConfig(sigma=5, n_steps=308), (0, 1), 1),
+        # the second replica fails at step 307 and the third at 318; the
+        # third is dropped with the second, so its error cannot surface
+        ("rastrigin2", 1, PcboConfig(sigma=5, n_steps=320), (2, 1, 0), 1),
     ],
 )
 def test_replicas_raise_the_first_failing_replicas_own_error(objective, dim, cfg, seeds, reported):
     message, step = standalone_error(objective, dim, cfg, seeds[reported])
     if reported == 0:
         assert standalone_error(objective, dim, cfg, seeds[1])[1] < step
+    else:
+        first = run_pcbo(preset(objective, dim), dataclasses.replace(cfg, seed=seeds[0]), 60)
+        assert first.iterations == cfg.n_steps
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkbo.ensemble import Ensemble, _slot_order, compute_weights, init_uniform
+from gkbo.ensemble import Ensemble, _slot_order, compute_weights
 from gkbo.errors import EmptyLeaderSetError, NumericError
 from gkbo.objectives import Kind, ObjectiveSpec, evaluate_base, preset
+from gkbo.pcbo import PcboConfig, run_pcbo
 from gkbo import solver
 from gkbo.solver import (
     ClusterState,
@@ -782,27 +783,22 @@ def test_run_rejects_oversized_leader_budget():
 # ------------------------------------------------------------ replica batches
 
 
-def assert_reports_identical(got, want):
-    for field in dataclasses.fields(RunReport):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if field.name == "final_consensus":
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        else:
-            assert a == b and type(a) is type(b), field.name
+@pytest.fixture
+def run_batch(assert_reports_identical):
+    def run(objective, dim, cfg, n_agents, seeds) -> list[RunReport]:
+        """The batch's reports, each checked against the standalone run of its seed."""
+        spec = preset(objective, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _run_replicas(spec, cfg, n_agents, seeds)
+        assert len(batch) == len(seeds)
+        for seed, report in zip(seeds, batch, strict=True):
+            assert_reports_identical(
+                report, run_gkbo(spec, dataclasses.replace(cfg, seed=seed), n_agents)
+            )
+        return batch
 
-
-def run_batch(objective, dim, cfg, n_agents, seeds) -> list[RunReport]:
-    """The batch's reports, each checked against the standalone run of its seed."""
-    spec = preset(objective, dim)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        batch = _run_replicas(spec, cfg, n_agents, seeds)
-    assert len(batch) == len(seeds)
-    for seed, report in zip(seeds, batch, strict=True):
-        assert_reports_identical(
-            report, run_gkbo(spec, dataclasses.replace(cfg, seed=seed), n_agents)
-        )
-    return batch
+    return run
 
 
 @pytest.mark.parametrize(
@@ -814,24 +810,24 @@ def run_batch(objective, dim, cfg, n_agents, seeds) -> list[RunReport]:
         ("rastrigin2", 1, SolverConfig(n_steps=0), 30, (0, 1, 2)),
     ],
 )
-def test_replicas_equal_their_standalone_runs(objective, dim, cfg, n_agents, seeds):
+def test_replicas_equal_their_standalone_runs(objective, dim, cfg, n_agents, seeds, run_batch):
     run_batch(objective, dim, cfg, n_agents, seeds)
 
 
-def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on():
+def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on(run_batch):
     # the replicas stall at steps 104 to 218; seed 4 runs to the budget
     reports = run_batch("ackley2", 1, SolverConfig(n_steps=300, j_stall=20), 60, (0, 1, 2, 3, 4))
     assert [report.stalled for report in reports] == [True, True, True, True, False]
     assert len({report.iterations for report in reports}) == 5
 
 
-def test_replicas_at_d10_are_screened_replica_by_replica():
+def test_replicas_at_d10_are_screened_replica_by_replica(run_batch):
     # more than 4 leaders at d = 10 take the screened assignment
     reports = run_batch("ackley4", 10, SolverConfig(n_steps=60), 120, (0, 1, 2))
     assert all(report.leader_count * 10 > solver._DENSE_MAX_TERMS for report in reports)
 
 
-def test_a_replica_whose_leader_set_empties_takes_the_safety_net(monkeypatch):
+def test_a_replica_whose_leader_set_empties_takes_the_safety_net(monkeypatch, run_batch):
     # one target leader in ten agents: with eps = 0.3 a leader that is no
     # longer its cluster's best can step down while no follower steps up
     nets = []
@@ -843,9 +839,11 @@ def test_a_replica_whose_leader_set_empties_takes_the_safety_net(monkeypatch):
         return relabel(labels, omega, omega_bar, fire)
 
     monkeypatch.setattr(solver, "_relabel", spy)
-    run_batch("rastrigin2", 2, SolverConfig(n_steps=60, n_leaders=1, eps=0.3), 10, (2, 3, 4, 5))
-    # the net fired on one replica's rows at a time, in the batch and alone
-    assert nets and set(nets) == {10}
+    seeds = (2, 3, 4, 5)
+    run_batch("rastrigin2", 2, SolverConfig(n_steps=60, n_leaders=1, eps=0.3), 10, seeds)
+    # every run's start takes the same pass, once in the batch and once
+    # alone; beyond those the net fired on one replica's rows at a time
+    assert len(nets) > 2 * len(seeds) and set(nets) == {10}
 
 
 def standalone_error(cfg, seed) -> tuple[str, int]:
@@ -863,6 +861,8 @@ def standalone_error(cfg, seed) -> tuple[str, int]:
         (SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=400), 0),
         # only the second replica fails, so the agent is counted within it
         (SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=255), 1),
+        # the second replica fails at step 249, the last of the first one's budget
+        (SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=250), 1),
     ],
 )
 def test_replicas_raise_the_first_failing_replicas_own_error(cfg, reported):
@@ -870,7 +870,40 @@ def test_replicas_raise_the_first_failing_replicas_own_error(cfg, reported):
     message, step = standalone_error(cfg, seeds[reported])
     if reported == 0:
         assert standalone_error(cfg, seeds[1])[1] < step
+    else:
+        first = run_gkbo(preset("ackley2", 2), dataclasses.replace(cfg, seed=seeds[0]), 60)
+        assert first.iterations == cfg.n_steps
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             _run_replicas(preset("ackley2", 2), cfg, 60, seeds)
+
+
+def test_the_replicas_after_the_first_failing_one_are_dropped_with_it():
+    # seed 3 fails at step 249 and seed 4 at 276; seed 1 would fail at 299,
+    # after the budget, so only seed 3's error may surface
+    cfg = SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=280)
+    message, _ = standalone_error(cfg, 3)
+    assert standalone_error(cfg, 4)[1] > standalone_error(cfg, 3)[1]
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        _run_replicas(preset("ackley2", 2), cfg, 60, (1, 3, 4))
+
+
+@pytest.mark.parametrize("run, config", [(run_gkbo, SolverConfig), (run_pcbo, PcboConfig)])
+@pytest.mark.parametrize("size", [7.9, 0, -1, True, None])
+def test_the_population_size_is_checked_before_the_config(run, config, size):
+    # n_steps=-1 would fail the config check, so the size is checked first
+    with pytest.raises(ValueError, match="^population size must be an integer of at least 1"):
+        run(preset("rastrigin2", 2), config(n_steps=-1), size)
+    if size is not None:  # a config checked without a population
+        with pytest.raises(ValueError, match="^population size"):
+            config(n_steps=-1).validate(size)
+
+
+@pytest.mark.parametrize("run, config", [(run_gkbo, SolverConfig), (run_pcbo, PcboConfig)])
+def test_a_start_that_fails_names_the_objective(run, config):
+    # a box this wide overflows the objective on every agent before any step
+    with pytest.raises(
+        NumericError, match="^objective: agent 0 has a non-finite objective value$"
+    ):
+        run(preset("rastrigin2", 2), config(init_lo=-1e300, init_hi=1e300), 60)
