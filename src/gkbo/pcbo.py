@@ -182,8 +182,8 @@ def _run_replicas(
 
     Replica r's centres are slots ``r k .. r k + k - 1`` of one consensus,
     so ``bincount`` still adds each cluster's terms in particle order, and
-    the report is bit-identical. When replicas are frozen, the others'
-    slots are assigned again. A step draws every replica's normals, one per
+    the report is bit-identical. When replicas are dropped, the others'
+    particles are assigned again. A step draws every replica's normals, one per
     coordinate.
     """
     batch = _Replicas(spec, cfg, n_particles, seeds)
@@ -205,28 +205,25 @@ def _run_replicas(
         )
         return (nearest + offsets[: nearest.shape[0]]).ravel()
 
-    centres = batch.start(start)
+    def drop(keep):
+        """Keep the replicas' centres and estimates, and assign their particles again."""
+        nonlocal centres, estimates, slots
+        centres, estimates = _keep(centres, keep), _keep(estimates, keep)
+        slots = slots_of(centres)
+
+    centres = batch.start(start, drop)
     offsets = np.arange(0, centres.shape[0], k)[:, np.newaxis]  # replica r's first slot, r k
     slots = slots_of(centres)
-    batch.watch(centres[slots])
+    estimates = centres[slots]
+    batch.watch(estimates)
 
-    while True:
-        keep = batch.freeze(centres, range(0, centres.shape[0] + 1, k))
-        if keep is not None:
-            if not keep.any():
-                break
-            centres = _keep(centres, keep)
-            slots = slots_of(centres)
-
+    while batch.freeze(centres, range(0, centres.shape[0] + 1, k)):
         centres = _consensus(
             batch.positions, batch.energies, slots, centres.shape[0], alpha, centres
         )
         estimates = centres[slots]
-        kept = batch.evaluate(_move(batch.positions, estimates, cfg, batch.normals()), "pcbo_step")
-        if kept == 0:
+        if not batch.evaluate(_move(batch.positions, estimates, cfg, batch.normals()), "pcbo_step"):
             break
-        if kept is not None:
-            centres, estimates = centres[: kept * k], estimates[: kept * n]
         batch.end_step(estimates)
         slots = slots_of(centres)
 

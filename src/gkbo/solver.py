@@ -722,7 +722,8 @@ class _Replicas:
     bit. The batch holds what both solvers' loops share: the start, the
     draws, the positions and objective values, the stall counters, the
     reports and the error. A loop keeps its own per-replica state, such as
-    labels or centres, and drops from it the replicas the batch drops.
+    labels or centres, and hands :meth:`start` the hook that drops from it
+    the replicas the batch drops.
 
     A replica that stalls or reaches the step budget is frozen there: its
     report is taken and its rows are dropped. When a replica fails, it and
@@ -733,7 +734,7 @@ class _Replicas:
     """
 
     def __init__(self, spec: ObjectiveSpec, cfg, n_agents: int, seeds) -> None:
-        _require_population(n_agents)
+        _require_population(n_agents)  # validate(None) means no population given
         cfg.validate(n_agents)
         self.spec, self.cfg, self.n, self.seeds = spec, cfg, int(n_agents), seeds
         self.delta_stall = float(cfg.delta_stall)
@@ -741,14 +742,17 @@ class _Replicas:
         self.error: NumericError | None = None
         self._reports: list[RunReport | None] = [None] * len(seeds)
 
-    def start(self, own_start) -> np.ndarray:
+    def start(self, own_start, own_drop) -> np.ndarray:
         """Start the replicas in seed order, up to the first whose start fails.
 
         A replica draws its positions uniformly from the box, and its
         objective values are checked once; ``own_start(positions, energies,
         rng)`` then makes the solver's own start array. Returns those arrays
-        stacked.
+        stacked. Whenever the batch drops replicas and some are left,
+        ``own_drop(keep)`` keeps the slots ``keep`` selects in the loop's own
+        state.
         """
+        self.own_drop = own_drop
         self.rngs, starts = [], []
         for seed in self.seeds:
             rng = np.random.default_rng(seed)
@@ -775,16 +779,14 @@ class _Replicas:
     def normals(self, rows: list | None = None) -> np.ndarray:
         """``rows[r]`` rows of d standard normals from replica r's generator, stacked.
 
-        Every replica draws n rows when ``rows`` is None. A batch of one draws
-        a fresh array; in a larger batch each replica fills its own rows of
-        one array, which costs 2-10 us less a step than joining fresh draws
-        (two replicas of 600 rows, d = 1-5; numpy 2.4, 2 vCPUs). Either way
-        a replica's numbers are those of its own run.
+        Every replica draws n rows when ``rows`` is None. Each replica fills
+        its own rows of one new array: at two replicas of 600 rows, d = 1-5,
+        that costs 2-10 us less a step than joining fresh draws, and a batch
+        of one costs what a fresh draw does (numpy 2.4, 2 vCPUs). A
+        replica's numbers are those of its own run.
         """
         if rows is None:
             rows = [self.n] * len(self.rngs)
-        if len(self.rngs) == 1:
-            return self.rngs[0].standard_normal((rows[0], self.spec.dim))
         noise = np.empty((sum(rows), self.spec.dim))
         first = 0
         for rng, count in zip(self.rngs, rows):
@@ -796,21 +798,20 @@ class _Replicas:
         """One uniform per agent from every replica's generator, stacked."""
         return _joined([rng.random(self.n) for rng in self.rngs])
 
-    def evaluate(self, positions: np.ndarray, phase: str) -> int | None:
+    def evaluate(self, positions: np.ndarray, phase: str) -> bool:
         """Take a step's new positions and their objective values, checked once.
 
-        Returns None when every value is finite, else the number of replicas
-        kept: those before the first failing one. ``phase`` names the kernel
-        that made the positions.
+        Drops the first failing replica and those after it; returns whether
+        any replica is left. ``phase`` names the kernel that made the
+        positions.
         """
         self.positions = positions
         self.energies = self.spec._values(positions)
         failure = _first_failure(positions, self.energies, self.n, self.steps, phase)
         if failure is None:
-            return None
+            return True
         failed, self.error = failure
-        self._drop(np.arange(self.live.size) < failed)
-        return failed
+        return self._drop(np.arange(self.live.size) < failed)
 
     def end_step(self, estimates: np.ndarray) -> None:
         """Close a step: advance the stall counters with the new consensus estimates."""
@@ -818,16 +819,15 @@ class _Replicas:
         self.stall = self.tracker.counters.reshape(-1, self.n).min(axis=1).tolist()
         self.steps += 1
 
-    def freeze(self, consensus: np.ndarray, bounds) -> np.ndarray | None:
+    def freeze(self, consensus: np.ndarray, bounds) -> bool:
         """Report and drop the replicas that have stalled or used up the step budget.
 
-        Returns None when no replica is done, else the mask of the slots
-        kept. Slot r's consensus points are
+        Returns whether any replica is left. Slot r's consensus points are
         ``consensus[bounds[r]:bounds[r + 1]]``.
         """
         n, cfg, steps, stall = self.n, self.cfg, self.steps, self.stall
         if steps < cfg.n_steps and max(stall) < cfg.j_stall:
-            return None
+            return True
         done = (np.array(stall) >= cfg.j_stall) | (steps >= cfg.n_steps)
         for slot in np.flatnonzero(done):
             self._reports[self.live[slot]] = RunReport(
@@ -839,11 +839,10 @@ class _Replicas:
                 evaluations=n * (steps + 1),
                 seed=int(self.seeds[self.live[slot]]),
             )
-        self._drop(~done)
-        return ~done
+        return self._drop(~done)
 
-    def _drop(self, keep: np.ndarray) -> None:
-        """Keep the slots ``keep`` selects in every array and list of the batch."""
+    def _drop(self, keep: np.ndarray) -> bool:
+        """Keep the slots ``keep`` selects in the batch and the loop; whether any is left."""
         self.positions, self.energies, self.live = (
             _keep(a, keep) for a in (self.positions, self.energies, self.live)
         )
@@ -852,6 +851,10 @@ class _Replicas:
         )
         self.stall = [count for count, kept in zip(self.stall, keep) if kept]
         self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
+        if not keep.any():
+            return False
+        self.own_drop(keep)
+        return True
 
     def reports(self) -> list[RunReport]:
         """Every replica's report, or the first failing replica's NumericError."""
@@ -904,8 +907,9 @@ def _run_replicas(
     each cluster's terms in agent order, and ranks do not depend on the
     order of ties, so the report is bit-identical. The nearest-leader
     assignment and the leaderless safety net run per replica. When replicas
-    are frozen, the others' slots are assigned again. A step draws the
-    follower normals of every replica before its transition uniforms.
+    are dropped, the others' slots move down with their leaders. A step
+    draws the follower normals of every replica before its transition
+    uniforms.
     """
     batch = _Replicas(spec, cfg, n_agents, seeds)
     n = batch.n
@@ -914,10 +918,21 @@ def _run_replicas(
     alpha = float(cfg.alpha)
     work = _Workspace()
     everyone = np.zeros(n, dtype=np.int64)  # one cluster, of followers only
+
+    def drop(keep):
+        """Keep the replicas' labels and slots; each kept replica's slots move with its leaders."""
+        nonlocal labels, row_starts, leaders, bounds, slots
+        own = slots - np.repeat(bounds[:-1], n)  # every agent's slot among its replica's own
+        labels = _keep(labels, keep)
+        row_starts = row_starts[: labels.size // n + 1]
+        leaders, bounds = _leader_bounds(labels, row_starts)
+        slots = _keep(own, keep) + np.repeat(bounds[:-1], n)
+
     labels = batch.start(
         lambda positions, energies, rng: _relabel(
             everyone, _cluster_ranks(energies, everyone, 1), omega_bar
-        )
+        ),
+        drop,
     )
     row_starts = np.arange(0, labels.size + 1, n)
     leaders, bounds = _leader_bounds(labels, row_starts)
@@ -925,28 +940,15 @@ def _run_replicas(
     consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
     batch.watch(consensus[slots])
 
-    while True:
-        keep = batch.freeze(consensus, bounds)
-        if keep is not None:
-            if not keep.any():
-                break
-            labels = _keep(labels, keep)
-            row_starts = np.arange(0, labels.size + 1, n)
-            leaders, bounds = _leader_bounds(labels, row_starts)
-            slots = _replica_slots(batch.positions, leaders, bounds, n, work)
-
+    while batch.freeze(consensus, bounds):
         followers = labels == 0
         noise = np.zeros(batch.positions.shape)
         noise[followers] = batch.normals([n - hi + lo for lo, hi in zip(bounds, bounds[1:])])
         positions = _interact(
             batch.positions, followers, leaders[slots], batch.tracker.estimates, cfg, noise
         )
-        kept = batch.evaluate(positions, "interaction_step")
-        if kept == 0:
+        if not batch.evaluate(positions, "interaction_step"):
             break
-        if kept is not None:
-            labels, slots = labels[: kept * n], slots[: kept * n]
-            row_starts, bounds = row_starts[: kept + 1], bounds[: kept + 1]
 
         omega = _cluster_ranks(batch.energies, slots, bounds[-1])
         labels = _relabel(labels, omega, omega_bar, batch.uniforms() < eps)
