@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +58,13 @@ _REPLICA_LOOPS = {"gkbo": _gkbo_replicas, "pcbo": _pcbo_replicas}
 
 #: Most float64 coordinates, R n d, that one batch of R replicas stacks. At
 #: 14400 (115200 bytes) every stacked ``(R n, d)`` array stays below glibc's
-#: default mmap threshold of 128 KiB, so the heap serves it.
+#: default mmap threshold of 128 KiB, so the heap serves it. The cap cannot
+#: keep the objective's ``(shifts, d, n)`` temporaries there: at ackley4,
+#: d = 10 they are 192 KB a replica and are mapped afresh, page faults and
+#: all, until a freed mapping raises glibc's dynamic threshold. That costs
+#: only each worker's first task: 72k-131k minor faults and 1.84-2.03 s
+#: against 0-916 faults and 1.06-1.28 s for later tasks of two 500-step
+#: replicas (ROADMAP item 6).
 _MAX_BATCH_COORDINATES = 14_400
 
 
@@ -380,6 +385,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     if workers == 1 or len(tasks) == 1:
         batches = [_execute_run(task) for task in tasks]
     else:
+        # imported here, not at the top: concurrent.futures.process is 23-38 ms
+        # of a fresh interpreter's `import gkbo.cli`, and `gkbo run` needs no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_execute_run, tasks))
     outcomes = [outcome for batch in batches for outcome in batch]

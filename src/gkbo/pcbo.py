@@ -214,14 +214,15 @@ def _run_replicas(
     centres = batch.start(start, drop)
     offsets = np.arange(0, centres.shape[0], k)[:, np.newaxis]  # replica r's first slot, r k
     slots = slots_of(centres)
-    estimates = centres[slots]
+    # take, not centres[slots]: fancy indexing of narrow rows is ~10x slower
+    estimates = centres.take(slots, axis=0)
     batch.watch(estimates)
 
     while batch.freeze(centres, range(0, centres.shape[0] + 1, k)):
         centres = _consensus(
             batch.positions, batch.energies, slots, centres.shape[0], alpha, centres
         )
-        estimates = centres[slots]
+        estimates = centres.take(slots, axis=0)
         if not batch.evaluate(_move(batch.positions, estimates, cfg, batch.normals()), "pcbo_step"):
             break
         batch.end_step(estimates)

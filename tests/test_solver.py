@@ -827,6 +827,23 @@ def test_replicas_at_d10_are_screened_replica_by_replica(run_batch):
     assert all(report.leader_count * 10 > solver._DENSE_MAX_TERMS for report in reports)
 
 
+@pytest.mark.parametrize("objective, dim", [("rastrigin4", 6), ("ackley4", 10)])
+@pytest.mark.parametrize("n_leaders, counts", [(11, [11, 12, 11]), (12, [12, 12, 12])])
+def test_a_replica_whose_every_agent_leads_is_batched_with_ones_that_have_followers(
+    objective, dim, n_leaders, counts, run_batch
+):
+    # One target leader short of the population, the last follower steps up
+    # with probability eps each step and no leader can step down, so seed 2
+    # leads with every agent within ten steps while seeds 4 and 6 keep one
+    # follower; with every agent a target leader, all three do from the
+    # start. A replica without followers has nothing to assign, and every
+    # leader count here takes the screen.
+    cfg = SolverConfig(n_steps=10, n_leaders=n_leaders)
+    reports = run_batch(objective, dim, cfg, 12, (4, 2, 6))
+    assert [report.leader_count for report in reports] == counts
+    assert min(counts) * dim > solver._DENSE_MAX_TERMS and dim >= solver._SCREEN_MIN_DIM
+
+
 def test_a_replica_whose_leader_set_empties_takes_the_safety_net(monkeypatch, run_batch):
     # one target leader in ten agents: with eps = 0.3 a leader that is no
     # longer its cluster's best can step down while no follower steps up
