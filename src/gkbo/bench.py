@@ -3,7 +3,8 @@
 Runs repeated seeded solver runs, optionally sweeping one quantity
 (dimension, leader/cluster count, or noise strength), scores each run against
 the objective's planted minimizers, and writes aggregate rows to CSV with a
-JSON sidecar recording the exact configuration.
+JSON sidecar recording the exact configuration and every run's time, steps
+and evaluations.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ _REPLICA_LOOPS = {"gkbo": _gkbo_replicas, "pcbo": _pcbo_replicas}
 
 #: Most float64 coordinates, R n d, that one batch of R replicas stacks. At
 #: 14400 (115200 bytes) every stacked ``(R n, d)`` array stays below glibc's
-#: default mmap threshold of 128 KiB, so the heap serves it. The cap cannot
-#: keep the objective's ``(shifts, d, n)`` temporaries there: at ackley4,
-#: d = 10 they are 192 KB a replica and are mapped afresh, page faults and
-#: all, until a freed mapping raises glibc's dynamic threshold. That costs
-#: only each worker's first task: 72k-131k minor faults and 1.84-2.03 s
-#: against 0-916 faults and 1.06-1.28 s for later tasks of two 500-step
-#: replicas (ROADMAP item 6).
+#: default mmap threshold of 128 KiB, so the heap serves it. The objective's
+#: arrays of shifts times that size live in the batch's workspace, mapped
+#: once per batch: at ackley4, d = 10, two 500-step replicas, a worker's
+#: first task took 3k-12k minor faults and 0.84-1.15 s, later tasks 1-609
+#: faults and 0.73-1.15 s (81k-122k faults for a first task when those
+#: arrays were allocated every call).
 _MAX_BATCH_COORDINATES = 14_400
 
 
@@ -166,8 +166,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config a JSON object spells; a results sidecar's ``runs`` are ignored."""
         if not isinstance(data, dict):
             raise ValueError("experiment config must be a JSON object")
+        data = {key: value for key, value in data.items() if key != "runs"}
         known = {field.name for field in dataclasses.fields(cls)}
         for key in data:
             if key not in known:
@@ -431,10 +433,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
 
 def write_results(summary: ExperimentSummary, path) -> Path:
-    """Write one CSV row per sweep value, plus a JSON config sidecar.
+    """Write one CSV row per sweep value, plus a JSON sidecar.
 
-    The sidecar lands next to the CSV with extension ``.json``. Lines use LF
-    endings regardless of platform. Returns the CSV path.
+    The sidecar lands next to the CSV with extension ``.json``. It holds the
+    experiment config, which :meth:`ExperimentConfig.from_dict` reads back,
+    and under ``runs`` one record per sweep value: the seeds and, per seed,
+    ``run_seconds`` (see :class:`SweepResult`), ``iterations`` and
+    ``evaluations``. Lines use LF endings regardless of platform. Returns
+    the CSV path.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
@@ -451,8 +457,19 @@ def write_results(summary: ExperimentSummary, path) -> Path:
                     result.base_seed,
                 ]
             )
-    sidecar = path.with_suffix(".json")
-    sidecar.write_text(summary.config.to_json() + "\n", encoding="utf-8")
+    sidecar = summary.config.to_dict()
+    sidecar["runs"] = [
+        {
+            "sweep_value": result.sweep_value,
+            "seeds": list(result.seeds),
+            "run_seconds": list(result.run_seconds),
+            "iterations": list(result.iterations),
+            "evaluations": [report.evaluations for report in result.reports],
+        }
+        for result in summary.results
+    ]
+    text = json.dumps(sidecar, indent=2)
+    path.with_suffix(".json").write_text(text + "\n", encoding="utf-8")
     return path
 
 

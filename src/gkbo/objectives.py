@@ -34,69 +34,131 @@ class Kind(enum.Enum):
     ACKLEY = "ackley"
 
 
+class _Workspace:
+    """Scratch memory that the objective and nearest-centre kernels reuse from call to call.
+
+    :meth:`arrays` hands out float64 arrays of the given shapes side by side
+    in one flat buffer, which grows geometrically and never shrinks, so a
+    solver batch allocates it a handful of times however its shapes move.
+    Each call hands out the buffer anew: the arrays of earlier calls may
+    share its memory, and their contents are undefined.
+    """
+
+    def __init__(self) -> None:
+        self._flat = np.empty(0)
+
+    def arrays(self, *shapes: tuple) -> list[np.ndarray]:
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) > self._flat.size:
+            self._flat = np.empty(max(sum(sizes), 2 * self._flat.size))
+        arrays, start = [], 0
+        for shape, size in zip(shapes, sizes):
+            arrays.append(self._flat[start : start + size].reshape(shape))
+            start += size
+        return arrays
+
+
 #: Row length up to which numpy sums a contiguous row with eight interleaved
 #: accumulators; longer rows are split in halves first.
 _PAIRWISE_BLOCK = 128
 
+#: Rows of the lane scratch of :func:`_axis_sum`: eight accumulators, their
+#: four pairs and two quads.
+_LANES = 14
 
-def _axis_sum(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
-    """Sum of ``terms[:, lo:lo + count]`` over axis 1, in the order numpy sums a row.
 
-    ``terms`` has shape ``(shifts, d, n)``. Every ``(shift, point)`` column gets
-    the additions ``np.add.reduce`` applies to a contiguous row: in sequence
-    below 8 terms; up to 128 terms, eight stride-8 accumulators combined
-    pairwise, then the tail in sequence; beyond that, the two halves split at
-    a multiple of 8. The result is bit-identical to the row sums of the
+def _axis_sum(terms: np.ndarray, lo: int, count: int, lanes: np.ndarray) -> np.ndarray:
+    """Sum of ``terms[lo:lo + count]`` over axis 0, in the order numpy sums a row.
+
+    ``terms`` holds one coordinate per row, ``(d, shifts, n)`` or
+    ``(d, candidates)``; ``lanes`` is scratch of ``_LANES`` such rows that
+    shares no memory with it. Every column gets the additions
+    ``np.add.reduce`` applies to a contiguous row: in sequence below 8
+    terms; up to 128 terms, eight stride-8 accumulators combined pairwise,
+    then the tail in sequence; beyond that, the two halves split at a
+    multiple of 8. The result is bit-identical to the row sums of the
     ``(n, d)`` layout, while each addition runs over all shifts and points.
+    With a single 8-term block the accumulators are the terms themselves.
     """
     if count < 8:
         if count == 1:
-            return terms[:, lo].copy()
-        total = terms[:, lo] + terms[:, lo + 1]
+            return terms[lo].copy()
+        total = terms[lo] + terms[lo + 1]
         for j in range(lo + 2, lo + count):
-            total += terms[:, j]
+            total += terms[j]
         return total
     if count <= _PAIRWISE_BLOCK:
         end = lo + count - count % 8
-        acc = terms[:, lo : lo + 8].copy()
-        for start in range(lo + 8, end, 8):
-            acc += terms[:, start : start + 8]
+        if end == lo + 8:
+            acc = terms[lo:end]
+        else:
+            acc = np.add(terms[lo : lo + 8], terms[lo + 8 : lo + 16], out=lanes[:8])
+            for start in range(lo + 16, end, 8):
+                acc += terms[start : start + 8]
         # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        pairs = acc[:, 0::2] + acc[:, 1::2]
-        quads = pairs[:, 0::2] + pairs[:, 1::2]
-        total = quads[:, 0] + quads[:, 1]
+        pairs = np.add(acc[0::2], acc[1::2], out=lanes[8:12])
+        quads = np.add(pairs[0::2], pairs[1::2], out=lanes[12:14])
+        total = quads[0] + quads[1]
         for j in range(end, lo + count):
-            total += terms[:, j]
+            total += terms[j]
         return total
     half = count // 2
     half -= half % 8
-    return _axis_sum(terms, lo, half) + _axis_sum(terms, lo + half, count - half)
+    return _axis_sum(terms, lo, half, lanes) + _axis_sum(terms, lo + half, count - half, lanes)
 
 
-def _axis_mean(terms: np.ndarray) -> np.ndarray:
-    """``np.mean`` over axis 1 of a ``(shifts, d, n)`` array, bit for bit as over rows."""
-    dim = terms.shape[1]
-    return _axis_sum(terms, 0, dim) / dim
+def _axis_mean(terms: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """``np.mean`` over axis 0 of a ``(d, ...)`` array, bit for bit as over rows."""
+    dim = terms.shape[0]
+    total = _axis_sum(terms, 0, dim, lanes)
+    total /= dim
+    return total
 
 
-def _rastrigin(diff: np.ndarray) -> np.ndarray:
-    """mean_i(x_i^2 - 10 cos(2 pi x_i)) over axis 1 of ``(shifts, d, n)`` offsets.
+def _cos_mean(diff: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """mean_i cos(2 pi x_i) over axis 0 of ``(d, ...)`` offsets, computed in ``diff``."""
+    np.multiply(diff, _TWO_PI, out=diff)
+    np.cos(diff, out=diff)
+    return _axis_mean(diff, lanes)
 
-    Minimum -10 at the origin.
+
+def _ackley_head(mean_sq: np.ndarray) -> np.ndarray:
+    """The root-mean-square term of Ackley, -20 exp(-0.2 sqrt(mean_sq)), computed in ``mean_sq``."""
+    np.sqrt(mean_sq, out=mean_sq)
+    mean_sq *= -0.2
+    np.exp(mean_sq, out=mean_sq)
+    mean_sq *= -20.0
+    return mean_sq
+
+
+def _ackley_value(head: np.ndarray, cos_mean: np.ndarray) -> np.ndarray:
+    """The Ackley value from its head term and cosine mean, in the full formula's order."""
+    return head - np.exp(cos_mean) + 20.0 + math.e
+
+
+def _rastrigin(diff: np.ndarray, squares: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """mean_i(x_i^2 - 10 cos(2 pi x_i)) over axis 0 of ``(d, ...)`` offsets.
+
+    Minimum -10 at the origin. ``diff`` is overwritten; ``squares``, of its
+    shape, and ``lanes`` (see :func:`_axis_sum`) are scratch.
     """
-    return _axis_mean(diff * diff - 10.0 * np.cos(_TWO_PI * diff))
+    np.multiply(diff, diff, out=squares)
+    np.multiply(diff, _TWO_PI, out=diff)
+    np.cos(diff, out=diff)
+    diff *= 10.0
+    return _axis_mean(np.subtract(squares, diff, out=squares), lanes)
 
 
-def _ackley(diff: np.ndarray) -> np.ndarray:
-    """-20 exp(-0.2 rms(x)) - exp(mean_i cos(2 pi x_i)) + 20 + e over axis 1.
+def _ackley(diff: np.ndarray, squares: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """-20 exp(-0.2 rms(x)) - exp(mean_i cos(2 pi x_i)) + 20 + e over axis 0.
 
-    ``diff`` holds ``(shifts, d, n)`` offsets. The root-mean-square and the
-    cosine average both use the dimension-normalized form, so the landscape
-    keeps the same scale in every dimension. Minimum 0 at the origin.
+    ``diff`` holds ``(d, ...)`` offsets and is overwritten, as for
+    :func:`_rastrigin`. The root-mean-square and the cosine average both use
+    the dimension-normalized form, so the landscape keeps the same scale in
+    every dimension. Minimum 0 at the origin.
     """
-    rms = np.sqrt(_axis_mean(diff * diff))
-    cos_mean = _axis_mean(np.cos(_TWO_PI * diff))
-    return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + math.e
+    head = _ackley_head(_axis_mean(np.multiply(diff, diff, out=squares), lanes))
+    return _ackley_value(head, _cos_mean(diff, lanes))
 
 
 _BASE_EVAL = {
@@ -115,7 +177,9 @@ _ACKLEY_MARGIN = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _screened_min_base(kind: Kind, diff: np.ndarray) -> np.ndarray | None:
+def _screened_min_base(
+    kind: Kind, diff: np.ndarray, squares: np.ndarray, lanes: np.ndarray, work: _Workspace
+) -> np.ndarray | None:
     """:func:`_min_base` computing the base only where it can be the minimum.
 
     Each ``(shift, point)`` value is first bracketed from its mean square
@@ -126,7 +190,9 @@ def _screened_min_base(kind: Kind, diff: np.ndarray) -> np.ndarray | None:
     then runs, column by column in the order it always uses, only on the
     pairs whose lower bound reaches the point's smallest upper bound; the
     other pairs lie above a computed value and cannot be the minimum, so the
-    result is bit-identical to the full evaluation.
+    result is bit-identical to the full evaluation. An Ackley candidate
+    takes its ``h`` from the bracket's array, the value the full evaluation
+    computes, and evaluates only its cosines.
 
     The margins widen each bracket by more than the rounding of both the
     bound and the value. Rastrigin, per pair with ``u = eps / 2``: the
@@ -139,33 +205,52 @@ def _screened_min_base(kind: Kind, diff: np.ndarray) -> np.ndarray | None:
     roundings of both sides together, one ulp of ``exp`` included, stay
     under 1e-13; the margin is 1e-12.
 
-    Returns None when a mean square is not finite, so that the caller's full
-    evaluation keeps its inf and NaN values.
+    Returns None, with ``diff`` intact, when a mean square is not finite, so
+    that the caller's full evaluation keeps its inf and NaN values.
+    Otherwise ``diff``, ``squares`` and ``lanes`` are scratch, and the
+    candidates' own lanes come from ``work``.
     """
-    mean_sq = _axis_mean(diff * diff)
+    mean_sq = _axis_mean(np.multiply(diff, diff, out=squares), lanes)
     if not np.isfinite(mean_sq).all():
         return None
     if kind is Kind.ACKLEY:
-        head = -20.0 * np.exp(-0.2 * np.sqrt(mean_sq))
+        head = _ackley_head(mean_sq)
         lower = head + (20.0 - _ACKLEY_MARGIN)
         upper = head + (20.0 + math.e - math.exp(-1.0) + _ACKLEY_MARGIN)
     else:
-        margin = (2 * diff.shape[1] + 70) * _EPS * (mean_sq + 10.0)
+        margin = (2 * len(diff) + 70) * _EPS * (mean_sq + 10.0)
         lower = mean_sq - 10.0 - margin
         upper = mean_sq + 10.0 + margin
-    shift, point = np.nonzero(lower <= upper.min(axis=0))
-    # the candidate columns as one (1, d, pairs) array
-    candidates = diff.transpose(1, 0, 2)[np.newaxis, :, shift, point]
-    values = np.full(mean_sq.shape, np.inf)
-    values[shift, point] = _BASE_EVAL[kind](candidates)[0]
+    kept = np.flatnonzero(lower <= upper.min(axis=0))  # flat (shift, point) indices
+    # The candidate columns as one new (d, kept) array; diff is free after
+    # it. nonzero, the gather, the scatter and the head lookup by (shift,
+    # point) index pairs took 71 against 32 us with flat indices and take,
+    # at 4 shifts of 1200 points (numpy 2.4).
+    candidates = diff.reshape(len(diff), -1).take(kept, axis=1)
+    values = upper  # the bounds are spent
+    values.fill(np.inf)
+    if kind is Kind.ACKLEY:
+        (lanes,) = work.arrays((_LANES, kept.size))
+        found = _ackley_value(head.take(kept), _cos_mean(candidates, lanes))
+    else:
+        squares, lanes = work.arrays(candidates.shape, (_LANES, kept.size))
+        found = _rastrigin(candidates, squares, lanes)
+    values.ravel()[kept] = found  # a view: values is contiguous
     return np.minimum.reduce(values, axis=0)
 
 
-def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspace) -> np.ndarray:
     """``min_k base(x - shifts[k])`` for every row x of ``(n, d)`` points, as ``(n,)``.
 
     All shifts go through the base function at once, as one C-ordered
-    ``(shifts, d, n)`` array of offsets whose rows are coordinates.
+    ``(d, shifts, n)`` array of offsets: coordinate j of every (shift,
+    point) pair is one contiguous block, so each addition of the row-order
+    sums runs over one block. numpy 2.4 buffers the strided rows of a
+    ``(shifts, d, n)`` layout instead: the screen's mean square took 81
+    against 50 us at ackley4, d = 10, 1200 points. Every array of that size,
+    the offsets, their squares and the summation lanes, lives in ``work``,
+    so a solver that passes the same workspace every step maps no new
+    memory for them.
 
     With at least 3 shifts, from d = 4 for Ackley and d = 6 for Rastrigin,
     :func:`_screened_min_base` evaluates the base only where it can be the
@@ -173,36 +258,44 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     finite, every shift is evaluated. The screen costs a pass over the
     squares, a gather and a scatter, and saves the cosines of the pairs it
     discards (about 70% from 3 shifts on). Median microseconds per call,
-    full > screened, on inputs recorded from 600-agent ``run_gkbo`` runs
-    with shifts from (-3, 3, -7, 7) (numpy 2.4, 2 vCPUs):
+    full > screened, on inputs recorded from 300-step, 600-agent
+    ``run_gkbo`` runs with shifts from (-3, 3, -7, 7), both alternated in
+    one workspace, medians of three processes (numpy 2.4, 2 vCPUs):
 
     =========  ======  =========  =========  =========  =========  =========
     kind       shifts  d = 3      d = 4      d = 5      d = 6      d = 10
     =========  ======  =========  =========  =========  =========  =========
-    Ackley     2       82 > 102   166 > 200  123 > 142  209 > 225  253 > 221
-    Ackley     3       113 > 114  228 > 221  216 > 180  311 > 250  603 > 472
-    Ackley     4       137 > 118  227 > 189  334 > 276  246 > 169  750 > 502
-    Rastrigin  2       99 > 129   128 > 145  165 > 180  202 > 209  318 > 309
-    Rastrigin  3       144 > 172  190 > 210  241 > 244  208 > 210  529 > 495
-    Rastrigin  4       175 > 218  245 > 261  297 > 297  293 > 253  646 > 545
+    Ackley     2       121 > 106  160 > 146  166 > 148  198 > 159  362 > 272
+    Ackley     3       144 > 114  199 > 139  231 > 164  277 > 180  606 > 397
+    Ackley     4       211 > 141  250 > 148  361 > 186  426 > 204  797 > 448
+    Rastrigin  2       99 > 110   153 > 144  192 > 170  194 > 171  375 > 315
+    Rastrigin  3       150 > 148  204 > 184  259 > 223  295 > 251  517 > 406
+    Rastrigin  4       182 > 186  238 > 214  307 > 252  354 > 300  663 > 471
     =========  ======  =========  =========  =========  =========  =========
 
     The Rastrigin bracket is 20 wide, against 2.35 for Ackley, so it keeps
-    more pairs and pays off only from d = 6; at one shift a screen discards
-    nothing.
+    more pairs; at one shift a screen discards nothing. The screen also pays
+    at 2 shifts for Ackley and from d = 4 for Rastrigin; the rule does not
+    screen there yet, so the 2-shift presets keep the full evaluation.
 
     Offsets and squares that overflow give inf, and a cosine of an infinite
     argument NaN, without a numpy warning; the solvers report such a value as
     NumericError.
     """
+    n_shifts, dim = shifts.shape
+    n = points.shape[0]
+    columns, diff, squares, lanes = work.arrays(
+        (dim, n), (dim, n_shifts, n), (dim, n_shifts, n), (_LANES, n_shifts, n)
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.subtract(points.T, shifts[:, :, np.newaxis], order="C")
-        n_shifts, dim, _ = diff.shape
+        # one contiguous copy of the columns makes the broadcast subtract fast
+        np.copyto(columns, points.T)
+        np.subtract(columns[:, np.newaxis], shifts.T[:, :, np.newaxis], out=diff)
         if n_shifts >= _SCREEN_MIN_SHIFTS and dim >= _SCREEN_MIN_DIM[kind]:
-            values = _screened_min_base(kind, diff)
+            values = _screened_min_base(kind, diff, squares, lanes, work)
             if values is not None:
                 return values
-        return np.minimum.reduce(_BASE_EVAL[kind](diff), axis=0)
+        return np.minimum.reduce(_BASE_EVAL[kind](diff, squares, lanes), axis=0)
 
 
 #: Global minimum value of each base function (attained at the origin).
@@ -242,7 +335,9 @@ def evaluate_base(kind: Kind | str, x) -> float:
     if not np.isfinite(point).all():
         raise ValueError("point has non-finite coordinates")
     # the offset from a zero shift is the point itself, bit for bit
-    return float(_min_base(Kind(kind), point[np.newaxis], np.zeros((1, point.size)))[0])
+    return float(
+        _min_base(Kind(kind), point[np.newaxis], np.zeros((1, point.size)), _Workspace())[0]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,11 +408,14 @@ class ObjectiveSpec:
             )
         if not np.isfinite(pts).all():
             raise ValueError("points have non-finite coordinates")
-        return self._values(pts)
+        return self._values(pts, _Workspace())
 
-    def _values(self, pts: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` for an ``(n, dim)`` float64 array already known to be finite."""
-        return _min_base(self.kind, pts, self.minimizers)
+    def _values(self, pts: np.ndarray, work: _Workspace) -> np.ndarray:
+        """:meth:`evaluate_batch` for an ``(n, dim)`` float64 array already known to be finite.
+
+        ``work`` holds the scratch arrays; a solver passes its batch's own.
+        """
+        return _min_base(self.kind, pts, self.minimizers, work)
 
 
 def preset(name: str, dim: int) -> ObjectiveSpec:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_energies, _check_positions
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, _Workspace
 from .solver import (
     DiffusionMode,
     RunReport,
@@ -29,7 +29,6 @@ from .solver import (
     _require_population,
     _require_positive,
     _require_run_limits,
-    _Workspace,
 )
 
 __all__ = ["PcboConfig", "pcbo_assign", "pcbo_step", "run_pcbo"]
@@ -191,7 +190,6 @@ def _run_replicas(
     k = int(cfg.n_clusters)
     dim = spec.dim
     alpha = float(cfg.alpha)
-    work = _Workspace()
 
     def start(positions, energies, rng):
         memberships = rng.random((n, k))
@@ -201,7 +199,7 @@ def _run_replicas(
     def slots_of(centres):
         """Every particle's centre slot: the nearest of its own replica's centres."""
         nearest = _nearest_centre(
-            batch.positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), work
+            batch.positions.reshape(-1, n, dim), centres.reshape(-1, k, dim), batch.work
         )
         return (nearest + offsets[: nearest.shape[0]]).ravel()
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensemble import Ensemble, WeightVector, _cluster_ranks, _relabel
 from .errors import EmptyLeaderSetError, NumericError, _check_energies, _check_positions
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, _Workspace
 
 __all__ = [
     "DiffusionMode",
@@ -202,28 +202,6 @@ class RunReport:
     seed: int
 
 
-class _Workspace:
-    """Scratch memory of one solver run for the nearest-centre distances.
-
-    Holds two float64 arrays of one shape, such as ``(n, centres)``, in one
-    flat buffer that grows geometrically and never shrinks, so a run
-    allocates it a handful of times however the centre count moves. Contents
-    between calls are undefined.
-    """
-
-    def __init__(self) -> None:
-        self._flat = np.empty(0)
-
-    def matrices(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        size = math.prod(shape)
-        if 2 * size > self._flat.size:
-            self._flat = np.empty(max(2 * size, 2 * self._flat.size))
-        return (
-            self._flat[:size].reshape(shape),
-            self._flat[size : 2 * size].reshape(shape),
-        )
-
-
 #: Dimension from which :func:`_nearest_centre` screens with a matrix product.
 _SCREEN_MIN_DIM = 6
 
@@ -272,7 +250,7 @@ def _dense_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace)
         shape = centres.shape[:-1] + positions.shape[-2:-1]
     else:
         shape = positions.shape[:-1] + centres.shape[-2:-1]
-    sq_dist, term = work.matrices(shape)
+    sq_dist, term = work.arrays(shape, shape)
     for axis in range(positions.shape[-1]):
         out = term if axis else sq_dist
         if few:
@@ -329,7 +307,7 @@ def _screened_nearest(
     rhs = np.empty((dim + 1, centres.shape[0]))
     rhs[:dim] = centres.T
     rhs[dim] = sq_norm
-    approx, _ = work.matrices((n_agents, centres.shape[0]))
+    (approx,) = work.arrays((n_agents, centres.shape[0]))
     np.matmul(lhs, rhs, out=approx)
     rows = np.arange(n_agents)
     guess = np.argmin(approx, axis=1)
@@ -752,9 +730,10 @@ class _Replicas:
     does not depend on other rows, so its report is its own run's, bit for
     bit. The batch holds what both solvers' loops share: the start, the
     draws, the positions and objective values, the stall counters, the
-    reports and the error. A loop keeps its own per-replica state, such as
-    labels or centres, and hands :meth:`start` the hook that drops from it
-    the replicas the batch drops.
+    reports and the error, and ``work``, the scratch memory that every
+    step's objective and nearest-centre calls reuse. A loop keeps its own
+    per-replica state, such as labels or centres, and hands :meth:`start`
+    the hook that drops from it the replicas the batch drops.
 
     A replica that stalls or reaches the step budget is frozen there: its
     report is taken and its rows are dropped. When a replica fails, it and
@@ -771,6 +750,7 @@ class _Replicas:
         self.delta_stall = float(cfg.delta_stall)
         self.steps = 0
         self.error: NumericError | None = None
+        self.work = _Workspace()
         self._reports: list[RunReport | None] = [None] * len(seeds)
 
     def start(self, own_start, own_drop) -> np.ndarray:
@@ -837,7 +817,7 @@ class _Replicas:
         positions.
         """
         self.positions = positions
-        self.energies = self.spec._values(positions)
+        self.energies = self.spec._values(positions, self.work)
         failure = _first_failure(positions, self.energies, self.n, self.steps, phase)
         if failure is None:
             return True
@@ -958,7 +938,6 @@ def _run_replicas(
     omega_bar = cfg.omega_bar(n)
     eps = float(cfg.eps)
     alpha = float(cfg.alpha)
-    work = _Workspace()
     everyone = np.zeros(n, dtype=np.int64)  # one cluster, of followers only
 
     def drop(keep):
@@ -978,7 +957,7 @@ def _run_replicas(
     )
     row_starts = np.arange(0, labels.size + 1, n)
     leaders, bounds = _leader_bounds(labels, row_starts)
-    slots = _replica_slots(batch.positions, labels, leaders, bounds, n, work)
+    slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
     consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
     # take, not consensus[slots]: fancy indexing of narrow rows is ~10x slower
     batch.watch(consensus.take(slots, axis=0))
@@ -1002,7 +981,7 @@ def _run_replicas(
                 rows = slice(slot * n, (slot + 1) * n)
                 labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
             leaders, bounds = _leader_bounds(labels, row_starts)
-        slots = _replica_slots(batch.positions, labels, leaders, bounds, n, work)
+        slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
         consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
         batch.end_step(consensus.take(slots, axis=0))
 

@@ -115,6 +115,28 @@ def test_write_then_read_results_round_trip(tmp_path):
     assert ExperimentConfig.from_dict(sidecar) == cfg
 
 
+def test_sidecar_records_every_runs_seconds_iterations_and_evaluations(tmp_path):
+    cfg = tiny_experiment()
+    summary = run_experiment(cfg, workers=1)
+    path = write_results(summary, tmp_path / "results.csv")
+    runs = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))["runs"]
+    assert runs == [
+        {
+            "sweep_value": result.sweep_value,
+            "seeds": list(result.seeds),
+            "run_seconds": list(result.run_seconds),
+            "iterations": list(result.iterations),
+            "evaluations": [report.evaluations for report in result.reports],
+        }
+        for result in summary.results
+    ]
+    for record in runs:
+        assert all(seconds > 0.0 for seconds in record["run_seconds"])
+        assert record["evaluations"] == [
+            cfg.n_agents * (steps + 1) for steps in record["iterations"]
+        ]
+
+
 def test_read_results_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -120,8 +120,11 @@ def test_bench_writes_results_and_sidecar(tmp_path, capsys):
     rows = read_results(output)
     assert [row["sweep_value"] for row in rows] == [1, 2]
     sidecar = json.loads(output.with_suffix(".json").read_text(encoding="utf-8"))
+    runs = sidecar.pop("runs")
     assert sidecar == effective_config(capsys.readouterr().out)
     assert sidecar["solver_config"]["n_steps"] == 10
+    assert [run["sweep_value"] for run in runs] == [1, 2]
+    assert all(len(run["run_seconds"]) == 2 for run in runs)
 
 
 def test_compare_writes_both_solvers_results(tmp_path, capsys):

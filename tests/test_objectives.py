@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gkbo.objectives import (
     Kind,
     ObjectiveSpec,
     PRESET_SHIFTS,
+    _Workspace,
     evaluate_base,
     preset,
 )
@@ -162,29 +164,30 @@ def balance_offsets(dim):
 
 
 @st.composite
-def screened_cases(draw):
-    """An objective with 3 to 6 planted minimizers and points around them.
+def screened_cases(draw, dims=(3, 4, 5, 6, 8, 10, 12, 16), shifts=(3, 6)):
+    """An objective with ``shifts`` (a range) planted minimizers and points around them.
 
-    Dimensions cover both sides of the screen's per-kind rule. Minimizers are
-    spread at a scale of up to 1e300, so squares overflow at the top. Points
-    sit near one minimizer, at the midpoint of two, or, for Rastrigin in a
-    dimension divisible by 4, a few ulps from a point where one shift's
-    lower bound meets another's upper bound (see ``balance_offsets``).
+    By default dimensions cover both sides of the screen's per-kind rule.
+    Minimizers are spread at a scale of up to 1e300, so squares overflow at
+    the top. Points sit near one minimizer, at the midpoint of two, or, for
+    Rastrigin in a dimension divisible by 4, a few ulps from a point where
+    one shift's lower bound meets another's upper bound (see
+    ``balance_offsets``).
     """
     kind = draw(st.sampled_from(list(Kind)))
-    dim = draw(st.sampled_from([3, 4, 5, 6, 8, 10, 12, 16]))
-    n_min = draw(st.integers(3, 6))
+    dim = draw(st.sampled_from(dims))
+    n_min = draw(st.integers(*shifts))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.floats(-3, 300))
     minimizers = rng.normal(size=(n_min, dim)) * scale
-    balanced = kind is Kind.RASTRIGIN and dim % 4 == 0 and draw(st.booleans())
+    balanced = kind is Kind.RASTRIGIN and dim % 4 == 0 and n_min > 1 and draw(st.booleans())
     if balanced:
         minimizers[0] = rng.uniform(-10, 10, dim)
         minimizers[1] = minimizers[0] + balance_offsets(dim) - 0.5
     points = []
     for _ in range(draw(st.integers(1, 12))):
         how = draw(st.sampled_from(["near", "midpoint", "balance"]))
-        a, b = rng.choice(n_min, 2, replace=False)
+        a, b = rng.choice(n_min, 2, replace=n_min == 1)
         if how == "balance" and balanced:
             point = minimizers[0] + balance_offsets(dim)
             points.append(point + rng.integers(-3, 4, dim) * np.spacing(point))
@@ -205,6 +208,54 @@ def test_screened_values_bit_identical_to_row_oracle(case):
     with np.errstate(over="ignore", invalid="ignore"):
         want = objective_oracle(spec, points)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def shared_workspace():
+    """One workspace for every example of a test, as a solver batch keeps one for its run."""
+    return _Workspace()
+
+
+@given(
+    case=screened_cases(
+        dims=(1, 2, 4, 7, 8, 9, 10, 15, 16, 17, 24, 40, 128, 129, 130), shifts=(1, 4)
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_values_in_a_reused_workspace_bit_identical_to_row_oracle(case, shared_workspace):
+    """Values through one workspace reused across shapes, screened or not, inf and NaN included.
+
+    The shapes change from example to example, so the offsets, squares and
+    summation lanes land on memory that earlier calls left behind; from
+    d = 16 the lanes hold a second 8-term block's accumulators, and beyond
+    128 terms each half of a row is summed in turn.
+    """
+    spec, points = case
+    got = spec._values(points, shared_workspace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = objective_oracle(spec, points)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_screened_values_in_a_batch_workspace_allocate_less_than_one_offset_array():
+    # Converged points of a batch of two 600-agent replicas, as late in a
+    # run, at ackley4, d = 10, where an offsets array is 384 KB. What is
+    # left are the (shifts, n) brackets, the candidates and the buffers
+    # numpy's iterator allocates for strided rows, about 320 KB together;
+    # at one replica they reach 160 of 192 KB.
+    spec = preset("ackley4", 10)
+    rng = np.random.default_rng(3)
+    points = spec.minimizers[rng.integers(0, 4, 1200)] + rng.normal(size=(1200, 10)) * 0.3
+    work = _Workspace()
+    spec._values(points, work)
+    tracemalloc.start()
+    try:
+        values = spec._values(points, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, spec.evaluate_batch(points))
+    assert peak < spec.n_min * spec.dim * points.shape[0] * 8
 
 
 def test_screen_keeps_a_shift_that_rounding_puts_outside_its_bracket():

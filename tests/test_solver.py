@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gkbo.ensemble import Ensemble, _slot_order, compute_weights
 from gkbo.errors import EmptyLeaderSetError, NumericError
-from gkbo.objectives import Kind, ObjectiveSpec, evaluate_base, preset
+from gkbo.objectives import Kind, ObjectiveSpec, _Workspace, evaluate_base, preset
 from gkbo.pcbo import PcboConfig, run_pcbo
 from gkbo import solver
 from gkbo.solver import (
@@ -32,7 +32,6 @@ from gkbo.solver import (
     _nearest_centre,
     _nearest_leader,
     _run_replicas,
-    _Workspace,
 )
 
 
@@ -819,6 +818,20 @@ def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on(run_batch
     reports = run_batch("ackley2", 1, SolverConfig(n_steps=300, j_stall=20), 60, (0, 1, 2, 3, 4))
     assert [report.stalled for report in reports] == [True, True, True, True, False]
     assert len({report.iterations for report in reports}) == 5
+
+
+def test_screened_replicas_that_stall_apart_shrink_the_objective_workspace(run_batch):
+    # ackley4 at d = 10 takes the screened objective in the batch's
+    # workspace; seed 1 stalls at step 28 and seed 3 at 77, so the stacked
+    # offsets shrink from 80 rows to 60 and then 40 mid-run
+    cfg = SolverConfig(n_steps=150, j_stall=5, delta_stall=0.5, n_leaders=2)
+    reports = run_batch("ackley4", 10, cfg, 20, (0, 1, 3, 5))
+    assert [(report.iterations, report.stalled) for report in reports] == [
+        (150, False),
+        (28, True),
+        (77, True),
+        (150, False),
+    ]
 
 
 def test_replicas_at_d10_are_screened_replica_by_replica(run_batch):
