@@ -21,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import _integer, _number, _require_non_negative
 from .objectives import PRESET_NAMES, preset
 from .pcbo import PcboConfig
 from .pcbo import _run_replicas as _pcbo_replicas
-from .solver import RunReport, SolverConfig, _integer
+from .solver import RunReport, SolverConfig
 from .solver import _run_replicas as _gkbo_replicas
 
 __all__ = [
@@ -104,19 +105,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ValueError on any inconsistent experiment setting.
 
-        Types are checked before values: the integer fields must be integers
-        and the sweep values integers or numbers as the sweep needs, so a
-        wrong type never reaches a comparison or an ``int()`` that would
-        truncate it.
+        Each value's type is checked before its range: the integer fields
+        must be integers and the sweep values integers or numbers as the
+        sweep needs, so a wrong type never reaches a comparison or an
+        ``int()`` that would truncate it.
         """
         if self.objective not in PRESET_NAMES:
             raise ValueError(
                 f"unknown objective preset {self.objective!r}; available: {', '.join(PRESET_NAMES)}"
             )
-        for name in ("dim", "n_agents", "repetitions", "base_seed"):
-            _integer(self, name)
-        if self.dim < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dim}")
+        _integer("dim", self.dim, 1)
+        _integer("n_agents", self.n_agents)  # its range is the solver config's check
+        _integer("repetitions", self.repetitions, 1)
+        _integer("base_seed", self.base_seed, 0)
         if self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; available: {', '.join(_SOLVERS)}")
         expected = SolverConfig if self.solver == "gkbo" else PcboConfig
@@ -125,10 +126,6 @@ class ExperimentConfig:
                 f"solver {self.solver!r} requires a {expected.__name__}, "
                 f"got {type(self.solver_config).__name__}"
             )
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.sweep not in _SWEEPS:
             raise ValueError(f"unknown sweep {self.sweep!r}; available: {', '.join(_SWEEPS)}")
         if self.sweep == "none":
@@ -137,13 +134,10 @@ class ExperimentConfig:
         elif not self.sweep_values:
             raise ValueError(f"sweep {self.sweep!r} needs at least one sweep value")
         for value in self.sweep_values:
-            if self.sweep in ("dimension", "n_leaders"):
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ValueError(f"{self.sweep} sweep values must be integers, got {value!r}")
-                if int(value) < 1:
-                    raise ValueError(f"{self.sweep} sweep values must be at least 1, got {value}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
-                raise ValueError(f"sigma_f sweep values must be numbers, got {value!r}")
+            if self.sweep == "sigma_f":
+                _number("sigma_f sweep values", value, "numbers")
+            else:
+                _integer(f"{self.sweep} sweep values", value, 1, "integers")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep_values must be strictly increasing")
         # every run's solver config and the population size, checked here
@@ -247,9 +241,7 @@ def evaluate_success(
     minimizer is detected. Returns ``(success, detected_count)``. A flat
     list of minimizers is one point, or on a 1-d run one point per entry.
     """
-    threshold = float(threshold)
-    if not np.isfinite(threshold) or threshold < 0.0:
-        raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
+    _require_non_negative(threshold=threshold)
     points = np.asarray(report.final_consensus, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"final consensus must be a non-empty (m, d) array, got {points.shape}")
@@ -263,7 +255,7 @@ def evaluate_success(
             f"minimizers are {mins.shape[1]}-d"
         )
     gaps = np.abs(mins[:, np.newaxis, :] - points[np.newaxis, :, :]).max(axis=2).min(axis=1)
-    detected = gaps <= threshold
+    detected = gaps <= float(threshold)
     return bool(detected.all()), int(detected.sum())
 
 
@@ -346,9 +338,7 @@ def _worker_count(workers: int | None) -> int:
     """The pool size ``workers`` asks for: every available CPU for None."""
     if workers is None:
         return os.cpu_count() or 1
-    if int(workers) < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return int(workers)
+    return _integer("workers", workers, 1)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentSummary:

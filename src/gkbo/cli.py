@@ -27,6 +27,7 @@ from .bench import (
     run_experiment,
     write_results,
 )
+from .errors import _integer
 from .objectives import PRESET_NAMES, preset
 from .pcbo import PcboConfig, run_pcbo
 from .solver import RunReport, SolverConfig, run_gkbo
@@ -55,9 +56,7 @@ def _env_seed() -> int | None:
         value = int(raw)
     except ValueError:
         raise ValueError(f"GKBO_SEED must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"GKBO_SEED must be non-negative, got {value}")
-    return value
+    return _integer("GKBO_SEED", value, 0)
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -198,9 +197,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    dims = _parse_number_list(args.dims, "--dims")
-    if any(not isinstance(dim, int) for dim in dims):
-        raise ValueError("--dims takes integers only")
+    dims = _parse_number_list(args.dims, "--dims")  # validate() rejects a fractional one
     base_seed = args.base_seed if args.base_seed is not None else _env_seed()
     if base_seed is None:
         base_seed = 0

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_energies
+from .errors import (
+    _energies_of,
+    _integer,
+    _omega_of,
+    _require_box,
+    _require_finite,
+    _require_population,
+    _require_unit,
+)
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -42,8 +50,7 @@ class Ensemble:
             raise ValueError(
                 f"labels must have shape ({positions.shape[0]},), got {labels.shape}"
             )
-        if not np.isfinite(positions).all():
-            raise ValueError("positions contain non-finite coordinates")
+        _require_finite("positions", positions)
         if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be 0 (follower) or 1 (leader)")
         self.positions = positions
@@ -89,17 +96,11 @@ class WeightVector:
 
 def init_uniform(n_agents: int, dim: int, lo: float, hi: float, rng: np.random.Generator) -> Ensemble:
     """Draw an all-follower population uniformly from the box ``[lo, hi]^dim``."""
-    if int(n_agents) < 1:
-        raise ValueError(f"need at least one agent, got {n_agents}")
-    if int(dim) < 1:
-        raise ValueError(f"dimension must be at least 1, got {dim}")
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"invalid initialization box [{lo}, {hi}]")
-    positions = rng.uniform(lo, hi, size=(int(n_agents), int(dim)))
-    labels = np.zeros(int(n_agents), dtype=np.int64)
-    return Ensemble(positions=positions, labels=labels)
+    n_agents = _require_population(n_agents)
+    dim = _integer("dim", dim, 1)
+    lo, hi = _require_box(lo, hi)
+    positions = rng.uniform(lo, hi, size=(n_agents, dim))
+    return Ensemble(positions=positions, labels=np.zeros(n_agents, dtype=np.int64))
 
 
 def compute_weights(
@@ -116,17 +117,7 @@ def compute_weights(
 
     Pass precomputed ``energies`` to skip re-evaluating the objective.
     """
-    if energies is None:
-        if spec is None:
-            raise ValueError("either an objective or precomputed energies is required")
-        energies = spec.evaluate_batch(ensemble.positions)
-    else:
-        energies = np.asarray(energies, dtype=np.float64)
-        if energies.shape != (ensemble.n_agents,):
-            raise ValueError(
-                f"energies must have shape ({ensemble.n_agents},), got {energies.shape}"
-            )
-    _check_energies(energies, "compute_weights")
+    energies = _energies_of(ensemble.positions, spec, energies, "compute_weights")
     omega = _cluster_ranks(energies, np.zeros(ensemble.n_agents, dtype=np.intp), 1)
     return WeightVector(omega=omega, best_index=int(np.argmin(energies)))
 
@@ -194,18 +185,11 @@ def apply_label_transitions(
     positions are untouched. One uniform variate is drawn per agent, in agent
     order.
     """
-    omega_bar = float(omega_bar)
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"transition probability must be in (0, 1], got {eps}")
-    if not 0.0 < omega_bar <= 1.0:
-        raise ValueError(f"weight threshold must be in (0, 1], got {omega_bar}")
-    omega = np.asarray(weights.omega, dtype=np.float64)
-    if omega.shape != (ensemble.n_agents,):
-        raise ValueError("weight vector does not match the population size")
-
-    fire = rng.random(ensemble.n_agents) < eps
-    return Ensemble._unchecked(ensemble.positions, _relabel(ensemble.labels, omega, omega_bar, fire))
+    _require_unit(eps=eps)
+    omega = _omega_of(weights, ensemble.n_agents, omega_bar)
+    fire = rng.random(ensemble.n_agents) < float(eps)
+    labels = _relabel(ensemble.labels, omega, float(omega_bar), fire)
+    return Ensemble._unchecked(ensemble.positions, labels)
 
 
 def deterministic_label_pass(
@@ -221,14 +205,9 @@ def deterministic_label_pass(
     empties: applied to an all-follower population it promotes exactly the
     agents with weight below ``omega_bar``.
     """
-    omega_bar = float(omega_bar)
-    if not 0.0 < omega_bar <= 1.0:
-        raise ValueError(f"weight threshold must be in (0, 1], got {omega_bar}")
-    omega = np.asarray(weights.omega, dtype=np.float64)
-    if omega.shape != (ensemble.n_agents,):
-        raise ValueError("weight vector does not match the population size")
-
-    return Ensemble._unchecked(ensemble.positions, _relabel(ensemble.labels, omega, omega_bar))
+    omega = _omega_of(weights, ensemble.n_agents, omega_bar)
+    labels = _relabel(ensemble.labels, omega, float(omega_bar))
+    return Ensemble._unchecked(ensemble.positions, labels)
 
 
 def _relabel(

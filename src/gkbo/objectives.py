@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _integer, _require_finite
+
 __all__ = [
     "Kind",
     "ObjectiveSpec",
@@ -166,10 +168,9 @@ _BASE_EVAL = {
     Kind.ACKLEY: _ackley,
 }
 
-#: Shape from which :func:`_min_base` screens the shifts first: at least this
-#: many planted minimizers, and at least the dimension given for the kind.
-_SCREEN_MIN_SHIFTS = 3
-_SCREEN_MIN_DIM = {Kind.RASTRIGIN: 6, Kind.ACKLEY: 4}
+#: Dimension from which :func:`_min_base` screens the shifts of an objective
+#: with at least two planted minimizers.
+_SCREEN_MIN_DIM = 4
 
 #: Rounding allowance of the Ackley bracket; see :func:`_screened_min_base`.
 _ACKLEY_MARGIN = 1e-12
@@ -252,15 +253,15 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspa
     so a solver that passes the same workspace every step maps no new
     memory for them.
 
-    With at least 3 shifts, from d = 4 for Ackley and d = 6 for Rastrigin,
-    :func:`_screened_min_base` evaluates the base only where it can be the
-    minimum, with the same result; otherwise, or when a mean square is not
-    finite, every shift is evaluated. The screen costs a pass over the
-    squares, a gather and a scatter, and saves the cosines of the pairs it
-    discards (about 70% from 3 shifts on). Median microseconds per call,
-    full > screened, on inputs recorded from 300-step, 600-agent
-    ``run_gkbo`` runs with shifts from (-3, 3, -7, 7), both alternated in
-    one workspace, medians of three processes (numpy 2.4, 2 vCPUs):
+    With at least 2 shifts, from d = 4 on, :func:`_screened_min_base`
+    evaluates the base only where it can be the minimum, with the same
+    result; otherwise, or when a mean square is not finite, every shift is
+    evaluated. The screen costs a pass over the squares, a gather and a
+    scatter, and saves the cosines of the pairs it discards (about 70% from
+    3 shifts on). Median microseconds per call, full > screened, on inputs
+    recorded from 300-step, 600-agent ``run_gkbo`` runs with shifts from
+    (-3, 3, -7, 7), both alternated in one workspace, medians of three
+    processes (numpy 2.4, 2 vCPUs):
 
     =========  ======  =========  =========  =========  =========  =========
     kind       shifts  d = 3      d = 4      d = 5      d = 6      d = 10
@@ -274,9 +275,9 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspa
     =========  ======  =========  =========  =========  =========  =========
 
     The Rastrigin bracket is 20 wide, against 2.35 for Ackley, so it keeps
-    more pairs; at one shift a screen discards nothing. The screen also pays
-    at 2 shifts for Ackley and from d = 4 for Rastrigin; the rule does not
-    screen there yet, so the 2-shift presets keep the full evaluation.
+    more pairs; at one shift a screen discards nothing. The screen pays in
+    every row from d = 4. At d = 3 Rastrigin with 2 or 4 shifts is faster
+    in full, so d = 3 keeps the full evaluation for every kind.
 
     Offsets and squares that overflow give inf, and a cosine of an infinite
     argument NaN, without a numpy warning; the solvers report such a value as
@@ -291,7 +292,7 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspa
         # one contiguous copy of the columns makes the broadcast subtract fast
         np.copyto(columns, points.T)
         np.subtract(columns[:, np.newaxis], shifts.T[:, :, np.newaxis], out=diff)
-        if n_shifts >= _SCREEN_MIN_SHIFTS and dim >= _SCREEN_MIN_DIM[kind]:
+        if n_shifts > 1 and dim >= _SCREEN_MIN_DIM:
             values = _screened_min_base(kind, diff, squares, lanes, work)
             if values is not None:
                 return values
@@ -332,8 +333,7 @@ def evaluate_base(kind: Kind | str, x) -> float:
         raise ValueError(
             f"expected a 1-d point with at least one coordinate, got shape {point.shape}"
         )
-    if not np.isfinite(point).all():
-        raise ValueError("point has non-finite coordinates")
+    _require_finite("point", point)
     # the offset from a zero shift is the point itself, bit for bit
     return float(
         _min_base(Kind(kind), point[np.newaxis], np.zeros((1, point.size)), _Workspace())[0]
@@ -361,9 +361,7 @@ class ObjectiveSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", Kind(self.kind))
-        dim = int(self.dim)
-        if dim < 1:
-            raise ValueError(f"dimension must be at least 1, got {dim}")
+        dim = _integer("dim", self.dim, 1)
         object.__setattr__(self, "dim", dim)
 
         mins = np.asarray(self.minimizers, dtype=np.float64)
@@ -373,8 +371,7 @@ class ObjectiveSpec:
             raise ValueError(
                 f"minimizers must have shape (n_min, {dim}), got {mins.shape}"
             )
-        if not np.isfinite(mins).all():
-            raise ValueError("minimizers have non-finite coordinates")
+        _require_finite("minimizers", mins)
         if np.unique(mins, axis=0).shape[0] != mins.shape[0]:
             raise ValueError("minimizers must be pairwise distinct")
         mins = mins.copy()
@@ -406,8 +403,7 @@ class ObjectiveSpec:
             raise ValueError(
                 f"points must have shape (n, {self.dim}), got {pts.shape}"
             )
-        if not np.isfinite(pts).all():
-            raise ValueError("points have non-finite coordinates")
+        _require_finite("points", pts)
         return self._values(pts, _Workspace())
 
     def _values(self, pts: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -431,7 +427,5 @@ def preset(name: str, dim: int) -> ObjectiveSpec:
         raise ValueError(
             f"unknown objective preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
-    if int(dim) < 1:
-        raise ValueError(f"dimension must be at least 1, got {dim}")
-    minimizers = np.outer(shifts, np.ones(int(dim)))
-    return ObjectiveSpec(kind=kind, dim=int(dim), minimizers=minimizers)
+    dim = _integer("dim", dim, 1)
+    return ObjectiveSpec(kind=kind, dim=dim, minimizers=np.outer(shifts, np.ones(dim)))

@@ -14,21 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_energies, _check_positions
+from .errors import (
+    _check_positions,
+    _energies_of,
+    _integer,
+    _require_finite,
+    _require_non_negative,
+    _require_population,
+    _require_positive,
+    _require_run_limits,
+)
 from .objectives import ObjectiveSpec, _Workspace
 from .solver import (
     DiffusionMode,
     RunReport,
     _consensus,
     _diffusion_scale,
-    _integer,
     _keep,
     _nearest_centre,
     _Replicas,
-    _require_non_negative,
-    _require_population,
-    _require_positive,
-    _require_run_limits,
 )
 
 __all__ = ["PcboConfig", "pcbo_assign", "pcbo_step", "run_pcbo"]
@@ -57,11 +61,9 @@ class PcboConfig:
         """Raise ValueError on any out-of-range hyperparameter, or population size when given."""
         if n_particles is not None:
             _require_population(n_particles)
-        _require_positive(self, "nu")
-        _require_non_negative(self, "sigma", "delta_stall")
-        _require_positive(self, "alpha")
-        if _integer(self, "n_clusters") < 1:
-            raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters}")
+        _require_positive(nu=self.nu)
+        _require_non_negative(sigma=self.sigma)
+        _integer("n_clusters", self.n_clusters, 1)
         _require_run_limits(self)
 
 
@@ -80,8 +82,7 @@ def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
             f"dimension mismatch: particles are {positions.shape[1]}-d, "
             f"centres are {centres.shape[1]}-d"
         )
-    if not (np.isfinite(positions).all() and np.isfinite(centres).all()):
-        raise ValueError("positions and centres must have finite coordinates")
+    _require_finite("positions and centres", positions, centres)
     return _nearest_centre(positions, centres, _Workspace())
 
 
@@ -139,15 +140,7 @@ def pcbo_step(
     energy or a new position is non-finite.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    if energies is None:
-        energies = spec.evaluate_batch(positions)
-    else:
-        energies = np.asarray(energies, dtype=np.float64)
-        if energies.shape != (positions.shape[0],):
-            raise ValueError(
-                f"energies must have shape ({positions.shape[0]},), got {energies.shape}"
-            )
-    _check_energies(energies, "pcbo_step")
+    energies = _energies_of(positions, spec, energies, "pcbo_step")
     new_centres = _consensus(
         positions, energies, assignment, centres.shape[0], float(cfg.alpha), centres
     )

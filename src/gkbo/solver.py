@@ -18,7 +18,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import Ensemble, WeightVector, _cluster_ranks, _relabel
-from .errors import EmptyLeaderSetError, NumericError, _check_energies, _check_positions
+from .errors import (
+    EmptyLeaderSetError,
+    NumericError,
+    _check_energies,
+    _check_positions,
+    _energies_of,
+    _integer,
+    _require_non_negative,
+    _require_population,
+    _require_positive,
+    _require_run_limits,
+    _require_unit,
+)
 from .objectives import ObjectiveSpec, _Workspace
 
 __all__ = [
@@ -47,57 +59,6 @@ class DiffusionMode(enum.Enum):
 
     ISOTROPIC = "isotropic"
     ANISOTROPIC = "anisotropic"
-
-
-def _number(cfg, name: str) -> float:
-    """Field ``name`` of ``cfg`` as a float; ValueError unless it is a real number."""
-    value = getattr(cfg, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(cfg, name: str) -> int:
-    """Field ``name`` of ``cfg`` as an int; ValueError unless it is an integer."""
-    value = getattr(cfg, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _require_positive(cfg, *names: str) -> None:
-    """Raise ValueError unless every named field of ``cfg`` is finite and positive."""
-    for name in names:
-        value = _number(cfg, name)
-        if not np.isfinite(value) or value <= 0.0:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _require_non_negative(cfg, *names: str) -> None:
-    """Raise ValueError unless every named field of ``cfg`` is finite and non-negative."""
-    for name in names:
-        value = _number(cfg, name)
-        if not np.isfinite(value) or value < 0.0:
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-
-def _require_population(n_agents) -> None:
-    """Raise ValueError unless the population size is an integer of at least 1."""
-    if isinstance(n_agents, bool) or not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
-        raise ValueError(f"population size must be an integer of at least 1, got {n_agents!r}")
-
-
-def _require_run_limits(cfg) -> None:
-    """Check the step budget, stall window, seed and initialization box both solvers share."""
-    if _integer(cfg, "n_steps") < 0:
-        raise ValueError(f"n_steps must be non-negative, got {cfg.n_steps}")
-    if _integer(cfg, "j_stall") < 1:
-        raise ValueError(f"j_stall must be at least 1, got {cfg.j_stall}")
-    if _integer(cfg, "seed") < 0:
-        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
-    lo, hi = _number(cfg, "init_lo"), _number(cfg, "init_hi")
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"invalid initialization box [{lo}, {hi}]")
 
 
 @dataclass
@@ -132,13 +93,10 @@ class SolverConfig:
         """Raise ValueError on any out-of-range hyperparameter, or population size when given."""
         if n_agents is not None:
             _require_population(n_agents)
-        _require_positive(self, "nu_f", "nu_l")
-        _require_non_negative(self, "sigma_f", "delta_stall")
-        if not 0.0 < _number(self, "eps") <= 1.0:
-            raise ValueError(f"eps must be in (0, 1], got {self.eps}")
-        _require_positive(self, "alpha")
-        if _integer(self, "n_leaders") < 1:
-            raise ValueError(f"n_leaders must be at least 1, got {self.n_leaders}")
+        _require_positive(nu_f=self.nu_f, nu_l=self.nu_l)
+        _require_non_negative(sigma_f=self.sigma_f)
+        _require_unit(eps=self.eps)
+        _integer("n_leaders", self.n_leaders, 1)
         _require_run_limits(self)
         if n_agents is not None and int(self.n_leaders) > n_agents:
             raise ValueError(
@@ -475,22 +433,10 @@ def cluster_consensus(
     [0, -inf) so the weights never overflow and the denominator is at least 1.
     Returns a new ClusterState carrying ``consensus`` and ``agent_estimate``.
     """
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if energies is None:
-        if spec is None:
-            raise ValueError("either an objective or precomputed energies is required")
-        energies = spec.evaluate_batch(ensemble.positions)
-    else:
-        energies = np.asarray(energies, dtype=np.float64)
-        if energies.shape != (ensemble.n_agents,):
-            raise ValueError(
-                f"energies must have shape ({ensemble.n_agents},), got {energies.shape}"
-            )
-    _check_energies(energies, "cluster_consensus")
+    _require_positive(alpha=alpha)
+    energies = _energies_of(ensemble.positions, spec, energies, "cluster_consensus")
     slots = clusters.cluster_of
-    consensus = _consensus(ensemble.positions, energies, slots, clusters.n_clusters, alpha)
+    consensus = _consensus(ensemble.positions, energies, slots, clusters.n_clusters, float(alpha))
     return replace(clusters, consensus=consensus, agent_estimate=consensus[slots])
 
 
@@ -512,14 +458,7 @@ def cluster_weights(
     one well-converged cluster cannot demote the leaders of every other one.
     :func:`gkbo.ensemble.compute_weights` is the population-wide counterpart.
     """
-    if energies is None:
-        if spec is None:
-            raise ValueError("either spec or energies is required")
-        energies = spec.evaluate_batch(ensemble.positions)
-    energies = np.asarray(energies, dtype=np.float64)
-    if energies.shape != (ensemble.n_agents,):
-        raise ValueError("energies must hold one value per agent")
-    _check_energies(energies, "cluster_weights")
+    energies = _energies_of(ensemble.positions, spec, energies, "cluster_weights")
     if clusters.cluster_of.shape != (ensemble.n_agents,):
         raise ValueError("cluster state does not match the population")
     omega = _cluster_ranks(energies, clusters.cluster_of, clusters.n_clusters)
@@ -653,12 +592,10 @@ def check_stall(
     """
     if clusters.agent_estimate is None:
         raise ValueError("cluster state lacks consensus estimates; run cluster_consensus first")
-    delta_stall = float(delta_stall)
-    if not np.isfinite(delta_stall) or delta_stall < 0.0:
-        raise ValueError(f"delta_stall must be finite and non-negative, got {delta_stall}")
+    _require_non_negative(delta_stall=delta_stall)
     if tracker.estimates.shape != clusters.agent_estimate.shape:
         raise ValueError("stall tracker does not match the population")
-    tracker = _update_stall(tracker, clusters.agent_estimate.copy(), delta_stall)
+    tracker = _update_stall(tracker, clusters.agent_estimate.copy(), float(delta_stall))
     return tracker, int(tracker.counters.min())
 
 
@@ -744,9 +681,9 @@ class _Replicas:
     """
 
     def __init__(self, spec: ObjectiveSpec, cfg, n_agents: int, seeds) -> None:
-        _require_population(n_agents)  # validate(None) means no population given
-        cfg.validate(n_agents)
-        self.spec, self.cfg, self.n, self.seeds = spec, cfg, int(n_agents), seeds
+        self.n = _require_population(n_agents)  # validate(None) means no population given
+        cfg.validate(self.n)
+        self.spec, self.cfg, self.seeds = spec, cfg, seeds
         self.delta_stall = float(cfg.delta_stall)
         self.steps = 0
         self.error: NumericError | None = None
@@ -756,19 +693,19 @@ class _Replicas:
     def start(self, own_start, own_drop) -> np.ndarray:
         """Start the replicas in seed order, up to the first whose start fails.
 
-        A replica draws its positions uniformly from the box, and its
-        objective values are checked once; ``own_start(positions, energies,
-        rng)`` then makes the solver's own start array. Returns those arrays
-        stacked. Whenever the batch drops replicas and some are left,
-        ``own_drop(keep)`` keeps the slots ``keep`` selects in the loop's own
-        state.
+        A replica draws its positions uniformly from the box, finite by
+        construction, and its objective values, computed in ``work``, are
+        checked once; ``own_start(positions, energies, rng)`` then makes the
+        solver's own start array. Returns those arrays stacked. Whenever
+        the batch drops replicas and some are left, ``own_drop(keep)`` keeps
+        the slots ``keep`` selects in the loop's own state.
         """
         self.own_drop = own_drop
         self.rngs, starts = [], []
         for seed in self.seeds:
             rng = np.random.default_rng(seed)
             positions = rng.uniform(self.cfg.init_lo, self.cfg.init_hi, (self.n, self.spec.dim))
-            energies = self.spec.evaluate_batch(positions)
+            energies = self.spec._values(positions, self.work)
             try:
                 _check_energies(energies, "objective")
             except NumericError as exc:
@@ -785,7 +722,6 @@ class _Replicas:
     def watch(self, estimates: np.ndarray) -> None:
         """Start every stall counter at zero on the first consensus estimates."""
         self.tracker = StallTracker(np.zeros(estimates.shape[0], dtype=np.int64), estimates)
-        self.stall = [0] * self.live.size  # the minimum stall counter of every slot
 
     def normals(self) -> np.ndarray:
         """n rows of d standard normals from every replica's generator, stacked.
@@ -827,7 +763,6 @@ class _Replicas:
     def end_step(self, estimates: np.ndarray) -> None:
         """Close a step: advance the stall counters with the new consensus estimates."""
         self.tracker = _update_stall(self.tracker, estimates, self.delta_stall)
-        self.stall = self.tracker.counters.reshape(-1, self.n).min(axis=1).tolist()
         self.steps += 1
 
     def freeze(self, consensus: np.ndarray, bounds) -> bool:
@@ -836,14 +771,16 @@ class _Replicas:
         Returns whether any replica is left. Slot r's consensus points are
         ``consensus[bounds[r]:bounds[r + 1]]``.
         """
-        n, cfg, steps, stall = self.n, self.cfg, self.steps, self.stall
-        if steps < cfg.n_steps and max(stall) < cfg.j_stall:
+        n, cfg, steps = self.n, self.cfg, self.steps
+        # every slot's stall indicator: its least counter
+        stalled = self.tracker.counters.reshape(-1, n).min(axis=1) >= cfg.j_stall
+        if steps < cfg.n_steps and not stalled.any():
             return True
-        done = (np.array(stall) >= cfg.j_stall) | (steps >= cfg.n_steps)
+        done = stalled | (steps >= cfg.n_steps)
         for slot in np.flatnonzero(done):
             self._reports[self.live[slot]] = RunReport(
                 iterations=steps,
-                stalled=stall[slot] >= cfg.j_stall,
+                stalled=bool(stalled[slot]),
                 final_consensus=_distinct_rows(consensus[bounds[slot] : bounds[slot + 1]]),
                 leader_count=bounds[slot + 1] - bounds[slot],
                 best_value=float(self.energies[slot * n : (slot + 1) * n].min()),
@@ -860,7 +797,6 @@ class _Replicas:
         self.tracker = StallTracker(
             _keep(self.tracker.counters, keep), _keep(self.tracker.estimates, keep)
         )
-        self.stall = [count for count, kept in zip(self.stall, keep) if kept]
         self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
         if not keep.any():
             return False

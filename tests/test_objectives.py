@@ -164,10 +164,11 @@ def balance_offsets(dim):
 
 
 @st.composite
-def screened_cases(draw, dims=(3, 4, 5, 6, 8, 10, 12, 16), shifts=(3, 6)):
+def screened_cases(draw, dims=(3, 4, 5, 6, 8, 10, 12, 16), shifts=(2, 6)):
     """An objective with ``shifts`` (a range) planted minimizers and points around them.
 
-    By default dimensions cover both sides of the screen's per-kind rule.
+    By default dimensions cover both sides of the screen's rule: at least 2
+    shifts are screened from d = 4 on.
     Minimizers are spread at a scale of up to 1e300, so squares overflow at
     the top. Points sit near one minimizer, at the midpoint of two, or, for
     Rastrigin in a dimension divisible by 4, a few ulps from a point where
