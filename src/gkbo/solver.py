@@ -182,33 +182,52 @@ def _dense_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace)
     Leading axes, if any, index replicas with centres of their own.
 
     Up to ``_FEW_CENTRES`` centres the distances are laid out one row per
-    centre, ``(centres, n)``, so that every pass runs along rows of n agents
-    rather than along rows of a few centres; the sums are the same. Median
-    microseconds per call, 600 agents, ``(n, centres)`` / ``(centres, n)``,
-    both alternated on the same input (numpy 2.4, 2 vCPUs):
+    centre, ``(centres, n)``, and each axis's differences come from one
+    broadcast subtract along rows of n agents. Past it they are laid out
+    ``(n, centres)``, and each axis's differences ``x_i - c_k`` come from
+    one matrix product ``[x, 1] @ [1; -c]``, stacked replicas included,
+    which skips numpy's buffered broadcast of a tiled copy. The product is
+    exact to the last bit: each entry sums two products, ``x 1`` and
+    ``1 (-c)``, both exact, so any summation order, fused multiply-add or
+    thread split of the BLAS rounds once, to ``fl(x - c)``, the value
+    ``np.subtract`` gives, an overflow to inf included. The sign of a zero
+    difference is lost in the square, and a BLAS that flushed subnormal
+    inputs or results would change only differences below ``2**-967``,
+    whose squares are zero anyway. So the sums are the same in either
+    layout. Median microseconds per call, 600 agents near some centres,
+    ``(n, centres)`` product / ``(centres, n)`` subtract, both alternated on
+    the same input, two processes (numpy 2.4.6, OpenBLAS 0.3.31, 2 vCPUs):
 
     ==========  ===========  ===========  ===========
     centres     d = 1        d = 3        d = 5
     ==========  ===========  ===========  ===========
-    6           31 / 29      80 / 65      109 / 80
-    8           35 / 34      74 / 65      116 / 96
-    12          40 / 43      102 / 96     167 / 153
-    16          56 / 62      119 / 120    187 / 181
-    24          75 / 84      160 / 170    253 / 260
-    2 x 8       60 / 59      124 / 108    194 / 159
-    2 x 12      79 / 85      183 / 177    276 / 255
+    2           30 / 27      47 / 40      67 / 55
+    4           31 / 33      50 / 53      73 / 77
+    6           38 / 40      62 / 69      86 / 102
+    8           37 / 43      62 / 84      89 / 124
+    12          47 / 52      81 / 118     106 / 146
+    16          46 / 71      81 / 121     113 / 179
+    24          60 / 82      110 / 165    164 / 250
+    2 x 4       44 / 48      73 / 82      100 / 115
+    2 x 8       56 / 72      102 / 153    153 / 208
+    2 x 12      78 / 98      150 / 216    216 / 314
     ==========  ===========  ===========  ===========
 
-    (``2 x k``: two replicas of k centres each.) Past 8 centres the row
-    layout starts to lose at d = 1, where ``argmin`` down the columns costs
-    more than the passes save.
+    (``2 x k``: two replicas of k centres each.) ``_FEW_CENTRES`` is where
+    the row layout stopped winning against a tiled subtract; against the
+    product it wins only at 2 centres.
     """
     few = centres.shape[-2] <= _FEW_CENTRES
     if few:
         shape = centres.shape[:-1] + positions.shape[-2:-1]
+        sq_dist, term = work.arrays(shape, shape)
     else:
         shape = positions.shape[:-1] + centres.shape[-2:-1]
-    sq_dist, term = work.arrays(shape, shape)
+        sq_dist, term, lhs, rhs = work.arrays(
+            shape, shape, positions.shape[:-1] + (2,), centres.shape[:-2] + (2, shape[-1])
+        )
+        lhs[..., 1] = 1.0
+        rhs[..., 0, :] = 1.0
     for axis in range(positions.shape[-1]):
         out = term if axis else sq_dist
         if few:
@@ -216,10 +235,10 @@ def _dense_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace)
                 positions[..., np.newaxis, :, axis], centres[..., :, axis, np.newaxis], out=out
             )
         else:
-            # x_i - c_k with c_k tiled row-wise first: subtracting a per-row
-            # scalar from a contiguous row is the fast broadcast direction.
-            np.copyto(out, centres[..., np.newaxis, :, axis])
-            np.subtract(positions[..., axis, np.newaxis], out, out=out)
+            # x_i - c_k as x_i 1 + 1 (-c_k): both products are exact
+            np.copyto(lhs[..., 0], positions[..., axis])
+            np.negative(centres[..., axis], out=rhs[..., 1, :])
+            np.matmul(lhs, rhs, out=out)
         np.square(out, out=out)
         if axis:
             np.add(sq_dist, term, out=sq_dist)
@@ -305,36 +324,41 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
     a matrix-product screen cannot rule out, with the same result; below, or
     when the screen could overflow, :func:`_dense_nearest` computes all of
     them. A difference or square that overflows, or an inf - inf, gives an
-    inf or NaN distance without a warning. The screen replaces 3d + 1 passes
-    over the ``(n, centres)`` matrix by a product and three passes, plus the
-    exact sums of the rows in doubt. Those are many where centres have
-    converged to within about 1e-6 of each other, which happens in fewer
-    steps at low d. Median microseconds per call, dense > screened, on
-    inputs recorded from 600-agent ``run_gkbo`` runs of 500 steps, seeds
-    0-1, 46 to 76 leaders (numpy 2.4, 2 vCPUs):
+    inf or NaN distance without a warning. With many centres the screen
+    replaces d difference products and 2d - 1 passes over the
+    ``(n, centres)`` matrix by one product and three passes, plus the exact
+    sums of the rows in doubt. Those are many where centres have converged
+    to within about 1e-6 of each other, which happens in fewer steps at low
+    d. Median microseconds per call, dense / screened, on every seventh
+    call of 600-agent ``run_gkbo`` runs of 500 steps, seeds 0-1, 10 to 197
+    leaders, two processes (numpy 2.4.6, OpenBLAS 0.3.31, 2 vCPUs):
 
-    ==========  =========  =========  =========  =========  =========  =========
-    objective   d = 2      d = 3      d = 4      d = 5      d = 6      d = 10
-    ==========  =========  =========  =========  =========  =========  =========
-    rastrigin   138 > 200  199 > 183  265 > 201  362 > 173  269 > 122  555 > 200
-    ackley      185 > 897  262 > 647  258 > 420  274 > 647  345 > 212  687 > 196
-    ==========  =========  =========  =========  =========  =========  =========
+    =========  =========  =========  =========  =========  =========  =========
+    objective  d = 3      d = 4      d = 5      d = 6      d = 7      d = 10
+    =========  =========  =========  =========  =========  =========  =========
+    rastrigin  190 / 262  209 / 236  278 / 256  272 / 232  312 / 242  492 / 228
+    ackley     194 / 836  224 / 647  250 / 734  292 / 512  318 / 577  440 / 272
+    =========  =========  =========  =========  =========  =========  =========
 
-    (rastrigin2 and ackley2 at d = 2, rastrigin4 and ackley4 above.) On
-    Ackley half the rows are in doubt below d = 6.
+    (rastrigin4 and ackley4; at d = 2, rastrigin2 reads 135 / 302 and
+    ackley2 134 / 1144.) On Ackley 40-67% of the rows are in doubt up to
+    d = 5, 26-31% at d = 6 and 7, and 4% at d = 10; on Rastrigin at most 7%.
+    From d = 5 on the screen wins on Rastrigin, and it loses on Ackley up
+    to d = 7, so the dimension rule stays at 6.
 
     With few centres the dense kernel's row-per-centre layout is cheaper
     still, so the screen also waits until centres times d exceeds
     ``_DENSE_MAX_TERMS``. Median microseconds per call, 600 agents near their
-    centres, dense / screened:
+    centres, dense / screened, two processes:
 
     =========  ===========  ===========  ===========
     centres    d = 6        d = 10       d = 17
     =========  ===========  ===========  ===========
-    4          95 / 156     121 / 133    188 / 143
-    8          114 / 143    166 / 137    265 / 163
-    2 x 4      129 / 272    223 / 316    341 / 318
-    9          197 / 174    283 / 182    422 / 175
+    4          78 / 128     122 / 140    213 / 156
+    8          127 / 150    206 / 150    305 / 188
+    2 x 4      154 / 282    201 / 274    341 / 315
+    9          106 / 127    158 / 129    303 / 168
+    12         140 / 172    206 / 180    323 / 188
     =========  ===========  ===========  ===========
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -631,13 +655,14 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
 
 
 def _first_failure(
-    positions: np.ndarray, energies: np.ndarray, n: int, step: int, phase: str
+    positions: np.ndarray, energies: np.ndarray, n: int, step: int | None, phase: str
 ) -> tuple[int, NumericError] | None:
     """Slot of the first replica with a non-finite position or value, and its own run's error.
 
     None when every row is finite. A replica's positions are checked before
     its values, in the order of its own run's checks; ``phase`` names the
-    kernel that made the positions. The values alone decide whether a row
+    kernel that made the positions, and a ``step`` of None, the start, is
+    left out of the message. The values alone decide whether a row
     failed: every coordinate of a point passes through a cosine in both base
     functions, so a non-finite coordinate gives a NaN value.
     """
@@ -693,31 +718,33 @@ class _Replicas:
     def start(self, own_start, own_drop) -> np.ndarray:
         """Start the replicas in seed order, up to the first whose start fails.
 
-        A replica draws its positions uniformly from the box, finite by
-        construction, and its objective values, computed in ``work``, are
-        checked once; ``own_start(positions, energies, rng)`` then makes the
-        solver's own start array. Returns those arrays stacked. Whenever
-        the batch drops replicas and some are left, ``own_drop(keep)`` keeps
-        the slots ``keep`` selects in the loop's own state.
+        Every replica draws its positions uniformly from the box, finite by
+        construction. The stacked draws are evaluated in one call, so ``work``
+        takes the batch's size once, and each replica's values are checked in
+        seed order; ``own_start(positions, energies, rng)`` then makes each
+        started replica's own start array. Returns those arrays stacked.
+        Whenever the batch drops replicas and some are left,
+        ``own_drop(keep)`` keeps the slots ``keep`` selects in the loop's own
+        state.
         """
         self.own_drop = own_drop
-        self.rngs, starts = [], []
-        for seed in self.seeds:
-            rng = np.random.default_rng(seed)
-            positions = rng.uniform(self.cfg.init_lo, self.cfg.init_hi, (self.n, self.spec.dim))
-            energies = self.spec._values(positions, self.work)
-            try:
-                _check_energies(energies, "objective")
-            except NumericError as exc:
-                self.error = exc
-                break
-            self.rngs.append(rng)
-            starts.append((positions, energies, own_start(positions, energies, rng)))
-        if not self.rngs:
-            raise self.error
-        self.positions, self.energies, own = (np.concatenate(part) for part in zip(*starts))
-        self.live = np.arange(len(self.rngs))  # the replica in every slot of the stack
-        return own
+        n, shape = self.n, (self.n, self.spec.dim)
+        rngs = [np.random.default_rng(seed) for seed in self.seeds]
+        positions = np.concatenate(
+            [rng.uniform(self.cfg.init_lo, self.cfg.init_hi, shape) for rng in rngs]
+        )
+        energies = self.spec._values(positions, self.work)
+        failure = _first_failure(positions, energies, n, None, "start")
+        started = len(rngs)
+        if failure is not None:
+            started, self.error = failure
+            if not started:
+                raise self.error
+        self.rngs = rngs[:started]
+        self.positions, self.energies = positions[: started * n], energies[: started * n]
+        self.live = np.arange(started)  # the replica in every slot of the stack
+        replicas = zip(positions.reshape(-1, *shape), energies.reshape(-1, n), self.rngs)
+        return np.concatenate([own_start(*replica) for replica in replicas])
 
     def watch(self, estimates: np.ndarray) -> None:
         """Start every stall counter at zero on the first consensus estimates."""

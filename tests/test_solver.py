@@ -1,7 +1,12 @@
 import dataclasses
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,14 +180,20 @@ COORDINATES = st.one_of(
 )
 
 #: Coordinate regimes: ordinary values, values near 1e-160 whose squares
-#: underflow, and a mix with values near 1e154 that sends the screened
-#: kernel to the dense one.
+#: underflow, values near 1e-310 that are subnormal themselves, a mix with
+#: values near 1e154 that sends the screened kernel to the dense one, and
+#: values near 1e308 whose differences overflow to inf.
 REGIMES = {
     "ordinary": st.one_of(
         st.sampled_from([0.0, 1.0, -1.0, 2.5]), st.floats(-10, 10, allow_nan=False)
     ),
     "subnormal": st.floats(-10, 10, allow_nan=False).map(lambda v: v * 1e-160),
+    "tiny": st.floats(-10, 10, allow_nan=False).map(lambda v: v * 1e-310),
     "overflow": COORDINATES,
+    "huge": st.one_of(
+        st.sampled_from([0.0, 1e308, -1e308, 1.5e308, -1.7e308]),
+        st.floats(-10, 10, allow_nan=False).map(lambda v: v * 1.7e307),
+    ),
 }
 
 
@@ -276,7 +287,7 @@ def test_screened_assignment_of_converged_leaders_matches_oracle(dim):
 
 @pytest.mark.parametrize("replicas", [1, 3])
 @pytest.mark.parametrize("n_centres", [1, 4, 8, 9, 24])
-@pytest.mark.parametrize("dim", [1, 3, 6, 10])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 6, 10])
 def test_stacked_nearest_centre_matches_oracle_per_replica(replicas, n_centres, dim):
     # Each replica has centres of its own, a few ulps from some of its agents,
     # with the last one an exact copy of the first, on both sides of the
@@ -295,6 +306,49 @@ def test_stacked_nearest_centre_matches_oracle_per_replica(replicas, n_centres, 
     want = [nearest_centre_oracle(p, c) for p, c in zip(positions, centres)]
     assert stacked.shape == (replicas, 60)
     assert np.array_equal(stacked, want) and np.array_equal(alone, want)
+
+
+_BLAS_NAME = str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}))
+
+#: One nearest-centre case, 2000 agents against 400 centres a few ulps from
+#: some of them, d = 3. OpenBLAS keeps a product on one thread up to
+#: M N K = 262144, and on x86-64 up to 1e6 in its small-matrix kernel; the
+#: difference products, 2000 x 400 x 2, lie above both, so two threads
+#: split them.
+_THREADED_CASE = """
+rng = np.random.default_rng(7)
+positions = rng.uniform(-10, 10, (2000, 3))
+centres = positions[rng.integers(0, 2000, 400)]
+centres += rng.integers(-2, 3, centres.shape) * np.spacing(centres)
+"""
+
+_THREADED_CALL = f"""
+import hashlib
+import numpy as np
+from gkbo.objectives import _Workspace
+from gkbo.solver import _nearest_centre
+{_THREADED_CASE}
+print(hashlib.sha256(_nearest_centre(positions, centres, _Workspace()).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif("openblas" not in _BLAS_NAME.lower(), reason="numpy is not built on OpenBLAS")
+def test_nearest_centre_does_not_depend_on_the_blas_thread_count():
+    case = {"np": np}
+    exec(_THREADED_CASE, case)
+    want = nearest_centre_oracle(case["positions"], case["centres"])
+    package_root = str(Path(solver.__file__).parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        # the variable is set for the subprocess only
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADED_CALL], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert digests == {hashlib.sha256(want.tobytes()).hexdigest()}
 
 
 def test_assign_overflowing_distances_tie_to_lowest_leader():
@@ -943,3 +997,31 @@ def test_a_start_that_fails_names_the_objective(run, config):
         NumericError, match="^objective: agent 0 has a non-finite objective value$"
     ):
         run(preset("rastrigin2", 2), config(init_lo=-1e300, init_hi=1e300), 60)
+
+
+def test_a_batch_start_evaluated_at_once_keeps_the_replicas_before_the_first_failure():
+    # In a box of +-1.2e154 some rastrigin2 values overflow: alone, seeds 2, 3
+    # and 5 start and seed 4 fails at agent 1; in a batch seed 5 goes with 4.
+    spec = preset("rastrigin2", 2)
+    cfg = SolverConfig(init_lo=-1.2e154, init_hi=1.2e154, n_leaders=1, n_steps=0)
+    with pytest.raises(NumericError) as alone:
+        run_gkbo(spec, dataclasses.replace(cfg, seed=4), 3)
+    started = []
+
+    def own_start(positions, energies, rng):
+        started.append((positions.copy(), energies.copy(), rng.bit_generator.state))
+        return energies
+
+    batch = solver._Replicas(spec, cfg, 3, (2, 3, 4, 5))
+    own = batch.start(own_start, None)
+    message = "objective: agent 1 has a non-finite objective value"
+    assert str(batch.error) == str(alone.value) == message
+    assert batch.live.tolist() == [0, 1] and len(batch.rngs) == 2
+    for (positions, energies, state), seed in zip(started, (2, 3), strict=True):
+        # each generator has drawn its own positions only when its start is made
+        rng = np.random.default_rng(seed)
+        want = rng.uniform(cfg.init_lo, cfg.init_hi, (3, 2))
+        assert np.array_equal(positions, want) and state == rng.bit_generator.state
+        assert np.array_equal(energies, spec._values(want, _Workspace()))
+    assert np.array_equal(own, np.concatenate([start[1] for start in started]))
+    assert np.array_equal(batch.positions, np.concatenate([start[0] for start in started]))
