@@ -76,6 +76,16 @@ def _config_as_dict(config: SolverConfig | PcboConfig) -> dict:
     return out
 
 
+def _solver_section(data: dict) -> dict:
+    """A config's ``solver_config`` object; absent or null means every default."""
+    raw = data.get("solver_config")
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"solver_config must be a JSON object, got {raw!r}")
+    return raw
+
+
 @dataclass
 class ExperimentConfig:
     """A repeatable experiment: objective, solver, repetitions, optional sweep.
@@ -172,9 +182,7 @@ class ExperimentConfig:
         if solver not in _SOLVERS:
             raise ValueError(f"unknown solver {solver!r}; available: {', '.join(_SOLVERS)}")
         config_cls = SolverConfig if solver == "gkbo" else PcboConfig
-        raw = data.get("solver_config") or {}
-        if not isinstance(raw, dict):
-            raise ValueError("solver_config must be a JSON object")
+        raw = _solver_section(data)
         allowed = {field.name for field in dataclasses.fields(config_cls)}
         for key in raw:
             if key not in allowed:

@@ -22,12 +22,13 @@ from .bench import (
     ExperimentConfig,
     _config_as_dict,
     _parse_number,
+    _solver_section,
     _worker_count,
     evaluate_success,
     run_experiment,
     write_results,
 )
-from .errors import _integer
+from .errors import _integer, _require_non_negative
 from .objectives import PRESET_NAMES, preset
 from .pcbo import PcboConfig, run_pcbo
 from .solver import RunReport, SolverConfig, run_gkbo
@@ -129,6 +130,9 @@ def _cmd_run(args) -> int:
     base = SolverConfig() if solver == "gkbo" else PcboConfig()
     config = dataclasses.replace(base, **overrides)
     spec = preset(args.objective, args.dim)
+    # checked before anything prints or runs; evaluate_success would check it after the run
+    _require_non_negative(threshold=args.threshold)
+    config.validate(args.n_agents)
 
     effective = {
         "command": "run",
@@ -182,10 +186,7 @@ def _cmd_bench(args) -> int:
     _check_solver_flags(args, solver)
     overrides = _solver_overrides(args, solver)
     if overrides:
-        section = data.setdefault("solver_config", {})
-        if not isinstance(section, dict):
-            raise ValueError("solver_config must be a JSON object")
-        section.update(overrides)
+        data["solver_config"] = {**_solver_section(data), **overrides}
 
     cfg = ExperimentConfig.from_dict(data)
     cfg.validate()

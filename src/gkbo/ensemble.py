@@ -91,7 +91,6 @@ class WeightVector:
     """
 
     omega: np.ndarray
-    best_index: int
 
 
 def init_uniform(n_agents: int, dim: int, lo: float, hi: float, rng: np.random.Generator) -> Ensemble:
@@ -119,7 +118,7 @@ def compute_weights(
     """
     energies = _energies_of(ensemble.positions, spec, energies, "compute_weights")
     omega = _cluster_ranks(energies, np.zeros(ensemble.n_agents, dtype=np.intp), 1)
-    return WeightVector(omega=omega, best_index=int(np.argmin(energies)))
+    return WeightVector(omega=omega)
 
 
 def _block_starts(sorted_slots: np.ndarray) -> np.ndarray:

@@ -378,11 +378,6 @@ class ObjectiveSpec:
         mins.setflags(write=False)
         object.__setattr__(self, "minimizers", mins)
 
-    @property
-    def n_min(self) -> int:
-        """Number of planted global minimizers."""
-        return int(self.minimizers.shape[0])
-
     def evaluate(self, x) -> float:
         """Objective value at a single point of shape ``(dim,)``."""
         point = np.asarray(x, dtype=np.float64)

@@ -163,9 +163,6 @@ class RunReport:
 #: Dimension from which :func:`_nearest_centre` screens with a matrix product.
 _SCREEN_MIN_DIM = 6
 
-#: Centre count up to which :func:`_dense_nearest` lays distances out one row per centre.
-_FEW_CENTRES = 8
-
 #: Centres times dimension up to which :func:`_nearest_centre` stays dense from
 #: ``_SCREEN_MIN_DIM`` on.
 _DENSE_MAX_TERMS = 48
@@ -181,68 +178,52 @@ def _dense_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace)
     ``(n, centres, dim)`` intermediate. ``argmin`` returns the first minimum.
     Leading axes, if any, index replicas with centres of their own.
 
-    Up to ``_FEW_CENTRES`` centres the distances are laid out one row per
-    centre, ``(centres, n)``, and each axis's differences come from one
-    broadcast subtract along rows of n agents. Past it they are laid out
-    ``(n, centres)``, and each axis's differences ``x_i - c_k`` come from
-    one matrix product ``[x, 1] @ [1; -c]``, stacked replicas included,
-    which skips numpy's buffered broadcast of a tiled copy. The product is
-    exact to the last bit: each entry sums two products, ``x 1`` and
-    ``1 (-c)``, both exact, so any summation order, fused multiply-add or
-    thread split of the BLAS rounds once, to ``fl(x - c)``, the value
-    ``np.subtract`` gives, an overflow to inf included. The sign of a zero
-    difference is lost in the square, and a BLAS that flushed subnormal
-    inputs or results would change only differences below ``2**-967``,
-    whose squares are zero anyway. So the sums are the same in either
-    layout. Median microseconds per call, 600 agents near some centres,
-    ``(n, centres)`` product / ``(centres, n)`` subtract, both alternated on
-    the same input, two processes (numpy 2.4.6, OpenBLAS 0.3.31, 2 vCPUs):
+    The distances are laid out ``(n, centres)``, and each axis's
+    differences ``x_i - c_k`` come from one matrix product
+    ``[x, 1] @ [1; -c]``, stacked replicas included, which skips numpy's
+    buffered broadcast iteration. The product is exact to the last
+    bit: each entry sums two products, ``x 1`` and ``1 (-c)``, both exact,
+    so any summation order, fused multiply-add or thread split of the BLAS
+    rounds once, to ``fl(x - c)``, the value ``np.subtract`` gives, an
+    overflow to inf included. The sign of a zero difference is lost in the
+    square, and a BLAS that flushed subnormal inputs or results would change
+    only differences below ``2**-967``, whose squares are zero anyway. So
+    the sums are those of a per-axis subtract. Median microseconds per call,
+    600 agents near some centres, the lower of two processes (numpy 2.4.6,
+    OpenBLAS 0.3.31, 2 vCPUs):
 
-    ==========  ===========  ===========  ===========
-    centres     d = 1        d = 3        d = 5
-    ==========  ===========  ===========  ===========
-    2           30 / 27      47 / 40      67 / 55
-    4           31 / 33      50 / 53      73 / 77
-    6           38 / 40      62 / 69      86 / 102
-    8           37 / 43      62 / 84      89 / 124
-    12          47 / 52      81 / 118     106 / 146
-    16          46 / 71      81 / 121     113 / 179
-    24          60 / 82      110 / 165    164 / 250
-    2 x 4       44 / 48      73 / 82      100 / 115
-    2 x 8       56 / 72      102 / 153    153 / 208
-    2 x 12      78 / 98      150 / 216    216 / 314
-    ==========  ===========  ===========  ===========
+    ==========  =====  =====  =====
+    centres     d = 1  d = 3  d = 5
+    ==========  =====  =====  =====
+    1           24     43     68
+    2           33     49     76
+    4           34     59     81
+    8           39     66     95
+    12          45     79     115
+    2 x 4       53     87     100
+    ==========  =====  =====  =====
 
-    (``2 x k``: two replicas of k centres each.) ``_FEW_CENTRES`` is where
-    the row layout stopped winning against a tiled subtract; against the
-    product it wins only at 2 centres.
+    (``2 x 4``: two replicas of 4 centres each, the shape of a two-replica
+    pcbo batch.) A row-per-centre ``(centres, n)`` broadcast subtract per
+    axis takes 16-36% less time at 1 centre and 6-22% less at 2, is level
+    at 4, and takes more from 6 centres and at ``2 x 4``.
     """
-    few = centres.shape[-2] <= _FEW_CENTRES
-    if few:
-        shape = centres.shape[:-1] + positions.shape[-2:-1]
-        sq_dist, term = work.arrays(shape, shape)
-    else:
-        shape = positions.shape[:-1] + centres.shape[-2:-1]
-        sq_dist, term, lhs, rhs = work.arrays(
-            shape, shape, positions.shape[:-1] + (2,), centres.shape[:-2] + (2, shape[-1])
-        )
-        lhs[..., 1] = 1.0
-        rhs[..., 0, :] = 1.0
+    shape = positions.shape[:-1] + centres.shape[-2:-1]
+    sq_dist, term, lhs, rhs = work.arrays(
+        shape, shape, positions.shape[:-1] + (2,), centres.shape[:-2] + (2, shape[-1])
+    )
+    lhs[..., 1] = 1.0
+    rhs[..., 0, :] = 1.0
     for axis in range(positions.shape[-1]):
         out = term if axis else sq_dist
-        if few:
-            np.subtract(
-                positions[..., np.newaxis, :, axis], centres[..., :, axis, np.newaxis], out=out
-            )
-        else:
-            # x_i - c_k as x_i 1 + 1 (-c_k): both products are exact
-            np.copyto(lhs[..., 0], positions[..., axis])
-            np.negative(centres[..., axis], out=rhs[..., 1, :])
-            np.matmul(lhs, rhs, out=out)
+        # x_i - c_k as x_i 1 + 1 (-c_k): both products are exact
+        np.copyto(lhs[..., 0], positions[..., axis])
+        np.negative(centres[..., axis], out=rhs[..., 1, :])
+        np.matmul(lhs, rhs, out=out)
         np.square(out, out=out)
         if axis:
             np.add(sq_dist, term, out=sq_dist)
-    return np.argmin(sq_dist, axis=-2 if few else -1)
+    return np.argmin(sq_dist, axis=-1)
 
 
 def _screened_nearest(
@@ -346,20 +327,23 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
     From d = 5 on the screen wins on Rastrigin, and it loses on Ackley up
     to d = 7, so the dimension rule stays at 6.
 
-    With few centres the dense kernel's row-per-centre layout is cheaper
-    still, so the screen also waits until centres times d exceeds
-    ``_DENSE_MAX_TERMS``. Median microseconds per call, 600 agents near their
-    centres, dense / screened, two processes:
+    With few centres the dense kernel is cheaper still, so the screen also
+    waits until centres times d exceeds ``_DENSE_MAX_TERMS``. Median
+    microseconds per call, 600 agents near their centres, dense / screened,
+    the lower of two processes:
 
     =========  ===========  ===========  ===========
     centres    d = 6        d = 10       d = 17
     =========  ===========  ===========  ===========
-    4          78 / 128     122 / 140    213 / 156
-    8          127 / 150    206 / 150    305 / 188
-    2 x 4      154 / 282    201 / 274    341 / 315
-    9          106 / 127    158 / 129    303 / 168
-    12         140 / 172    206 / 180    323 / 188
+    4          64 / 100     136 / 151    215 / 148
+    8          103 / 119    129 / 166    264 / 150
+    2 x 4      101 / 240    197 / 318    293 / 291
+    9          105 / 156    187 / 144    304 / 158
+    12         136 / 164    207 / 162    337 / 183
     =========  ===========  ===========  ===========
+
+    At 9 and 12 centres, d = 6, the dense kernel is faster on these inputs,
+    while recorded rastrigin4 inputs at d = 6 still favour the screen.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         dim = positions.shape[-1]
@@ -374,17 +358,6 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
         return _dense_nearest(positions, centres, work) if nearest is None else nearest
 
 
-def _nearest_leader(positions: np.ndarray, leaders: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Cluster slot of every agent: its nearest leader, or its own slot for a leader.
-
-    Ties go to the lowest leader index since ``leaders`` is ascending; see
-    :func:`_nearest_centre`. The batch of one of :func:`_replica_slots`.
-    """
-    labels = np.zeros(positions.shape[0], dtype=np.int64)
-    labels[leaders] = 1
-    return _replica_slots(positions, labels, leaders, [0, leaders.size], labels.size, work)
-
-
 def assign_clusters(ensemble: Ensemble) -> ClusterState:
     """Group every agent with its nearest leader.
 
@@ -396,7 +369,10 @@ def assign_clusters(ensemble: Ensemble) -> ClusterState:
     leaders = ensemble.leader_indices()
     if leaders.size == 0:
         raise EmptyLeaderSetError("population has no leaders to cluster around")
-    cluster_of = _nearest_leader(ensemble.positions, leaders, _Workspace())
+    n = ensemble.n_agents
+    cluster_of = _replica_slots(
+        ensemble.positions, ensemble.labels, leaders, [0, leaders.size], n, _Workspace()
+    )
     return ClusterState(leaders=leaders, leader_of=leaders[cluster_of], cluster_of=cluster_of)
 
 
@@ -475,7 +451,7 @@ def cluster_weights(
     Within each cluster the weight of an agent is the fraction of cluster
     members whose value lies strictly closer to the cluster's best value, so
     the cluster's best agent always gets weight zero and exact ties share a
-    rank. ``best_index`` still reports the population-wide best agent.
+    rank.
 
     This is the standing used for label transitions inside :func:`run_gkbo`:
     comparing agents only to their own cluster keeps leader turnover local, so
@@ -486,7 +462,7 @@ def cluster_weights(
     if clusters.cluster_of.shape != (ensemble.n_agents,):
         raise ValueError("cluster state does not match the population")
     omega = _cluster_ranks(energies, clusters.cluster_of, clusters.n_clusters)
-    return WeightVector(omega=omega, best_index=int(np.argmin(energies)))
+    return WeightVector(omega=omega)
 
 
 def _diffusion_scale(delta: np.ndarray, mode: DiffusionMode) -> np.ndarray:

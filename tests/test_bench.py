@@ -94,6 +94,24 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_json("{")
 
 
+@pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
+def test_an_absent_or_null_solver_config_means_every_default(solver):
+    data = tiny_experiment(solver=solver, solver_config=None).to_dict()
+    defaults = SolverConfig() if solver == "gkbo" else PcboConfig()
+    data["solver_config"] = None
+    assert ExperimentConfig.from_dict(data).solver_config == defaults
+    del data["solver_config"]
+    assert ExperimentConfig.from_dict(data).solver_config == defaults
+
+
+@pytest.mark.parametrize("raw", [[], 0, "", False, [1], "n_steps", 5.0])
+def test_a_solver_config_that_is_not_an_object_is_rejected(raw):
+    data = tiny_experiment().to_dict()
+    data["solver_config"] = raw
+    with pytest.raises(ValueError, match="^solver_config must be a JSON object, got "):
+        ExperimentConfig.from_dict(data)
+
+
 def test_write_then_read_results_round_trip(tmp_path):
     cfg = tiny_experiment()
     summary = run_experiment(cfg, workers=1)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gkbo.cli as cli_module
 from gkbo.bench import read_results
 from gkbo.cli import main
 
@@ -99,6 +100,51 @@ def test_bench_config_of_the_wrong_type_exits_1(config, message, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--threshold", "-1"], "threshold must be finite and non-negative, got -1.0"),
+        (["--threshold", "nan"], "threshold must be finite and non-negative, got nan"),
+        (["--n-leaders", "50"], "n_leaders (50) cannot exceed the population size (30)"),
+        (["--solver", "pcbo", "--sigma", "-1"], "sigma must be finite and non-negative"),
+    ],
+    ids=["negative-threshold", "nan-threshold", "leaders", "pcbo-sigma"],
+)
+def test_run_rejects_a_bad_setting_before_it_prints_or_runs(argv, message, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli_module, "run_gkbo", never)
+    monkeypatch.setattr(cli_module, "run_pcbo", never)
+    assert main(["run", *TINY_RUN, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("flags", [[], ["--n-steps", "5"]], ids=["config", "flag"])
+@pytest.mark.parametrize("raw", [[], 0, "", False])
+def test_bench_rejects_a_solver_config_that_is_not_an_object(raw, flags, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"solver_config": raw}), encoding="utf-8")
+    argv = ["bench", "--config", str(path), "--output", str(tmp_path / "out.csv"), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: solver_config must be a JSON object, got ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_bench_reads_a_null_solver_config_as_the_defaults_under_a_flag(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    config = {"solver_config": None, "n_agents": 30, "repetitions": 1}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    output = tmp_path / "out.csv"
+    argv = ["bench", "--config", str(path), "--output", str(output), "--workers", "1"]
+    assert main([*argv, "--n-steps", "5"]) == 0
+    printed = effective_config(capsys.readouterr().out)["solver_config"]
+    assert printed["n_steps"] == 5 and printed["n_leaders"] == 12
+    assert read_results(output)[0]["mean_iterations"] == 5
 
 
 @pytest.mark.parametrize(

@@ -106,20 +106,18 @@ def test_weights_frozen_example():
     ens = make_ensemble(np.zeros((3, 1)))
     w = compute_weights(ens, energies=np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(w.omega, np.array([2 / 3, 0.0, 1 / 3]))
-    assert w.best_index == 1
 
 
 def test_weights_all_equal_energies():
     ens = make_ensemble(np.zeros((4, 1)))
     w = compute_weights(ens, energies=np.full(4, 7.5))
     assert np.array_equal(w.omega, np.zeros(4))
-    assert w.best_index == 0
 
 
-def test_weights_best_tie_breaks_to_lowest_index():
+def test_weights_tied_best_agents_share_weight_zero():
     ens = make_ensemble(np.zeros((3, 1)))
     w = compute_weights(ens, energies=np.array([2.0, 1.0, 1.0]))
-    assert w.best_index == 1
+    assert np.array_equal(w.omega, np.array([2 / 3, 0.0, 0.0]))
 
 
 def test_weights_from_objective():
@@ -129,7 +127,6 @@ def test_weights_from_objective():
     w = compute_weights(ens, spec)
     expected, best = brute_force_weights(spec.evaluate_batch(ens.positions))
     assert np.array_equal(w.omega, expected)
-    assert w.best_index == best
 
 
 def test_weights_require_spec_or_energies():
@@ -161,8 +158,7 @@ def test_weights_match_brute_force(energies):
     w = compute_weights(ens, energies=energies)
     expected, best = brute_force_weights(energies)
     assert np.array_equal(w.omega, expected)
-    assert w.best_index == best
-    assert w.omega[w.best_index] == 0.0
+    assert w.omega[best] == 0.0
     # every weight is m/n for an integer m < n
     scaled = w.omega * energies.size
     assert np.array_equal(scaled, np.round(scaled))
@@ -177,7 +173,6 @@ def test_weights_match_sorted_gap_counts(energies):
         warnings.simplefilter("error")
         w = compute_weights(make_ensemble(np.zeros((energies.size, 1))), energies=energies)
     assert np.array_equal(w.omega, sorted_gap_weights(energies))
-    assert w.best_index == int(np.argmin(energies))
 
 
 def test_weights_of_an_overflowing_gap_without_warnings():
@@ -222,14 +217,14 @@ def test_weights_invariant_under_increasing_transform(energies, scale, offset):
 
 def test_transition_promotes_eligible_follower_with_certainty():
     ens = make_ensemble(np.zeros((2, 1)), labels=[0, 0])
-    w = WeightVector(omega=np.array([0.0, 0.5]), best_index=0)
+    w = WeightVector(omega=np.array([0.0, 0.5]))
     out = apply_label_transitions(ens, w, omega_bar=0.25, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [1, 0]
 
 
 def test_transition_demotes_eligible_leader_with_certainty():
     ens = make_ensemble(np.zeros((2, 1)), labels=[1, 1])
-    w = WeightVector(omega=np.array([0.5, 0.0]), best_index=1)
+    w = WeightVector(omega=np.array([0.5, 0.0]))
     out = apply_label_transitions(ens, w, omega_bar=0.25, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [0, 1]
 
@@ -237,7 +232,7 @@ def test_transition_demotes_eligible_leader_with_certainty():
 def test_transition_boundary_weight_keeps_label():
     # equality with the threshold is a no-op in both directions
     ens = make_ensemble(np.zeros((2, 1)), labels=[0, 1])
-    w = WeightVector(omega=np.array([0.25, 0.25]), best_index=0)
+    w = WeightVector(omega=np.array([0.25, 0.25]))
     out = apply_label_transitions(ens, w, omega_bar=0.25, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [0, 1]
 
@@ -246,7 +241,7 @@ def test_transition_leaves_positions_untouched():
     rng = np.random.default_rng(8)
     positions = rng.normal(size=(6, 2))
     ens = make_ensemble(positions, labels=[0, 1, 0, 1, 0, 1])
-    w = WeightVector(omega=np.linspace(0, 0.8, 6), best_index=0)
+    w = WeightVector(omega=np.linspace(0, 0.8, 6))
     out = apply_label_transitions(ens, w, omega_bar=0.3, eps=1.0, rng=rng)
     assert np.array_equal(out.positions, positions)
     assert out.n_agents == 6
@@ -256,7 +251,7 @@ def test_transition_empirical_rate():
     """A flip-eligible agent flips at the configured probability."""
     rng = np.random.default_rng(42)
     ens = make_ensemble(np.zeros((1, 1)), labels=[0])
-    w = WeightVector(omega=np.array([0.0]), best_index=0)
+    w = WeightVector(omega=np.array([0.0]))
     flips = 0
     trials = 10**5
     for _ in range(trials):
@@ -268,7 +263,7 @@ def test_transition_empirical_rate():
 def test_transition_synchronous_pre_step_labels():
     # a promotion and a demotion in one round never chain through each other
     ens = make_ensemble(np.zeros((2, 1)), labels=[1, 0])
-    w = WeightVector(omega=np.array([0.9, 0.0]), best_index=1)
+    w = WeightVector(omega=np.array([0.9, 0.0]))
     out = apply_label_transitions(ens, w, omega_bar=0.5, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [0, 1]
 
@@ -289,14 +284,14 @@ def test_transition_eps_one_selects_best_ranked_set():
 
 def test_transition_validates_inputs():
     ens = make_ensemble(np.zeros((2, 1)))
-    w = WeightVector(omega=np.zeros(2), best_index=0)
+    w = WeightVector(omega=np.zeros(2))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         apply_label_transitions(ens, w, omega_bar=0.5, eps=0.0, rng=rng)
     with pytest.raises(ValueError):
         apply_label_transitions(ens, w, omega_bar=1.5, eps=0.5, rng=rng)
     with pytest.raises(ValueError):
-        apply_label_transitions(ens, WeightVector(omega=np.zeros(3), best_index=0), 0.5, 0.5, rng)
+        apply_label_transitions(ens, WeightVector(omega=np.zeros(3)), 0.5, 0.5, rng)
 
 
 def test_deterministic_pass_matches_certainty_transitions():
@@ -312,6 +307,6 @@ def test_deterministic_pass_matches_certainty_transitions():
 
 def test_deterministic_pass_consumes_no_randomness():
     ens = make_ensemble(np.zeros((4, 1)))
-    w = WeightVector(omega=np.array([0.0, 0.5, 0.5, 0.5]), best_index=0)
+    w = WeightVector(omega=np.array([0.0, 0.5, 0.5, 0.5]))
     out = deterministic_label_pass(ens, w, omega_bar=0.25)
     assert out.labels.tolist() == [1, 0, 0, 0]

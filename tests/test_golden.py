@@ -51,6 +51,32 @@ CASES = {
         lambda: run_pcbo(preset("ackley4", 4), PcboConfig(n_steps=200, seed=7), 200),
         "acf207d3a858a922453b6caebbc090f6599b927c1a748c28195e288562e24260",
     ),
+    # 2 and 8 centres, recorded when up to 8 centres took a row-per-centre
+    # subtract: the difference products must sum to the same distances
+    "pcbo-ackley2-d1-2-clusters": (
+        lambda: run_pcbo(
+            preset("ackley2", 1), PcboConfig(n_clusters=2, n_steps=200, seed=9), 200
+        ),
+        "3e4421b38c33ee9122169153dfda9c1e91209047d90fa8ebe70ceddf00fd86ce",
+    ),
+    "pcbo-ackley2-d3-2-clusters": (
+        lambda: run_pcbo(
+            preset("ackley2", 3), PcboConfig(n_clusters=2, n_steps=200, seed=10), 200
+        ),
+        "f8dae80eba097747e40de8a2d1dad048eae56dd9984e488188ead0ea255d0a53",
+    ),
+    "pcbo-ackley2-d1-8-clusters": (
+        lambda: run_pcbo(
+            preset("ackley2", 1), PcboConfig(n_clusters=8, n_steps=200, seed=11), 200
+        ),
+        "cec13c5b6a1ca4378feab3abacc33138ed4b16f64ca7917accc8b093fecd31b5",
+    ),
+    "pcbo-ackley2-d3-8-clusters": (
+        lambda: run_pcbo(
+            preset("ackley2", 3), PcboConfig(n_clusters=8, n_steps=200, seed=12), 200
+        ),
+        "694d6c75605208c4e506674a4e7478e26716a268279bc0a2f3538ea5e6c39b59",
+    ),
 }
 
 

@@ -256,7 +256,7 @@ def test_screened_values_in_a_batch_workspace_allocate_less_than_one_offset_arra
     finally:
         tracemalloc.stop()
     assert np.array_equal(values, spec.evaluate_batch(points))
-    assert peak < spec.n_min * spec.dim * points.shape[0] * 8
+    assert peak < spec.minimizers.size * points.shape[0] * 8
 
 
 def test_screen_keeps_a_shift_that_rounding_puts_outside_its_bracket():
@@ -321,7 +321,6 @@ def test_spec_validation_rejects_non_finite():
 def test_spec_accepts_flat_minimizers_in_one_dim():
     spec = ObjectiveSpec(Kind.RASTRIGIN, 1, np.array([-5.0, 5.0]))
     assert spec.minimizers.shape == (2, 1)
-    assert spec.n_min == 2
 
 
 def test_minimizers_are_read_only():

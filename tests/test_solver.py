@@ -35,7 +35,7 @@ from gkbo.solver import (
     _cluster_min,
     _diffusion_scale,
     _nearest_centre,
-    _nearest_leader,
+    _replica_slots,
     _run_replicas,
 )
 
@@ -257,7 +257,12 @@ def test_nearest_leader_kernel_matches_oracle(cases):
     work = _Workspace()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [_nearest_leader(positions, leaders, work) for positions, leaders in cases]
+        got = []
+        for positions, leaders in cases:
+            labels = np.zeros(positions.shape[0], dtype=np.int64)
+            labels[leaders] = 1
+            n = labels.size
+            got.append(_replica_slots(positions, labels, leaders, [0, leaders.size], n, work))
     for (positions, leaders), slots in zip(cases, got):
         with np.errstate(over="ignore"):
             want = nearest_leader_oracle(positions, leaders)
@@ -281,17 +286,19 @@ def test_screened_assignment_of_converged_leaders_matches_oracle(dim):
     )
     positions = np.concatenate([leader_pos, followers])
     leaders = np.arange(leader_pos.shape[0])
-    slots = _nearest_leader(positions, leaders, _Workspace())
-    assert np.array_equal(slots, nearest_leader_oracle(positions, leaders))
+    labels = np.zeros(positions.shape[0], dtype=np.int64)
+    labels[leaders] = 1
+    clusters = assign_clusters(Ensemble(positions=positions, labels=labels))
+    assert np.array_equal(clusters.cluster_of, nearest_leader_oracle(positions, leaders))
 
 
 @pytest.mark.parametrize("replicas", [1, 3])
-@pytest.mark.parametrize("n_centres", [1, 4, 8, 9, 24])
+@pytest.mark.parametrize("n_centres", [1, 2, 4, 6, 8, 9, 24])
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 6, 10])
 def test_stacked_nearest_centre_matches_oracle_per_replica(replicas, n_centres, dim):
     # Each replica has centres of its own, a few ulps from some of its agents,
-    # with the last one an exact copy of the first, on both sides of the
-    # layout and screening rules; one workspace serves every call.
+    # with the last one an exact copy of the first, from 1 to 24 centres and
+    # on both sides of the screening rules; one workspace serves every call.
     rng = np.random.default_rng(100 * dim + n_centres)
     positions = rng.uniform(-10, 10, (replicas, 60, dim))
     picks = rng.integers(0, 60, (replicas, n_centres, 1))
@@ -502,7 +509,6 @@ def test_cluster_weights_single_cluster_matches_global():
     local = cluster_weights(ens, clusters, energies=energies)
     glob = compute_weights(ens, energies=energies)
     assert np.array_equal(local.omega, glob.omega)
-    assert local.best_index == glob.best_index
 
 
 def test_cluster_weights_best_of_each_cluster_is_zero():
@@ -514,7 +520,6 @@ def test_cluster_weights_best_of_each_cluster_is_zero():
     assert w.omega[3] == 0.0
     assert w.omega[2] == 0.5
     assert w.omega[1] == 0.5
-    assert w.best_index == 3
 
 
 def test_cluster_weights_validates():
