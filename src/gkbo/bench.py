@@ -45,18 +45,26 @@ log = logging.getLogger(__name__)
 #: Max-norm radius within which a consensus point detects a minimizer.
 SUCCESS_THRESHOLD = 0.25
 
-CSV_HEADER = (
-    "sweep_value",
-    "success_rate",
-    "mean_iterations",
-    "mean_detected_minima",
-    "repetitions",
-    "base_seed",
-)
+#: Each results CSV column, in order, and how :func:`read_results` parses it.
+#: :func:`write_results` writes the :class:`SweepResult` attribute of that
+#: name; a run without a sweep has an empty ``sweep_value``.
+_CSV_COLUMNS = {
+    "sweep_value": lambda token: None if token == "" else _parse_number(token),
+    "success_rate": float,
+    "mean_iterations": float,
+    "mean_detected_minima": float,
+    "repetitions": int,
+    "base_seed": int,
+}
+CSV_HEADER = tuple(_CSV_COLUMNS)
 
-_SOLVERS = ("gkbo", "pcbo")
-_SWEEPS = ("none", "dimension", "n_leaders", "sigma_f")
+_CONFIGS = {"gkbo": SolverConfig, "pcbo": PcboConfig}
 _REPLICA_LOOPS = {"gkbo": _gkbo_replicas, "pcbo": _pcbo_replicas}
+_SWEEPS = ("none", "dimension", "n_leaders", "sigma_f")
+
+#: The pcbo field that plays each gkbo field's role, for the ``n_leaders``
+#: and ``sigma_f`` sweeps and for ``gkbo compare``'s shared settings.
+_PCBO_ROLES = {"nu_f": "nu", "sigma_f": "sigma", "n_leaders": "n_clusters"}
 
 #: Most float64 coordinates, R n d, that one batch of R replicas stacks. At
 #: 14400 (115200 bytes) every stacked ``(R n, d)`` array stays below glibc's
@@ -76,6 +84,21 @@ def _config_as_dict(config: SolverConfig | PcboConfig) -> dict:
     return out
 
 
+def _config_class(solver) -> type:
+    """The config class of ``solver``; ValueError names the known solvers."""
+    try:
+        return _CONFIGS[solver]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+        raise ValueError(f"unknown solver {solver!r}; available: {', '.join(_CONFIGS)}") from None
+
+
+def _with_roles(config: SolverConfig | PcboConfig, **values) -> SolverConfig | PcboConfig:
+    """``config`` with each value, named by its gkbo field, set on the field in that role."""
+    own = {field.name for field in dataclasses.fields(config)}
+    renamed = {name if name in own else _PCBO_ROLES[name]: value for name, value in values.items()}
+    return dataclasses.replace(config, **renamed)
+
+
 def _solver_section(data: dict) -> dict:
     """A config's ``solver_config`` object; absent or null means every default."""
     raw = data.get("solver_config")
@@ -90,9 +113,11 @@ def _solver_section(data: dict) -> dict:
 class ExperimentConfig:
     """A repeatable experiment: objective, solver, repetitions, optional sweep.
 
-    ``sweep`` is one of ``none``, ``dimension``, ``n_leaders`` (mapped to the
-    baseline's cluster count when ``solver`` is ``pcbo``) or ``sigma_f``
-    (mapped to the baseline's ``sigma``). Repetition ``r`` of every sweep
+    ``sweep`` is one of ``none``, ``dimension``, ``n_leaders`` or ``sigma_f``.
+    On the ``pcbo`` baseline a gkbo field's sweep sets the field in its role,
+    ``n_clusters`` or ``sigma``, as the one map ``_PCBO_ROLES`` says; ``gkbo
+    compare`` sets both solvers' drift, noise and centre count through that
+    map too. Repetition ``r`` of every sweep
     value runs with seed ``base_seed + r``; the seed stored inside
     ``solver_config`` is ignored by the harness.
     """
@@ -109,7 +134,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.solver_config is None:
-            self.solver_config = SolverConfig() if self.solver == "gkbo" else PcboConfig()
+            self.solver_config = _config_class(self.solver)()
         self.sweep_values = tuple(self.sweep_values)
 
     def validate(self) -> None:
@@ -128,9 +153,7 @@ class ExperimentConfig:
         _integer("n_agents", self.n_agents)  # its range is the solver config's check
         _integer("repetitions", self.repetitions, 1)
         _integer("base_seed", self.base_seed, 0)
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}; available: {', '.join(_SOLVERS)}")
-        expected = SolverConfig if self.solver == "gkbo" else PcboConfig
+        expected = _config_class(self.solver)
         if not isinstance(self.solver_config, expected):
             raise ValueError(
                 f"solver {self.solver!r} requires a {expected.__name__}, "
@@ -178,10 +201,7 @@ class ExperimentConfig:
         for key in data:
             if key not in known:
                 raise ValueError(f"unknown config key: {key!r}")
-        solver = data.get("solver", "gkbo")
-        if solver not in _SOLVERS:
-            raise ValueError(f"unknown solver {solver!r}; available: {', '.join(_SOLVERS)}")
-        config_cls = SolverConfig if solver == "gkbo" else PcboConfig
+        config_cls = _config_class(data.get("solver", cls.solver))
         raw = _solver_section(data)
         allowed = {field.name for field in dataclasses.fields(config_cls)}
         for key in raw:
@@ -269,23 +289,12 @@ def evaluate_success(
 
 def _sweep_setup(cfg: ExperimentConfig, value) -> tuple[int, SolverConfig | PcboConfig]:
     """Dimension and solver config for one sweep value."""
-    dim = int(cfg.dim)
-    solver_cfg = cfg.solver_config
     if value is None:
-        return dim, solver_cfg
+        return int(cfg.dim), cfg.solver_config
     if cfg.sweep == "dimension":
-        dim = int(value)
-    elif cfg.sweep == "n_leaders":
-        if cfg.solver == "gkbo":
-            solver_cfg = dataclasses.replace(solver_cfg, n_leaders=int(value))
-        else:
-            solver_cfg = dataclasses.replace(solver_cfg, n_clusters=int(value))
-    elif cfg.sweep == "sigma_f":
-        if cfg.solver == "gkbo":
-            solver_cfg = dataclasses.replace(solver_cfg, sigma_f=float(value))
-        else:
-            solver_cfg = dataclasses.replace(solver_cfg, sigma=float(value))
-    return dim, solver_cfg
+        return int(value), cfg.solver_config
+    kind = float if cfg.sweep == "sigma_f" else int
+    return int(cfg.dim), _with_roles(cfg.solver_config, **{cfg.sweep: kind(value)})
 
 
 def _execute_run(task) -> list[tuple[RunReport, float]]:
@@ -438,23 +447,15 @@ def write_results(summary: ExperimentSummary, path) -> Path:
     and under ``runs`` one record per sweep value: the seeds and, per seed,
     ``run_seconds`` (see :class:`SweepResult`), ``iterations`` and
     ``evaluations``. Lines use LF endings regardless of platform. Returns
-    the CSV path.
+    the CSV path. Both paths are checked before anything is written (see
+    :func:`_result_paths`).
     """
-    path = Path(path)
+    path, sidecar_path = _result_paths(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n")  # writes None as an empty field
         writer.writerow(CSV_HEADER)
         for result in summary.results:
-            writer.writerow(
-                [
-                    "" if result.sweep_value is None else result.sweep_value,
-                    result.success_rate,
-                    result.mean_iterations,
-                    result.mean_detected_minima,
-                    result.repetitions,
-                    result.base_seed,
-                ]
-            )
+            writer.writerow([getattr(result, column) for column in CSV_HEADER])
     sidecar = summary.config.to_dict()
     sidecar["runs"] = [
         {
@@ -467,8 +468,26 @@ def write_results(summary: ExperimentSummary, path) -> Path:
         for result in summary.results
     ]
     text = json.dumps(sidecar, indent=2)
-    path.with_suffix(".json").write_text(text + "\n", encoding="utf-8")
+    sidecar_path.write_text(text + "\n", encoding="utf-8")
     return path
+
+
+def _result_paths(path) -> tuple[Path, Path]:
+    """The results CSV path and its sidecar's, the CSV's with suffix ``.json``.
+
+    ValueError where the two would be one file, the CSV path is a
+    directory or their directory is missing, so ``gkbo bench`` can reject
+    such an output before it runs.
+    """
+    path = Path(path)
+    sidecar = path.with_suffix(".json")
+    if sidecar == path:
+        raise ValueError(f"results CSV {path} must not end in .json, its sidecar's suffix")
+    if path.is_dir():
+        raise ValueError(f"results CSV {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"output directory {path.parent} does not exist")
+    return path, sidecar
 
 
 def _parse_number(token: str):
@@ -494,14 +513,6 @@ def read_results(path) -> list[dict]:
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"malformed results row {row!r} in {path}")
-            rows.append(
-                {
-                    "sweep_value": None if row[0] == "" else _parse_number(row[0]),
-                    "success_rate": float(row[1]),
-                    "mean_iterations": float(row[2]),
-                    "mean_detected_minima": float(row[3]),
-                    "repetitions": int(row[4]),
-                    "base_seed": int(row[5]),
-                }
-            )
+            parsed = zip(_CSV_COLUMNS, _CSV_COLUMNS.values(), row)
+            rows.append({column: parse(token) for column, parse, token in parsed})
     return rows

@@ -18,11 +18,16 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    _CONFIGS,
+    _SWEEPS,
     SUCCESS_THRESHOLD,
     ExperimentConfig,
     _config_as_dict,
+    _config_class,
     _parse_number,
+    _result_paths,
     _solver_section,
+    _with_roles,
     _worker_count,
     evaluate_success,
     run_experiment,
@@ -30,14 +35,10 @@ from .bench import (
 )
 from .errors import _integer, _require_non_negative
 from .objectives import PRESET_NAMES, preset
-from .pcbo import PcboConfig, run_pcbo
-from .solver import RunReport, SolverConfig, run_gkbo
+from .pcbo import run_pcbo
+from .solver import RunReport, run_gkbo
 
 __all__ = ["main"]
-
-_GKBO_ONLY = ("nu_f", "nu_l", "sigma_f", "eps", "n_leaders")
-_PCBO_ONLY = ("nu", "sigma", "n_clusters")
-_SHARED = ("alpha", "n_steps", "delta_stall", "j_stall", "diffusion", "init_lo", "init_hi")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,11 +49,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env_seed() -> int | None:
-    """Seed from the GKBO_SEED environment variable, lowest precedence."""
+def _seed(flag):
+    """A seed flag's value, else the GKBO_SEED environment variable's, else 0."""
+    if flag is not None:
+        return flag
     raw = os.environ.get("GKBO_SEED")
     if raw is None or not raw.strip():
-        return None
+        return 0
     try:
         value = int(raw)
     except ValueError:
@@ -81,21 +84,45 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--init-hi", type=float, help="initialization box upper bound")
 
 
-def _check_solver_flags(args, solver: str) -> None:
-    wrong = _PCBO_ONLY if solver == "gkbo" else _GKBO_ONLY
-    for name in wrong:
-        if getattr(args, name, None) is not None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to the {solver!r} solver")
+def _solver_overrides(args, solver) -> dict:
+    """The solver flags given, by field; ValueError for an unknown solver or another's flag.
+
+    Every field of a solver config but ``seed`` has the flag of its name.
+    """
+    own = {field.name for field in dataclasses.fields(_config_class(solver))}
+    overrides = {}
+    for config_cls in _CONFIGS.values():
+        for field in dataclasses.fields(config_cls):
+            value = getattr(args, field.name, None)
+            if field.name == "seed" or value is None:
+                continue
+            if field.name not in own:
+                flag = "--" + field.name.replace("_", "-")
+                raise ValueError(f"{flag} does not apply to the {solver!r} solver")
+            overrides[field.name] = value
+    return overrides
 
 
-def _solver_overrides(args, solver: str) -> dict:
-    names = (_GKBO_ONLY if solver == "gkbo" else _PCBO_ONLY) + _SHARED
-    return {
-        name: getattr(args, name)
-        for name in names
-        if getattr(args, name, None) is not None
-    }
+def _experiment(args, data: dict, seed) -> ExperimentConfig:
+    """The checked experiment of ``data``, a config file's object, with the flags laid over it.
+
+    ``seed`` is the seed flag's value; without it ``data``'s ``base_seed``
+    stands, else the one :func:`_seed` falls back to.
+    """
+    for name in ("objective", "dim", "solver", "n_agents", "repetitions", "sweep"):
+        value = getattr(args, name, None)
+        if value is not None:
+            data[name] = value
+    if getattr(args, "sweep_values", None) is not None:
+        data["sweep_values"] = _parse_number_list(args.sweep_values, "--sweep-values")
+    if seed is not None or "base_seed" not in data:
+        data["base_seed"] = _seed(seed)
+    overrides = _solver_overrides(args, data.get("solver", ExperimentConfig.solver))
+    if overrides:
+        data["solver_config"] = {**_solver_section(data), **overrides}
+    cfg = ExperimentConfig.from_dict(data)
+    cfg.validate()
+    return cfg
 
 
 def _parse_number_list(text: str, flag: str) -> list:
@@ -120,35 +147,23 @@ def _print_report(report: RunReport, minimizers, threshold: float) -> None:
 
 
 def _cmd_run(args) -> int:
-    solver = args.solver
-    _check_solver_flags(args, solver)
-    seed = args.seed if args.seed is not None else _env_seed()
-    if seed is None:
-        seed = 0
-    overrides = _solver_overrides(args, solver)
-    overrides["seed"] = int(seed)
-    base = SolverConfig() if solver == "gkbo" else PcboConfig()
-    config = dataclasses.replace(base, **overrides)
-    spec = preset(args.objective, args.dim)
+    cfg = _experiment(args, {"repetitions": 1}, args.seed)
     # checked before anything prints or runs; evaluate_success would check it after the run
     _require_non_negative(threshold=args.threshold)
-    config.validate(args.n_agents)
-
+    config = dataclasses.replace(cfg.solver_config, seed=cfg.base_seed)
     effective = {
         "command": "run",
-        "objective": args.objective,
-        "dim": int(args.dim),
-        "solver": solver,
-        "n_agents": int(args.n_agents),
+        "objective": cfg.objective,
+        "dim": cfg.dim,
+        "solver": cfg.solver,
+        "n_agents": cfg.n_agents,
         "threshold": float(args.threshold),
         "solver_config": _config_as_dict(config),
     }
     print(json.dumps(effective, indent=2))
-
-    if solver == "gkbo":
-        report = run_gkbo(spec, config, args.n_agents)
-    else:
-        report = run_pcbo(spec, config, args.n_agents)
+    spec = preset(cfg.objective, cfg.dim)
+    # each solver's one-run entry point, imported above as run_<solver>
+    report = globals()[f"run_{cfg.solver}"](spec, config, cfg.n_agents)
     _print_report(report, spec.minimizers, args.threshold)
     return 0
 
@@ -168,30 +183,11 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"config file {config_path} must hold a JSON object")
     else:
         data = {}
-
-    for name in ("objective", "dim", "solver", "n_agents", "repetitions", "sweep"):
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
-    if args.sweep_values is not None:
-        data["sweep_values"] = _parse_number_list(args.sweep_values, "--sweep-values")
-    if args.base_seed is not None:
-        data["base_seed"] = int(args.base_seed)
-    elif "base_seed" not in data:
-        env = _env_seed()
-        if env is not None:
-            data["base_seed"] = env
-
-    solver = data.get("solver", "gkbo")
-    _check_solver_flags(args, solver)
-    overrides = _solver_overrides(args, solver)
-    if overrides:
-        data["solver_config"] = {**_solver_section(data), **overrides}
-
-    cfg = ExperimentConfig.from_dict(data)
-    cfg.validate()
+    cfg = _experiment(args, data, args.base_seed)
+    workers = _worker_count(args.workers)
+    _result_paths(args.output)
     print(cfg.to_json())
-    summary = run_experiment(cfg, workers=args.workers)
+    summary = run_experiment(cfg, workers=workers)
     path = write_results(summary, args.output)
     print(f"wrote {path} and {path.with_suffix('.json')}")
     return 0
@@ -199,29 +195,21 @@ def _cmd_bench(args) -> int:
 
 def _cmd_compare(args) -> int:
     dims = _parse_number_list(args.dims, "--dims")  # validate() rejects a fractional one
-    base_seed = args.base_seed if args.base_seed is not None else _env_seed()
-    if base_seed is None:
-        base_seed = 0
-    sweep = "none" if len(dims) == 1 else "dimension"
-    sweep_values = () if len(dims) == 1 else tuple(dims)
-
-    solver_configs = {
-        "gkbo": SolverConfig(nu_f=args.nu, sigma_f=args.sigma, n_leaders=args.n_leaders),
-        "pcbo": PcboConfig(nu=args.nu, sigma=args.sigma, n_clusters=args.n_leaders),
-    }
+    base_seed = _seed(args.base_seed)
+    shared = {"nu_f": args.nu, "sigma_f": args.sigma, "n_leaders": args.n_leaders}
     experiments = {
-        name: ExperimentConfig(
+        solver: ExperimentConfig(
             objective=args.objective,
             dim=dims[0],
-            solver=name,
-            solver_config=solver_config,
+            solver=solver,
+            solver_config=_with_roles(config_cls(), **shared),
             n_agents=args.n_agents,
             repetitions=args.repetitions,
-            sweep=sweep,
-            sweep_values=sweep_values,
-            base_seed=int(base_seed),
+            sweep="none" if len(dims) == 1 else "dimension",
+            sweep_values=() if len(dims) == 1 else tuple(dims),
+            base_seed=base_seed,
         )
-        for name, solver_config in solver_configs.items()
+        for solver, config_cls in _CONFIGS.items()
     }
 
     workers = _worker_count(args.workers)
@@ -239,7 +227,7 @@ def _cmd_compare(args) -> int:
         "nu": float(args.nu),
         "sigma": float(args.sigma),
         "n_leaders": int(args.n_leaders),
-        "base_seed": int(base_seed),
+        "base_seed": base_seed,
         "output_dir": str(out_dir),
     }
     print(json.dumps(effective, indent=2))
@@ -251,7 +239,7 @@ def _cmd_compare(args) -> int:
         rates = [result.success_rate for result in summary.results]
         means[name] = sum(rates) / len(rates)
         print(f"wrote {path}")
-    print(f"mean success rate: gkbo={means['gkbo']:.3f} pcbo={means['pcbo']:.3f}")
+    print("mean success rate: " + " ".join(f"{name}={mean:.3f}" for name, mean in means.items()))
     return 0
 
 
@@ -264,7 +252,7 @@ def _build_parser() -> _Parser:
     )
     run.add_argument("--objective", choices=PRESET_NAMES, default="rastrigin2")
     run.add_argument("--dim", type=int, default=2)
-    run.add_argument("--solver", choices=("gkbo", "pcbo"), default="gkbo")
+    run.add_argument("--solver", choices=tuple(_CONFIGS), default="gkbo")
     run.add_argument("--n-agents", type=int, default=600)
     run.add_argument("--seed", type=int, help="overrides the GKBO_SEED environment variable")
     run.add_argument(
@@ -287,10 +275,10 @@ def _build_parser() -> _Parser:
     bench.add_argument("--workers", type=int, help="process pool size (default: all CPUs)")
     bench.add_argument("--objective", choices=PRESET_NAMES)
     bench.add_argument("--dim", type=int)
-    bench.add_argument("--solver", choices=("gkbo", "pcbo"))
+    bench.add_argument("--solver", choices=tuple(_CONFIGS))
     bench.add_argument("--n-agents", type=int)
     bench.add_argument("--repetitions", type=int)
-    bench.add_argument("--sweep", choices=("none", "dimension", "n_leaders", "sigma_f"))
+    bench.add_argument("--sweep", choices=_SWEEPS)
     bench.add_argument("--sweep-values", help="comma-separated sweep values")
     bench.add_argument(
         "--base-seed", type=int, help="seed of repetition 0; repetition r adds r"

@@ -350,3 +350,49 @@ def test_a_flat_list_of_minimizers_is_one_per_entry_on_a_1d_run():
     assert evaluate_success(report, preset("ackley2", 1).minimizers) == (False, 1)
     with pytest.raises(ValueError, match="minimizers are 2-d"):
         evaluate_success(report, [[-3.0, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "solver_config, sweep, values, field",
+    [
+        (SolverConfig(n_steps=3, n_leaders=3), "n_leaders", (2, 5), "n_leaders"),
+        (SolverConfig(n_steps=3, n_leaders=3), "sigma_f", (0.1, 0.5), "sigma_f"),
+        (PcboConfig(n_steps=3), "n_leaders", (2, 5), "n_clusters"),
+        (PcboConfig(n_steps=3), "sigma_f", (0.1, 0.5), "sigma"),
+    ],
+)
+def test_a_sweep_sets_the_field_in_its_role_on_either_solver(
+    monkeypatch, solver_config, sweep, values, field
+):
+    configs = []
+
+    def spy(task):
+        configs.append(task[3])
+        return execute(task)
+
+    execute = bench_module._execute_run
+    monkeypatch.setattr(bench_module, "_execute_run", spy)
+    cfg = tiny_experiment(
+        solver="gkbo" if isinstance(solver_config, SolverConfig) else "pcbo",
+        solver_config=solver_config,
+        repetitions=1,
+        sweep=sweep,
+        sweep_values=values,
+    )
+    run_experiment(cfg, workers=1)
+    assert configs == [dataclasses.replace(solver_config, **{field: value}) for value in values]
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("results.json", "results CSV .*results.json must not end in .json"),
+        ("missing/results.csv", "output directory .*missing does not exist"),
+        ("", "results CSV .* is a directory"),
+    ],
+)
+def test_write_results_rejects_a_path_before_it_writes(tmp_path, name, message):
+    summary = run_experiment(tiny_experiment(repetitions=1), workers=1)
+    with pytest.raises(ValueError, match=message):
+        write_results(summary, tmp_path / name)
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 import gkbo.cli as cli_module
 from gkbo.bench import read_results
 from gkbo.cli import main
+from gkbo.pcbo import PcboConfig
+from gkbo.solver import SolverConfig
 
 TINY_RUN = ["--n-agents", "30", "--n-steps", "10"]
 
@@ -182,3 +185,179 @@ def test_compare_writes_both_solvers_results(tmp_path, capsys):
         sidecar = json.loads((tmp_path / f"{solver}.json").read_text(encoding="utf-8"))
         assert (sidecar["solver"], sidecar["n_agents"], sidecar["repetitions"]) == (solver, 40, 1)
     assert "mean success rate: gkbo=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--output", "r.json"], "results CSV r.json must not end in .json, its sidecar's suffix"),
+        (["--output", "missing/r.csv"], "output directory missing does not exist"),
+        (["--output", "results"], "results CSV results is a directory"),
+        (["--workers", "0"], "workers must be at least 1, got 0"),
+    ],
+    ids=["sidecar-name", "missing-dir", "dir", "workers"],
+)
+def test_bench_rejects_a_bad_output_or_pool_before_it_prints_or_runs(
+    flags, message, tmp_path, monkeypatch, capsys
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli_module, "run_experiment", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    assert main(["bench", "--output", "out.csv", *TINY_RUN, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--nu-f", "1"], ["--nu", "1"]], ids=["no-flag", "gkbo-flag", "pcbo-flag"]
+)
+@pytest.mark.parametrize("solver", ["nope", ["gkbo"]])
+def test_bench_reports_an_unknown_solver_under_any_flag(solver, flags, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"solver": solver}), encoding="utf-8")
+    argv = ["bench", "--config", str(path), "--output", str(tmp_path / "out.csv")]
+    assert main([*argv, *flags]) == 1
+    message = f"error: unknown solver {solver!r}; available: gkbo, pcbo\n"
+    assert capsys.readouterr().err == message
+
+
+def test_compare_sets_each_shared_setting_on_the_field_in_its_role(tmp_path, capsys):
+    argv = ["compare", "--dims", "1", "--repetitions", "1", "--n-agents", "20", "--workers", "1"]
+    shared = ["--nu", "1.5", "--sigma", "0.3", "--n-leaders", "3"]
+    assert main([*argv, *shared, "--output-dir", str(tmp_path)]) == 0
+    roles = {"gkbo": ("nu_f", "sigma_f", "n_leaders"), "pcbo": ("nu", "sigma", "n_clusters")}
+    for solver, names in roles.items():
+        sidecar = json.loads((tmp_path / f"{solver}.json").read_text(encoding="utf-8"))
+        assert [sidecar["solver_config"][name] for name in names] == [1.5, 0.3, 3]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_every_solver_field_but_the_seed_has_one_flag_and_every_solver_flag_a_field(command):
+    fields = {
+        field.name
+        for config_cls in (SolverConfig, PcboConfig)
+        for field in dataclasses.fields(config_cls)
+        if field.name != "seed"
+    }
+    subcommands = next(
+        action for action in cli_module._build_parser()._actions if action.dest == "command"
+    )
+    parser = subcommands.choices[command]
+    flags = {}
+    for action in parser._actions:
+        for option in action.option_strings:
+            flags.setdefault(action.dest, []).append(option)
+    for name in fields:
+        assert flags.get(name) == ["--" + name.replace("_", "-")], name
+    (group,) = [group for group in parser._action_groups if group.title == "solver options"]
+    assert sorted(action.dest for action in group._group_actions) == sorted(fields)
+
+
+RUN_STDOUT = {
+    "gkbo": """\
+{
+  "command": "run",
+  "objective": "rastrigin2",
+  "dim": 2,
+  "solver": "gkbo",
+  "n_agents": 30,
+  "threshold": 0.25,
+  "solver_config": {
+    "nu_f": 1.0,
+    "nu_l": 2.0,
+    "sigma_f": 2.5,
+    "eps": 0.1,
+    "alpha": 5000000.0,
+    "n_leaders": 12,
+    "n_steps": 10,
+    "delta_stall": 0.0001,
+    "j_stall": 1000,
+    "diffusion": "anisotropic",
+    "seed": 3,
+    "init_lo": -10.0,
+    "init_hi": 10.0
+  }
+}
+iterations: 10
+stalled: false
+evaluations: 330
+leader count: 16
+best value: -5.27536201277943
+consensus points (16 distinct):
+  [-8.287017, -5.263790]
+  [6.025489, 1.643241]
+  [-3.991477, -4.214716]
+  [4.756756, 9.125345]
+  [-8.041350, -2.933939]
+  [7.628722, 1.449245]
+  [-2.515123, -8.182946]
+  [3.210001, 8.629277]
+  [-4.208093, -2.170660]
+  [2.850785, 8.282391]
+  [-0.330970, -5.931291]
+  [6.597737, 3.153044]
+  [3.017907, 6.216591]
+  [7.332561, 1.083167]
+  [-1.106489, -7.215413]
+  [7.322734, -0.891013]
+detected minimizers: 0/2 (threshold 0.25)
+success: false
+""",
+    "pcbo": """\
+{
+  "command": "run",
+  "objective": "rastrigin2",
+  "dim": 2,
+  "solver": "pcbo",
+  "n_agents": 30,
+  "threshold": 0.25,
+  "solver_config": {
+    "nu": 1.0,
+    "sigma": 0.5,
+    "alpha": 5000000.0,
+    "n_clusters": 4,
+    "n_steps": 10,
+    "delta_stall": 0.0001,
+    "j_stall": 1000,
+    "diffusion": "anisotropic",
+    "seed": 3,
+    "init_lo": -10.0,
+    "init_hi": 10.0
+  }
+}
+iterations: 10
+stalled: false
+evaluations: 330
+leader count: 4
+best value: -8.126401808250108
+consensus points (4 distinct):
+  [-4.005789, -6.990147]
+  [-4.009584, -6.090110]
+  [-0.251125, -5.275765]
+  [-4.031213, -0.815326]
+detected minimizers: 0/2 (threshold 0.25)
+success: false
+""",
+}
+
+
+@pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
+def test_run_prints_exactly_the_pinned_text(solver, capsys):
+    assert main(["run", "--solver", solver, "--seed", "3", *TINY_RUN]) == 0
+    assert capsys.readouterr().out == RUN_STDOUT[solver]
+
+
+def test_bench_writes_exactly_the_pinned_csv(tmp_path, capsys):
+    output = tmp_path / "out.csv"
+    argv = ["bench", "--output", str(output), "--repetitions", "2", "--workers", "1"]
+    assert main([*argv, "--sweep", "dimension", "--sweep-values", "1,2", *TINY_RUN]) == 0
+    assert output.read_bytes() == (
+        b"sweep_value,success_rate,mean_iterations,mean_detected_minima,repetitions,base_seed\n"
+        b"1,0.5,10.0,1.5,2,0\n"
+        b"2,0.0,10.0,0.0,2,0\n"
+    )
