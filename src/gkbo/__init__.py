@@ -20,7 +20,6 @@ from .bench import (
 )
 from .ensemble import (
     Ensemble,
-    WeightVector,
     apply_label_transitions,
     compute_weights,
     deterministic_label_pass,
@@ -71,7 +70,6 @@ __all__ = [
     "SolverConfig",
     "StallTracker",
     "SweepResult",
-    "WeightVector",
     "apply_label_transitions",
     "assign_clusters",
     "check_stall",

@@ -55,6 +55,9 @@ _CSV_COLUMNS = {
     "mean_detected_minima": float,
     "repetitions": int,
     "base_seed": int,
+    "mean_consensus_points": float,
+    "mean_spurious_points": float,
+    "mean_leader_count": float,
 }
 CSV_HEADER = tuple(_CSV_COLUMNS)
 
@@ -214,21 +217,17 @@ class ExperimentConfig:
             kwargs["sweep_values"] = tuple(kwargs["sweep_values"])
         return cls(solver_config=config_cls(**raw), **kwargs)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON config: {exc}") from exc
-        return cls.from_dict(data)
-
 
 @dataclass(frozen=True)
 class SweepResult:
     """Aggregates for one sweep value, plus the per-run records behind them.
+
+    ``mean_consensus_points`` counts each run's distinct final consensus
+    points, ``mean_spurious_points`` those farther than ``SUCCESS_THRESHOLD``
+    (max norm) from every planted minimizer, so a point in a local minimum
+    is spurious, and ``mean_leader_count`` the leaders (pcbo: centres) at
+    the end: a run that covers the box with consensus points detects every
+    minimizer, and these show it.
 
     ``run_seconds`` holds each run's share of worker time. Runs step in
     batches of one or more replicas (see :func:`run_experiment`), so each
@@ -243,6 +242,9 @@ class SweepResult:
     mean_detected_minima: float
     repetitions: int
     base_seed: int
+    mean_consensus_points: float
+    mean_spurious_points: float
+    mean_leader_count: float
     seeds: tuple
     successes: tuple
     detected: tuple
@@ -270,6 +272,15 @@ def evaluate_success(
     list of minimizers is one point, or on a 1-d run one point per entry.
     """
     _require_non_negative(threshold=threshold)
+    return _scores(report, minimizers, float(threshold))[:2]
+
+
+def _scores(report: RunReport, minimizers, threshold: float) -> tuple[bool, int, int]:
+    """:func:`evaluate_success`'s ``(success, detected_count)`` and the spurious point count.
+
+    A consensus point is spurious when it lies farther than ``threshold``
+    from every minimizer in the max norm.
+    """
     points = np.asarray(report.final_consensus, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"final consensus must be a non-empty (m, d) array, got {points.shape}")
@@ -282,9 +293,10 @@ def evaluate_success(
             f"dimension mismatch: consensus is {points.shape[1]}-d, "
             f"minimizers are {mins.shape[1]}-d"
         )
-    gaps = np.abs(mins[:, np.newaxis, :] - points[np.newaxis, :, :]).max(axis=2).min(axis=1)
-    detected = gaps <= float(threshold)
-    return bool(detected.all()), int(detected.sum())
+    gaps = np.abs(mins[:, np.newaxis, :] - points[np.newaxis, :, :]).max(axis=2)
+    detected = gaps.min(axis=1) <= threshold
+    spurious = int(np.count_nonzero(gaps.min(axis=0) > threshold))
+    return bool(detected.all()), int(detected.sum()), spurious
 
 
 def _sweep_setup(cfg: ExperimentConfig, value) -> tuple[int, SolverConfig | PcboConfig]:
@@ -407,9 +419,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         chunk = outcomes[index * repetitions : (index + 1) * repetitions]
         reports = tuple(report for report, _ in chunk)
         seconds = tuple(elapsed for _, elapsed in chunk)
-        scored = [evaluate_success(report, minimizers[index]) for report in reports]
-        successes = tuple(success for success, _ in scored)
-        detected = tuple(count for _, count in scored)
+        scored = [_scores(report, minimizers[index], SUCCESS_THRESHOLD) for report in reports]
+        successes = tuple(success for success, _, _ in scored)
+        detected = tuple(count for _, count, _ in scored)
         iterations = tuple(report.iterations for report in reports)
         result = SweepResult(
             sweep_value=value,
@@ -418,6 +430,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
             mean_detected_minima=sum(detected) / repetitions,
             repetitions=repetitions,
             base_seed=base_seed,
+            mean_consensus_points=sum(len(r.final_consensus) for r in reports) / repetitions,
+            mean_spurious_points=sum(spurious for _, _, spurious in scored) / repetitions,
+            mean_leader_count=sum(report.leader_count for report in reports) / repetitions,
             seeds=tuple(seeds),
             successes=successes,
             detected=detected,

@@ -186,7 +186,7 @@ def _cmd_bench(args) -> int:
     cfg = _experiment(args, data, args.base_seed)
     workers = _worker_count(args.workers)
     _result_paths(args.output)
-    print(cfg.to_json())
+    print(json.dumps(cfg.to_dict(), indent=2))
     summary = run_experiment(cfg, workers=workers)
     path = write_results(summary, args.output)
     print(f"wrote {path} and {path.with_suffix('.json')}")

@@ -24,7 +24,6 @@ from .objectives import ObjectiveSpec
 
 __all__ = [
     "Ensemble",
-    "WeightVector",
     "init_uniform",
     "compute_weights",
     "apply_label_transitions",
@@ -81,18 +80,6 @@ class Ensemble:
         return np.flatnonzero(self.labels == 1)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Rank-based weights of a population at fixed positions.
-
-    ``omega[i]`` is the fraction of agents strictly closer in objective value
-    to the current best agent than agent ``i`` is, so the best agent always has
-    weight 0 and every weight is a multiple of ``1/n``.
-    """
-
-    omega: np.ndarray
-
-
 def init_uniform(n_agents: int, dim: int, lo: float, hi: float, rng: np.random.Generator) -> Ensemble:
     """Draw an all-follower population uniformly from the box ``[lo, hi]^dim``."""
     n_agents = _require_population(n_agents)
@@ -106,19 +93,19 @@ def compute_weights(
     ensemble: Ensemble,
     spec: ObjectiveSpec | None = None,
     energies: np.ndarray | None = None,
-) -> WeightVector:
-    """Rank-based weight of every agent.
+) -> np.ndarray:
+    """Rank-based weight of every agent, as an ``(n,)`` float64 array ``omega``.
 
     With ``E`` the objective values and ``b`` the best agent (lowest value,
     ties broken by lowest index), agent ``i`` gets
 
-        omega[i] = #{j : |E[b] - E[j]| < |E[b] - E[i]|} / n.
+        omega[i] = #{j : |E[b] - E[j]| < |E[b] - E[i]|} / n,
 
-    Pass precomputed ``energies`` to skip re-evaluating the objective.
+    so the best agent always has weight 0 and every weight is a multiple of
+    ``1/n``. Pass precomputed ``energies`` to skip re-evaluating the objective.
     """
     energies = _energies_of(ensemble.positions, spec, energies, "compute_weights")
-    omega = _cluster_ranks(energies, np.zeros(ensemble.n_agents, dtype=np.intp), 1)
-    return WeightVector(omega=omega)
+    return _cluster_ranks(energies, np.zeros(ensemble.n_agents, dtype=np.intp), 1)
 
 
 def _block_starts(sorted_slots: np.ndarray) -> np.ndarray:
@@ -170,7 +157,7 @@ def _cluster_ranks(energies: np.ndarray, slots: np.ndarray, n_clusters: int) -> 
 
 def apply_label_transitions(
     ensemble: Ensemble,
-    weights: WeightVector,
+    omega: np.ndarray,
     omega_bar: float,
     eps: float,
     rng: np.random.Generator,
@@ -185,7 +172,7 @@ def apply_label_transitions(
     order.
     """
     _require_unit(eps=eps)
-    omega = _omega_of(weights, ensemble.n_agents, omega_bar)
+    omega = _omega_of(omega, ensemble.n_agents, omega_bar, "apply_label_transitions")
     fire = rng.random(ensemble.n_agents) < float(eps)
     labels = _relabel(ensemble.labels, omega, float(omega_bar), fire)
     return Ensemble._unchecked(ensemble.positions, labels)
@@ -193,7 +180,7 @@ def apply_label_transitions(
 
 def deterministic_label_pass(
     ensemble: Ensemble,
-    weights: WeightVector,
+    omega: np.ndarray,
     omega_bar: float,
 ) -> Ensemble:
     """Leadership transitions with every eligible transition taken.
@@ -204,7 +191,7 @@ def deterministic_label_pass(
     empties: applied to an all-follower population it promotes exactly the
     agents with weight below ``omega_bar``.
     """
-    omega = _omega_of(weights, ensemble.n_agents, omega_bar)
+    omega = _omega_of(omega, ensemble.n_agents, omega_bar, "deterministic_label_pass")
     labels = _relabel(ensemble.labels, omega, float(omega_bar))
     return Ensemble._unchecked(ensemble.positions, labels)
 

@@ -119,13 +119,33 @@ def _energies_of(positions: np.ndarray, spec, energies, phase: str) -> np.ndarra
     return energies
 
 
-def _omega_of(weights, n_agents: int, omega_bar) -> np.ndarray:
+def _omega_of(omega, n_agents: int, omega_bar, phase: str) -> np.ndarray:
     """The rank weights of a transition round as float64, checked with their threshold."""
     _require_unit(omega_bar=omega_bar)
-    omega = np.asarray(weights.omega, dtype=np.float64)
+    omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (n_agents,):
-        raise ValueError("weight vector does not match the population size")
+        raise ValueError(f"{phase}: omega must have shape ({n_agents},), got {omega.shape}")
     return omega
+
+
+def _check_clusters(clusters, phase: str, shape: tuple, estimates: bool = False) -> None:
+    """Raise ValueError naming ``phase`` unless the cluster state fits a population of ``shape``.
+
+    ``shape`` is the population's ``(n, d)``: ``cluster_of`` must hold n
+    slots in ``[0, n_clusters)``, ``leader_of`` n agent indices and
+    ``agent_estimate``, required when ``estimates`` is set, n points.
+    """
+    n_agents = shape[0]
+    for field, bound in (("cluster_of", clusters.n_clusters), ("leader_of", n_agents)):
+        value = np.asarray(getattr(clusters, field))
+        fits = value.shape == (n_agents,) and value.dtype.kind in "iu"
+        if not (fits and value.min() >= 0 and value.max() < bound):
+            raise ValueError(f"{phase}: {field} must hold {n_agents} integers in [0, {bound})")
+    estimate = clusters.agent_estimate
+    if estimate is None and estimates:
+        raise ValueError(f"{phase}: no consensus estimates; run cluster_consensus first")
+    if estimate is not None and np.shape(estimate) != shape:
+        raise ValueError(f"{phase}: agent_estimate must have shape {shape}")
 
 
 def _check_energies(energies: np.ndarray, phase: str, step: int | None = None) -> None:

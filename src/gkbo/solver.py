@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import Ensemble, WeightVector, _cluster_ranks, _relabel
+from .ensemble import Ensemble, _cluster_ranks, _relabel
 from .errors import (
     EmptyLeaderSetError,
     NumericError,
+    _check_clusters,
     _check_energies,
     _check_positions,
     _energies_of,
@@ -435,6 +436,7 @@ def cluster_consensus(
     """
     _require_positive(alpha=alpha)
     energies = _energies_of(ensemble.positions, spec, energies, "cluster_consensus")
+    _check_clusters(clusters, "cluster_consensus", ensemble.positions.shape)
     slots = clusters.cluster_of
     consensus = _consensus(ensemble.positions, energies, slots, clusters.n_clusters, float(alpha))
     return replace(clusters, consensus=consensus, agent_estimate=consensus[slots])
@@ -445,13 +447,13 @@ def cluster_weights(
     clusters: ClusterState,
     spec: ObjectiveSpec | None = None,
     energies: np.ndarray | None = None,
-) -> WeightVector:
+) -> np.ndarray:
     """Rank every agent against its own cluster instead of the population.
 
-    Within each cluster the weight of an agent is the fraction of cluster
-    members whose value lies strictly closer to the cluster's best value, so
-    the cluster's best agent always gets weight zero and exact ties share a
-    rank.
+    Returns the ``(n,)`` float64 weights ``omega``. Within each cluster the
+    weight of an agent is the fraction of cluster members whose value lies
+    strictly closer to the cluster's best value, so the cluster's best agent
+    always gets weight zero and exact ties share a rank.
 
     This is the standing used for label transitions inside :func:`run_gkbo`:
     comparing agents only to their own cluster keeps leader turnover local, so
@@ -459,10 +461,8 @@ def cluster_weights(
     :func:`gkbo.ensemble.compute_weights` is the population-wide counterpart.
     """
     energies = _energies_of(ensemble.positions, spec, energies, "cluster_weights")
-    if clusters.cluster_of.shape != (ensemble.n_agents,):
-        raise ValueError("cluster state does not match the population")
-    omega = _cluster_ranks(energies, clusters.cluster_of, clusters.n_clusters)
-    return WeightVector(omega=omega)
+    _check_clusters(clusters, "cluster_weights", ensemble.positions.shape)
+    return _cluster_ranks(energies, clusters.cluster_of, clusters.n_clusters)
 
 
 def _diffusion_scale(delta: np.ndarray, mode: DiffusionMode) -> np.ndarray:
@@ -552,9 +552,8 @@ def interaction_step(
     NumericError naming the phase, the first offending agent and the step
     (when given) if any new position is non-finite.
     """
-    if clusters.agent_estimate is None:
-        raise ValueError("cluster state lacks consensus estimates; run cluster_consensus first")
     positions = ensemble.positions
+    _check_clusters(clusters, "interaction_step", positions.shape, estimates=True)
     followers = ensemble.labels == 0
     noise = _follower_noise(followers, positions.shape[1], [rng], [np.count_nonzero(followers)])
     new_positions = _interact(
@@ -590,11 +589,8 @@ def check_stall(
     zero otherwise, so it counts consecutive quiet steps. Returns the new
     tracker and the population-wide stall indicator: the minimum counter.
     """
-    if clusters.agent_estimate is None:
-        raise ValueError("cluster state lacks consensus estimates; run cluster_consensus first")
     _require_non_negative(delta_stall=delta_stall)
-    if tracker.estimates.shape != clusters.agent_estimate.shape:
-        raise ValueError("stall tracker does not match the population")
+    _check_clusters(clusters, "check_stall", tracker.estimates.shape, estimates=True)
     tracker = _update_stall(tracker, clusters.agent_estimate.copy(), float(delta_stall))
     return tracker, int(tracker.counters.min())
 

@@ -105,6 +105,15 @@ def test_bench_config_of_the_wrong_type_exits_1(config, message, tmp_path, capsy
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_bench_config_that_is_not_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("{", encoding="utf-8")
+    assert main(["bench", "--config", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: invalid JSON in config file {path}" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -352,12 +361,47 @@ def test_run_prints_exactly_the_pinned_text(solver, capsys):
     assert capsys.readouterr().out == RUN_STDOUT[solver]
 
 
+BENCH_CONFIG_STDOUT = """\
+{
+  "objective": "rastrigin2",
+  "dim": 2,
+  "solver": "gkbo",
+  "n_agents": 30,
+  "repetitions": 2,
+  "sweep": "dimension",
+  "sweep_values": [
+    1,
+    2
+  ],
+  "base_seed": 0,
+  "solver_config": {
+    "nu_f": 1.0,
+    "nu_l": 2.0,
+    "sigma_f": 2.5,
+    "eps": 0.1,
+    "alpha": 5000000.0,
+    "n_leaders": 12,
+    "n_steps": 10,
+    "delta_stall": 0.0001,
+    "j_stall": 1000,
+    "diffusion": "anisotropic",
+    "seed": 0,
+    "init_lo": -10.0,
+    "init_hi": 10.0
+  }
+}
+"""
+
+
 def test_bench_writes_exactly_the_pinned_csv(tmp_path, capsys):
     output = tmp_path / "out.csv"
     argv = ["bench", "--output", str(output), "--repetitions", "2", "--workers", "1"]
     assert main([*argv, "--sweep", "dimension", "--sweep-values", "1,2", *TINY_RUN]) == 0
+    wrote = f"wrote {output} and {output.with_suffix('.json')}\n"
+    assert capsys.readouterr().out == BENCH_CONFIG_STDOUT + wrote
     assert output.read_bytes() == (
-        b"sweep_value,success_rate,mean_iterations,mean_detected_minima,repetitions,base_seed\n"
-        b"1,0.5,10.0,1.5,2,0\n"
-        b"2,0.0,10.0,0.0,2,0\n"
+        b"sweep_value,success_rate,mean_iterations,mean_detected_minima,repetitions,base_seed,"
+        b"mean_consensus_points,mean_spurious_points,mean_leader_count\n"
+        b"1,0.5,10.0,1.5,2,0,18.0,15.0,18.0\n"
+        b"2,0.0,10.0,0.0,2,0,17.0,17.0,17.0\n"
     )

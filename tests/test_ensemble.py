@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gkbo.ensemble import (
     Ensemble,
-    WeightVector,
     apply_label_transitions,
     compute_weights,
     deterministic_label_pass,
@@ -15,7 +14,7 @@ from gkbo.ensemble import (
 )
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
-from gkbo.solver import ClusterState, cluster_weights
+from gkbo.solver import ClusterState, assign_clusters, cluster_weights
 
 
 def make_ensemble(positions, labels=None):
@@ -105,19 +104,19 @@ def test_leader_indices_ascending():
 def test_weights_frozen_example():
     ens = make_ensemble(np.zeros((3, 1)))
     w = compute_weights(ens, energies=np.array([3.0, 1.0, 2.0]))
-    assert np.array_equal(w.omega, np.array([2 / 3, 0.0, 1 / 3]))
+    assert np.array_equal(w, np.array([2 / 3, 0.0, 1 / 3]))
 
 
 def test_weights_all_equal_energies():
     ens = make_ensemble(np.zeros((4, 1)))
     w = compute_weights(ens, energies=np.full(4, 7.5))
-    assert np.array_equal(w.omega, np.zeros(4))
+    assert np.array_equal(w, np.zeros(4))
 
 
 def test_weights_tied_best_agents_share_weight_zero():
     ens = make_ensemble(np.zeros((3, 1)))
     w = compute_weights(ens, energies=np.array([2.0, 1.0, 1.0]))
-    assert np.array_equal(w.omega, np.array([2 / 3, 0.0, 0.0]))
+    assert np.array_equal(w, np.array([2 / 3, 0.0, 0.0]))
 
 
 def test_weights_from_objective():
@@ -126,7 +125,7 @@ def test_weights_from_objective():
     ens = init_uniform(30, 2, -10, 10, rng)
     w = compute_weights(ens, spec)
     expected, best = brute_force_weights(spec.evaluate_batch(ens.positions))
-    assert np.array_equal(w.omega, expected)
+    assert np.array_equal(w, expected)
 
 
 def test_weights_require_spec_or_energies():
@@ -157,12 +156,12 @@ def test_weights_match_brute_force(energies):
     ens = make_ensemble(np.zeros((energies.size, 1)))
     w = compute_weights(ens, energies=energies)
     expected, best = brute_force_weights(energies)
-    assert np.array_equal(w.omega, expected)
-    assert w.omega[best] == 0.0
+    assert np.array_equal(w, expected)
+    assert w[best] == 0.0
     # every weight is m/n for an integer m < n
-    scaled = w.omega * energies.size
+    scaled = w * energies.size
     assert np.array_equal(scaled, np.round(scaled))
-    assert (w.omega < 1.0).all()
+    assert (w < 1.0).all()
 
 
 @given(energies=st.lists(EXTREME_ENERGIES, min_size=1, max_size=30))
@@ -172,7 +171,7 @@ def test_weights_match_sorted_gap_counts(energies):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = compute_weights(make_ensemble(np.zeros((energies.size, 1))), energies=energies)
-    assert np.array_equal(w.omega, sorted_gap_weights(energies))
+    assert np.array_equal(w, sorted_gap_weights(energies))
 
 
 def test_weights_of_an_overflowing_gap_without_warnings():
@@ -188,8 +187,8 @@ def test_weights_of_an_overflowing_gap_without_warnings():
         warnings.simplefilter("error")
         population = compute_weights(ens, energies=energies)
         clustered = cluster_weights(ens, one_cluster, energies=energies)
-    assert population.omega.tolist() == [2 / 3, 0.0, 1 / 3]
-    assert clustered.omega.tolist() == [2 / 3, 0.0, 1 / 3]
+    assert population.tolist() == [2 / 3, 0.0, 1 / 3]
+    assert clustered.tolist() == [2 / 3, 0.0, 1 / 3]
 
 
 @given(
@@ -209,7 +208,7 @@ def test_weights_invariant_under_increasing_transform(energies, scale, offset):
     ens = make_ensemble(np.zeros((energies.size, 1)))
     w_raw = compute_weights(ens, energies=energies)
     w_affine = compute_weights(ens, energies=energies * scale + offset)
-    assert np.array_equal(w_raw.omega, w_affine.omega)
+    assert np.array_equal(w_raw, w_affine)
 
 
 # --------------------------------------------------------------- transitions
@@ -217,14 +216,14 @@ def test_weights_invariant_under_increasing_transform(energies, scale, offset):
 
 def test_transition_promotes_eligible_follower_with_certainty():
     ens = make_ensemble(np.zeros((2, 1)), labels=[0, 0])
-    w = WeightVector(omega=np.array([0.0, 0.5]))
+    w = np.array([0.0, 0.5])
     out = apply_label_transitions(ens, w, omega_bar=0.25, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [1, 0]
 
 
 def test_transition_demotes_eligible_leader_with_certainty():
     ens = make_ensemble(np.zeros((2, 1)), labels=[1, 1])
-    w = WeightVector(omega=np.array([0.5, 0.0]))
+    w = np.array([0.5, 0.0])
     out = apply_label_transitions(ens, w, omega_bar=0.25, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [0, 1]
 
@@ -232,7 +231,7 @@ def test_transition_demotes_eligible_leader_with_certainty():
 def test_transition_boundary_weight_keeps_label():
     # equality with the threshold is a no-op in both directions
     ens = make_ensemble(np.zeros((2, 1)), labels=[0, 1])
-    w = WeightVector(omega=np.array([0.25, 0.25]))
+    w = np.array([0.25, 0.25])
     out = apply_label_transitions(ens, w, omega_bar=0.25, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [0, 1]
 
@@ -241,7 +240,7 @@ def test_transition_leaves_positions_untouched():
     rng = np.random.default_rng(8)
     positions = rng.normal(size=(6, 2))
     ens = make_ensemble(positions, labels=[0, 1, 0, 1, 0, 1])
-    w = WeightVector(omega=np.linspace(0, 0.8, 6))
+    w = np.linspace(0, 0.8, 6)
     out = apply_label_transitions(ens, w, omega_bar=0.3, eps=1.0, rng=rng)
     assert np.array_equal(out.positions, positions)
     assert out.n_agents == 6
@@ -251,7 +250,7 @@ def test_transition_empirical_rate():
     """A flip-eligible agent flips at the configured probability."""
     rng = np.random.default_rng(42)
     ens = make_ensemble(np.zeros((1, 1)), labels=[0])
-    w = WeightVector(omega=np.array([0.0]))
+    w = np.array([0.0])
     flips = 0
     trials = 10**5
     for _ in range(trials):
@@ -263,7 +262,7 @@ def test_transition_empirical_rate():
 def test_transition_synchronous_pre_step_labels():
     # a promotion and a demotion in one round never chain through each other
     ens = make_ensemble(np.zeros((2, 1)), labels=[1, 0])
-    w = WeightVector(omega=np.array([0.9, 0.0]))
+    w = np.array([0.9, 0.0])
     out = apply_label_transitions(ens, w, omega_bar=0.5, eps=1.0, rng=np.random.default_rng(0))
     assert out.labels.tolist() == [0, 1]
 
@@ -284,14 +283,14 @@ def test_transition_eps_one_selects_best_ranked_set():
 
 def test_transition_validates_inputs():
     ens = make_ensemble(np.zeros((2, 1)))
-    w = WeightVector(omega=np.zeros(2))
+    w = np.zeros(2)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         apply_label_transitions(ens, w, omega_bar=0.5, eps=0.0, rng=rng)
     with pytest.raises(ValueError):
         apply_label_transitions(ens, w, omega_bar=1.5, eps=0.5, rng=rng)
     with pytest.raises(ValueError):
-        apply_label_transitions(ens, WeightVector(omega=np.zeros(3)), 0.5, 0.5, rng)
+        apply_label_transitions(ens, np.zeros(3), 0.5, 0.5, rng)
 
 
 def test_deterministic_pass_matches_certainty_transitions():
@@ -307,6 +306,41 @@ def test_deterministic_pass_matches_certainty_transitions():
 
 def test_deterministic_pass_consumes_no_randomness():
     ens = make_ensemble(np.zeros((4, 1)))
-    w = WeightVector(omega=np.array([0.0, 0.5, 0.5, 0.5]))
+    w = np.array([0.0, 0.5, 0.5, 0.5])
     out = deterministic_label_pass(ens, w, omega_bar=0.25)
     assert out.labels.tolist() == [1, 0, 0, 0]
+
+
+def test_plain_weight_arrays_drive_the_transitions():
+    rng = np.random.default_rng(31)
+    positions = rng.uniform(-5, 5, size=(12, 2))
+    energies = np.round(rng.normal(size=12), 1)
+    ens = make_ensemble(positions, labels=[1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0])
+    omega = compute_weights(ens, energies=energies)
+    assert type(omega) is np.ndarray and omega.dtype == np.float64 and omega.shape == (12,)
+    det = deterministic_label_pass(ens, omega, omega_bar=0.25)
+    assert det.labels.tolist() == [0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0]
+    local = cluster_weights(ens, assign_clusters(ens), energies=energies)
+    assert type(local) is np.ndarray and local.dtype == np.float64 and local.shape == (12,)
+    sto = apply_label_transitions(ens, local, 0.25, 0.5, np.random.default_rng(5))
+    assert sto.labels.tolist() == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "omega", [np.zeros(3), np.zeros((2, 1)), np.zeros((1, 2))], ids=["long", "column", "row"]
+)
+@pytest.mark.parametrize(
+    "phase, call",
+    [
+        (
+            "apply_label_transitions",
+            lambda ens, w: apply_label_transitions(ens, w, 0.5, 0.5, np.random.default_rng(0)),
+        ),
+        ("deterministic_label_pass", lambda ens, w: deterministic_label_pass(ens, w, 0.5)),
+    ],
+    ids=["apply_label_transitions", "deterministic_label_pass"],
+)
+def test_weights_of_another_shape_are_rejected(phase, call, omega):
+    ens = make_ensemble(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=rf"^{phase}: omega must have shape \(2,\)"):
+        call(ens, omega)

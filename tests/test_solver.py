@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gkbo.ensemble import Ensemble, _slot_order, compute_weights
 from gkbo.errors import EmptyLeaderSetError, NumericError
 from gkbo.objectives import Kind, ObjectiveSpec, _Workspace, evaluate_base, preset
-from gkbo.pcbo import PcboConfig, run_pcbo
+from gkbo.pcbo import PcboConfig, pcbo_assign, run_pcbo
 from gkbo import solver
 from gkbo.solver import (
     ClusterState,
@@ -487,7 +487,7 @@ def test_cluster_weights_matches_per_cluster_brute_force():
         ens = Ensemble(positions=positions, labels=labels)
         clusters = assign_clusters(ens)
         energies = np.round(rng.normal(size=n), 1)  # coarse grid forces ties
-        got = cluster_weights(ens, clusters, energies=energies).omega
+        got = cluster_weights(ens, clusters, energies=energies)
         want = np.empty(n)
         for k in range(clusters.n_clusters):
             members = np.flatnonzero(clusters.cluster_of == k)
@@ -508,7 +508,7 @@ def test_cluster_weights_single_cluster_matches_global():
     energies = rng.normal(size=15)
     local = cluster_weights(ens, clusters, energies=energies)
     glob = compute_weights(ens, energies=energies)
-    assert np.array_equal(local.omega, glob.omega)
+    assert np.array_equal(local, glob)
 
 
 def test_cluster_weights_best_of_each_cluster_is_zero():
@@ -516,10 +516,10 @@ def test_cluster_weights_best_of_each_cluster_is_zero():
     clusters = assign_clusters(ens)
     w = cluster_weights(ens, clusters, energies=np.array([3.0, 7.0, 5.0, 2.0]))
     # cluster 0: agents 0, 2 -> best 0; cluster 1: agents 1, 3 -> best 3
-    assert w.omega[0] == 0.0
-    assert w.omega[3] == 0.0
-    assert w.omega[2] == 0.5
-    assert w.omega[1] == 0.5
+    assert w[0] == 0.0
+    assert w[3] == 0.0
+    assert w[2] == 0.5
+    assert w[1] == 0.5
 
 
 def test_cluster_weights_validates():
@@ -724,6 +724,65 @@ def test_stall_requires_consensus():
     )
     with pytest.raises(ValueError):
         check_stall(tracker, clusters, 1e-4)
+
+
+# ------------------------------------------------------- cluster-state checks
+
+
+def consensus_state():
+    """Two clusters of two agents on a line, with their consensus estimates."""
+    ens = make_ensemble([[0.0], [1.0], [5.0], [6.0]], labels=[1, 0, 1, 0])
+    clusters = assign_clusters(ens)
+    return ens, cluster_consensus(ens, None, clusters, alpha=1.0, energies=np.arange(4.0))
+
+
+CLUSTER_DEFECTS = {
+    "slot-out-of-range": lambda c: dataclasses.replace(c, cluster_of=np.array([0, 0, 1, 2])),
+    "negative-slot": lambda c: dataclasses.replace(c, cluster_of=np.array([0, -1, 1, 1])),
+    "short-cluster_of": lambda c: dataclasses.replace(c, cluster_of=c.cluster_of[:3]),
+    "leader_of-out-of-range": lambda c: dataclasses.replace(c, leader_of=np.array([0, 0, 2, 4])),
+    "short-agent_estimate": lambda c: dataclasses.replace(c, agent_estimate=c.agent_estimate[:3]),
+}
+
+CLUSTER_PHASES = {
+    "cluster_consensus": lambda ens, c: cluster_consensus(
+        ens, None, c, alpha=1.0, energies=np.arange(4.0)
+    ),
+    "cluster_weights": lambda ens, c: cluster_weights(ens, c, energies=np.arange(4.0)),
+    "interaction_step": lambda ens, c: interaction_step(
+        ens, c, SolverConfig(), np.random.default_rng(0)
+    ),
+    "check_stall": lambda ens, c: check_stall(
+        StallTracker(np.zeros(4, dtype=np.int64), np.zeros((4, 1))), c, 1e-4
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", CLUSTER_DEFECTS)
+@pytest.mark.parametrize("phase", CLUSTER_PHASES)
+def test_a_malformed_cluster_state_is_a_value_error_naming_the_phase(phase, defect):
+    ens, clusters = consensus_state()
+    CLUSTER_PHASES[phase](ens, clusters)  # the well-formed state passes
+    with pytest.raises(ValueError, match=f"^{phase}: "):
+        CLUSTER_PHASES[phase](ens, CLUSTER_DEFECTS[defect](clusters))
+
+
+def test_check_stall_accepts_the_clustered_baselines_state():
+    # perfbench's replay of run_pcbo hands check_stall this state: the centres
+    # stand in for leaders, so leader_of holds centre slots, not agent indices
+    rng = np.random.default_rng(3)
+    positions = rng.uniform(-3.0, 3.0, size=(40, 2))
+    centres = rng.uniform(-3.0, 3.0, size=(4, 2))
+    assignment = pcbo_assign(positions, centres)
+    own_centre = ClusterState(
+        leaders=np.arange(4),
+        leader_of=assignment,
+        cluster_of=assignment,
+        agent_estimate=centres[assignment],
+    )
+    tracker = StallTracker(np.zeros(40, dtype=np.int64), centres[assignment].copy())
+    tracker, stall = check_stall(tracker, own_centre, 1e-4)
+    assert stall == 1
 
 
 # ----------------------------------------------------------------- full runs
