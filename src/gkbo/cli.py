@@ -281,7 +281,10 @@ def _build_parser() -> _Parser:
     bench.add_argument("--sweep", choices=_SWEEPS)
     bench.add_argument("--sweep-values", help="comma-separated sweep values")
     bench.add_argument(
-        "--base-seed", type=int, help="seed of repetition 0; repetition r adds r"
+        "--base-seed",
+        type=int,
+        help="seed of repetition 0; repetition r adds r. Overrides the config file's "
+        "base_seed, which overrides the GKBO_SEED environment variable",
     )
     _add_solver_flags(bench)
     bench.set_defaults(func=_cmd_bench)
@@ -303,7 +306,12 @@ def _build_parser() -> _Parser:
     compare.add_argument(
         "--n-leaders", type=int, default=4, help="leader count and cluster count"
     )
-    compare.add_argument("--base-seed", type=int)
+    compare.add_argument(
+        "--base-seed",
+        type=int,
+        help="seed of repetition 0; repetition r adds r. Overrides the GKBO_SEED "
+        "environment variable",
+    )
     compare.add_argument("--workers", type=int)
     compare.add_argument("--output-dir", default="compare_results")
     compare.set_defaults(func=_cmd_compare)

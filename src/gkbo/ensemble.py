@@ -40,7 +40,7 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if positions.ndim != 2 or positions.shape[0] < 1:
             raise ValueError(
                 f"positions must have shape (n, d) with n >= 1, got {positions.shape}"
@@ -50,10 +50,11 @@ class Ensemble:
                 f"labels must have shape ({positions.shape[0]},), got {labels.shape}"
             )
         _require_finite("positions", positions)
+        # the values are checked before the cast, which would truncate 0.7 to 0
         if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be 0 (follower) or 1 (leader)")
         self.positions = positions
-        self.labels = labels
+        self.labels = labels.astype(np.int64, copy=False)
 
     @classmethod
     def _unchecked(cls, positions: np.ndarray, labels: np.ndarray) -> "Ensemble":
@@ -66,10 +67,6 @@ class Ensemble:
     @property
     def n_agents(self) -> int:
         return int(self.positions.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.positions.shape[1])
 
     @property
     def leader_count(self) -> int:
@@ -186,10 +183,11 @@ def deterministic_label_pass(
     """Leadership transitions with every eligible transition taken.
 
     Same eligibility rules as :func:`apply_label_transitions` but with
-    certainty instead of probability ``eps``, and no randomness consumed. Used
-    to seed leadership at startup and to recover if the leader set ever
-    empties: applied to an all-follower population it promotes exactly the
-    agents with weight below ``omega_bar``.
+    certainty instead of probability ``eps``, and no randomness consumed.
+    Applied to an all-follower population it promotes exactly the agents with
+    weight below ``omega_bar``. The solver loops apply the same rule on their
+    stacked labels through :func:`_relabel`, not through this function, to
+    seed leadership at startup and to recover a leaderless replica.
     """
     omega = _omega_of(omega, ensemble.n_agents, omega_bar, "deterministic_label_pass")
     labels = _relabel(ensemble.labels, omega, float(omega_bar))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["EmptyLeaderSetError", "NumericError"]
+
 
 class NumericError(RuntimeError):
     """A numeric quantity (objective value or position) became non-finite."""
@@ -128,6 +130,15 @@ def _omega_of(omega, n_agents: int, omega_bar, phase: str) -> np.ndarray:
     return omega
 
 
+def _indices(value, name: str, n: int, bound: int, phase: str) -> np.ndarray:
+    """``value`` as an array; ValueError naming ``phase`` unless it holds n integers in [0, bound)."""
+    value = np.asarray(value)
+    fits = value.shape == (n,) and value.dtype.kind in "iu"
+    if not (fits and (n == 0 or (value.min() >= 0 and value.max() < bound))):
+        raise ValueError(f"{phase}: {name} must hold {n} integers in [0, {bound})")
+    return value
+
+
 def _check_clusters(clusters, phase: str, shape: tuple, estimates: bool = False) -> None:
     """Raise ValueError naming ``phase`` unless the cluster state fits a population of ``shape``.
 
@@ -137,10 +148,7 @@ def _check_clusters(clusters, phase: str, shape: tuple, estimates: bool = False)
     """
     n_agents = shape[0]
     for field, bound in (("cluster_of", clusters.n_clusters), ("leader_of", n_agents)):
-        value = np.asarray(getattr(clusters, field))
-        fits = value.shape == (n_agents,) and value.dtype.kind in "iu"
-        if not (fits and value.min() >= 0 and value.max() < bound):
-            raise ValueError(f"{phase}: {field} must hold {n_agents} integers in [0, {bound})")
+        _indices(getattr(clusters, field), field, n_agents, bound, phase)
     estimate = clusters.agent_estimate
     if estimate is None and estimates:
         raise ValueError(f"{phase}: no consensus estimates; run cluster_consensus first")

@@ -21,8 +21,7 @@ __all__ = [
     "Kind",
     "ObjectiveSpec",
     "BASE_MINIMUM",
-    "PRESET_SHIFTS",
-    "evaluate_base",
+    "PRESET_NAMES",
     "preset",
 ]
 
@@ -315,29 +314,6 @@ PRESET_SHIFTS: dict[str, tuple[Kind, tuple[float, ...]]] = {
 }
 
 PRESET_NAMES = tuple(sorted(PRESET_SHIFTS))
-
-
-def evaluate_base(kind: Kind | str, x) -> float:
-    """Evaluate a uni-modal base function at a single point.
-
-    Parameters
-    ----------
-    kind : Kind or str
-        Base family, ``Kind.RASTRIGIN`` / ``"rastrigin"`` or the Ackley
-        equivalents.
-    x : array_like
-        Point with at least one coordinate.
-    """
-    point = np.asarray(x, dtype=np.float64)
-    if point.ndim != 1 or point.size < 1:
-        raise ValueError(
-            f"expected a 1-d point with at least one coordinate, got shape {point.shape}"
-        )
-    _require_finite("point", point)
-    # the offset from a zero shift is the point itself, bit for bit
-    return float(
-        _min_base(Kind(kind), point[np.newaxis], np.zeros((1, point.size)), _Workspace())[0]
-    )
 
 
 @dataclass(frozen=True, eq=False)

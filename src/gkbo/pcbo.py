@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     _check_positions,
     _energies_of,
+    _indices,
     _integer,
     _require_finite,
     _require_non_negative,
@@ -136,14 +137,19 @@ def pcbo_step(
     ``centres``). Every particle then moves by ``nu`` times its gap to its
     cluster's new centre plus ``sigma * D(x) xi`` with a fresh standard normal
     draw per particle in particle order. Returns the new positions and the new
-    centres. Raises NumericError naming the first offending particle if an
-    energy or a new position is non-finite.
+    centres. ``assignment`` must hold one centre index in [0, k) per particle
+    and ``centres`` k finite points. Raises NumericError naming the first
+    offending particle if an energy or a new position is non-finite.
     """
     positions = np.asarray(positions, dtype=np.float64)
     energies = _energies_of(positions, spec, energies, "pcbo_step")
-    new_centres = _consensus(
-        positions, energies, assignment, centres.shape[0], float(cfg.alpha), centres
-    )
+    centres = np.asarray(centres, dtype=np.float64)
+    dim = positions.shape[-1]
+    if centres.ndim != 2 or centres.shape[1] != dim or not np.isfinite(centres).all():
+        raise ValueError(f"pcbo_step: centres must be finite, of shape (k, {dim})")
+    n_clusters = centres.shape[0]
+    assignment = _indices(assignment, "assignment", positions.shape[0], n_clusters, "pcbo_step")
+    new_centres = _consensus(positions, energies, assignment, n_clusters, float(cfg.alpha), centres)
     noise = rng.standard_normal(positions.shape)
     new_positions = _move(positions, new_centres[assignment], cfg, noise)
     _check_positions(new_positions, "pcbo_step")

@@ -588,9 +588,16 @@ def check_stall(
     ``delta_stall`` in the max norm since the previous check and resets to
     zero otherwise, so it counts consecutive quiet steps. Returns the new
     tracker and the population-wide stall indicator: the minimum counter.
+    The tracker must hold ``(n, d)`` estimates and n integer counters.
     """
     _require_non_negative(delta_stall=delta_stall)
-    _check_clusters(clusters, "check_stall", tracker.estimates.shape, estimates=True)
+    shape = np.shape(tracker.estimates)
+    if len(shape) != 2:
+        raise ValueError(f"check_stall: estimates must have shape (n, d), got {shape}")
+    counters = np.asarray(tracker.counters)
+    if counters.shape != shape[:1] or counters.dtype.kind not in "iu":
+        raise ValueError(f"check_stall: counters must hold {shape[0]} integers, one per agent")
+    _check_clusters(clusters, "check_stall", shape, estimates=True)
     tracker = _update_stall(tracker, clusters.agent_estimate.copy(), float(delta_stall))
     return tracker, int(tracker.counters.min())
 

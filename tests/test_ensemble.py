@@ -66,7 +66,7 @@ def test_init_uniform_bounds_and_labels():
 def test_init_uniform_single_follower():
     ens = init_uniform(1, 1, -1.0, 1.0, np.random.default_rng(1))
     assert ens.n_agents == 1
-    assert ens.dim == 1
+    assert ens.positions.shape == (1, 1)
     assert ens.labels[0] == 0
 
 
@@ -90,6 +90,18 @@ def test_ensemble_validation():
         Ensemble(positions=np.array([[np.inf, 0.0]]), labels=np.array([0]))
     with pytest.raises(ValueError):
         Ensemble(positions=np.zeros((3, 1)), labels=np.zeros(2, dtype=int))
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.2, 0], [0, 1, 0.5], [0, 1, np.nan]])
+def test_fractional_labels_are_rejected_not_truncated(labels):
+    with pytest.raises(ValueError, match="labels must be 0"):
+        Ensemble(positions=np.zeros((3, 1)), labels=labels)
+
+
+def test_float_and_bool_labels_of_zero_and_one_become_int64():
+    for labels in ([1.0, 0.0, 1.0], [True, False, True]):
+        ens = Ensemble(positions=np.zeros((3, 1)), labels=labels)
+        assert ens.labels.dtype == np.int64 and ens.labels.tolist() == [1, 0, 1]
 
 
 def test_leader_indices_ascending():

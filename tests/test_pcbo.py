@@ -200,6 +200,27 @@ def test_step_overflow_raises():
         )
 
 
+STEP_DEFECTS = {
+    "index-past-the-centres": ([0, 0, 5, 0], np.zeros((2, 1)), "assignment"),
+    "negative-index": ([0, 0, -1, 0], np.zeros((2, 1)), "assignment"),
+    "short-assignment": ([0, 0, 1], np.zeros((2, 1)), "assignment"),
+    "fractional-assignment": ([0.0, 0.5, 1.0, 0.0], np.zeros((2, 1)), "assignment"),
+    "centres-of-another-dimension": ([0, 0, 1, 0], np.zeros((2, 2)), "centres"),
+    "flat-centres": ([0, 0, 1, 0], np.zeros(2), "centres"),
+    "non-finite-centre": ([0, 0, 1, 0], np.array([[0.0], [np.nan]]), "centres"),
+}
+
+
+@pytest.mark.parametrize("defect", STEP_DEFECTS)
+def test_step_rejects_a_malformed_assignment_or_centres(defect):
+    assignment, centres, name = STEP_DEFECTS[defect]
+    positions = np.array([[0.0], [1.0], [2.0], [3.0]])
+    args = (preset("rastrigin2", 1), PcboConfig(n_clusters=2), np.random.default_rng(0))
+    pcbo_step(positions, [0, 0, 1, 1], np.zeros((2, 1)), *args)  # the well-formed call passes
+    with pytest.raises(ValueError, match=f"^pcbo_step: {name} must"):
+        pcbo_step(positions, assignment, centres, *args)
+
+
 def test_single_cluster_zero_noise_contracts_to_softmax_mean():
     spec = preset("rastrigin2", 2)
     cfg = PcboConfig(nu=0.5, sigma=0.0, n_clusters=1, alpha=1e-9)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gkbo.ensemble import Ensemble, _slot_order, compute_weights
 from gkbo.errors import EmptyLeaderSetError, NumericError
-from gkbo.objectives import Kind, ObjectiveSpec, _Workspace, evaluate_base, preset
+from gkbo.objectives import Kind, ObjectiveSpec, _Workspace, preset
 from gkbo.pcbo import PcboConfig, pcbo_assign, run_pcbo
 from gkbo import solver
 from gkbo.solver import (
@@ -785,6 +785,30 @@ def test_check_stall_accepts_the_clustered_baselines_state():
     assert stall == 1
 
 
+TRACKER_DEFECTS = {
+    "short-counters": StallTracker(np.zeros(3, dtype=np.int64), np.zeros((4, 1))),
+    "column-counters": StallTracker(np.zeros((4, 1), dtype=np.int64), np.zeros((4, 1))),
+    "float-counters": StallTracker(np.zeros(4), np.zeros((4, 1))),
+}
+
+
+@pytest.mark.parametrize("tracker", TRACKER_DEFECTS.values(), ids=TRACKER_DEFECTS.keys())
+def test_a_malformed_stall_tracker_is_a_value_error_naming_check_stall(tracker):
+    _, clusters = consensus_state()
+    with pytest.raises(ValueError, match="^check_stall: counters must hold 4 integers"):
+        check_stall(tracker, clusters, 1e-4)
+
+
+def test_flat_stall_estimates_are_a_value_error():
+    # flat estimates on both sides pass the cluster-state check; the update
+    # would then reduce every move to one scalar
+    _, clusters = consensus_state()
+    flat = dataclasses.replace(clusters, agent_estimate=clusters.agent_estimate.ravel())
+    tracker = StallTracker(np.zeros(4, dtype=np.int64), np.zeros(4))
+    with pytest.raises(ValueError, match=r"^check_stall: estimates must have shape \(n, d\)"):
+        check_stall(tracker, flat, 1e-4)
+
+
 # ----------------------------------------------------------------- full runs
 
 
@@ -838,7 +862,8 @@ def test_run_two_agent_trajectory_matches_scalar_recursion():
     x = [float(pos[0, 0]), float(pos[1, 0])]
 
     def energy(v):
-        return evaluate_base("rastrigin", np.array([v]))
+        # the Rastrigin base function: one minimizer at the origin
+        return ObjectiveSpec(Kind.RASTRIGIN, 1, [[0.0]]).evaluate([v])
 
     e = [energy(x[0]), energy(x[1])]
     # bootstrap: both followers, population-wide ranks, the best promotes
