@@ -230,8 +230,8 @@ class SweepResult:
     minimizer, and these show it.
 
     ``run_seconds`` holds each run's share of worker time. Runs step in
-    batches of one or more replicas (see :func:`run_experiment`), so each
-    batch's elapsed seconds are split among its runs in proportion to their
+    batches of replicas (see :func:`run_experiment`), so each batch's
+    elapsed seconds are split among its runs in proportion to their
     objective evaluations; the entries still add up to the worker time
     spent.
     """
@@ -334,33 +334,14 @@ def _seed_batches(seeds: range, workers: int, coordinates: int) -> list[tuple]:
     contiguous batches of near-equal size: one per worker, or more where a
     batch would stack more than ``_MAX_BATCH_COORDINATES`` coordinates.
     ``coordinates`` is the size of one replica, agents times dimension.
-    The split is fixed before any run starts; :func:`_batched` says when it
-    is used.
+    The split is fixed before any run starts, whatever the solver and the
+    step budget.
     """
     per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
     count = max(min(workers, len(seeds)), math.ceil(len(seeds) / per_batch))
     size, extra = divmod(len(seeds), count)
     bounds = [index * size + min(index, extra) for index in range(count + 1)]
     return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _batched(solver_cfg: SolverConfig | PcboConfig) -> bool:
-    """Whether the seeds of one sweep value go in :func:`_seed_batches`, or one per task.
-
-    A batch's split is fixed before its runs start, so it pays only where
-    they take similar step counts: a batch that holds the long runs steps a
-    shrinking stack of them while the other workers idle, and the pool can
-    move no work between batches. With one seed per task it balances the
-    load as runs finish. pcbo runs stall within a few percent of each
-    other (1013 to 1058 steps, ackley2 at d = 1-5, ten seeds each). gkbo
-    runs do not: at the default budget rastrigin2 runs at d = 2 stop after
-    1120 to 6893 steps. A run takes at least ``j_stall`` steps to stall,
-    though, so with ``n_steps <= j_stall`` every gkbo run takes exactly
-    ``n_steps``.
-    """
-    if isinstance(solver_cfg, PcboConfig):
-        return True
-    return int(solver_cfg.n_steps) <= int(solver_cfg.j_stall)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -373,16 +354,16 @@ def _worker_count(workers: int | None) -> int:
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentSummary:
     """Run all repetitions of every sweep value and aggregate.
 
-    ``workers`` caps the process pool; ``None`` uses every available CPU and 1
-    runs inline. Each task is one batch of a sweep value's seeds, stepped
-    together as replicas (see :func:`_seed_batches`), or a single seed where
-    runs may stop far apart (see :func:`_batched`); every report is the one
-    its standalone run gives. Results are aggregated in seed order either
-    way, so the summary does not depend on the worker count. The population
-    size and every solver config are checked before any run starts. A
-    failing run raises the NumericError of the lowest failing seed: both
-    solvers drop a failing replica and the ones after it in its batch, and
-    the batch raises the first one's error.
+    ``workers`` caps the process pool; ``None`` uses every available CPU.
+    Each task is one batch of a sweep value's seeds, stepped together as
+    replicas (see :func:`_seed_batches`); every report is the one its
+    standalone run gives. The pool holds no more workers than there are
+    tasks, and a single worker runs the tasks inline. Results are
+    aggregated in seed order, so the summary does not depend on the worker
+    count. The population size and every solver config are checked before
+    any run starts. A failing run raises the NumericError of the lowest
+    failing seed: both solvers drop a failing replica and the ones after it
+    in its batch, and the batch raises the first one's error.
     """
     workers = _worker_count(workers)
     cfg.validate()
@@ -396,14 +377,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     for value in values:
         dim, solver_cfg = _sweep_setup(cfg, value)
         minimizers.append(preset(cfg.objective, dim).minimizers)
-        if _batched(solver_cfg):
-            split = _seed_batches(seeds, workers, int(cfg.n_agents) * dim)
-        else:
-            split = [(seed,) for seed in seeds]
-        for batch in split:
+        for batch in _seed_batches(seeds, workers, int(cfg.n_agents) * dim):
             tasks.append((cfg.solver, cfg.objective, dim, solver_cfg, int(cfg.n_agents), batch))
 
-    if workers == 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         batches = [_execute_run(task) for task in tasks]
     else:
         # imported here, not at the top: concurrent.futures.process is 23-38 ms

@@ -77,6 +77,13 @@ def _require_population(n_agents) -> int:
     return int(n_agents)
 
 
+def _require_centres(name: str, count, n_agents: int | None) -> None:
+    """Raise ValueError unless ``count`` is an integer in [1, ``n_agents``]; None sets no cap."""
+    count = _integer(name, count, 1)
+    if n_agents is not None and count > n_agents:
+        raise ValueError(f"{name} ({count}) cannot exceed the population size ({n_agents})")
+
+
 def _require_finite(name: str, *arrays: np.ndarray) -> None:
     """Raise ValueError unless every coordinate of the arrays ``name`` spells is finite."""
     if not all(np.isfinite(array).all() for array in arrays):

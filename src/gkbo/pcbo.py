@@ -18,7 +18,7 @@ from .errors import (
     _check_positions,
     _energies_of,
     _indices,
-    _integer,
+    _require_centres,
     _require_finite,
     _require_non_negative,
     _require_population,
@@ -64,7 +64,7 @@ class PcboConfig:
             _require_population(n_particles)
         _require_positive(nu=self.nu)
         _require_non_negative(sigma=self.sigma)
-        _integer("n_clusters", self.n_clusters, 1)
+        _require_centres("n_clusters", self.n_clusters, n_particles)
         _require_run_limits(self)
 
 

@@ -25,7 +25,7 @@ from .errors import (
     _check_energies,
     _check_positions,
     _energies_of,
-    _integer,
+    _require_centres,
     _require_non_negative,
     _require_population,
     _require_positive,
@@ -97,12 +97,8 @@ class SolverConfig:
         _require_positive(nu_f=self.nu_f, nu_l=self.nu_l)
         _require_non_negative(sigma_f=self.sigma_f)
         _require_unit(eps=self.eps)
-        _integer("n_leaders", self.n_leaders, 1)
+        _require_centres("n_leaders", self.n_leaders, n_agents)
         _require_run_limits(self)
-        if n_agents is not None and int(self.n_leaders) > n_agents:
-            raise ValueError(
-                f"n_leaders ({self.n_leaders}) cannot exceed the population size ({n_agents})"
-            )
 
     def omega_bar(self, n_agents: int) -> float:
         """Weight threshold for label transitions: leaders over population."""

@@ -201,16 +201,15 @@ def test_parse_number(token, value):
 def test_summary_does_not_depend_on_the_worker_count(solver):
     # each run owns its scratch memory, so pooled runs share no state and
     # must reproduce the inline reports exactly; the 5 seeds per sweep value
-    # go in batches of 5, 3 + 2 and 2 + 2 + 1, and pcbo's stall at different
-    # steps within a batch
+    # go in batches of 5, 3 + 2 and 2 + 2 + 1, and both solvers' runs stall
+    # at different steps within a batch
     if solver == "gkbo":
-        config = SolverConfig(n_steps=15, n_leaders=3)
+        config = SolverConfig(n_steps=60, n_leaders=3, j_stall=5, delta_stall=0.01)
     else:
         config = PcboConfig(n_steps=40, j_stall=4)
     cfg = tiny_experiment(solver=solver, solver_config=config, repetitions=5)
     inline, *pooled = (run_experiment(cfg, workers=workers) for workers in (1, 2, 3))
-    if solver == "pcbo":
-        assert all(len(set(result.iterations)) > 1 for result in inline.results)
+    assert all(len(set(result.iterations)) > 1 for result in inline.results)
     for summary in (inline, *pooled):
         for result in summary.results:
             assert result.seeds == tuple(range(11, 16))
@@ -260,15 +259,14 @@ def test_no_seed_batch_stacks_more_than_the_coordinate_cap(
 
 
 @pytest.mark.parametrize(
-    "solver_config, batched",
+    "solver_config",
     [
-        (SolverConfig(n_steps=15, n_leaders=3), True),  # no run can stall before the budget
-        (SolverConfig(n_steps=15, n_leaders=3, j_stall=15), True),
-        (SolverConfig(n_steps=15, n_leaders=3, j_stall=4), False),  # runs may stop far apart
-        (PcboConfig(n_steps=15, n_clusters=2, j_stall=4), True),
+        SolverConfig(n_steps=15, n_leaders=3),  # no run can stall before the budget
+        SolverConfig(n_steps=15, n_leaders=3, j_stall=4),  # runs may stop far apart
+        PcboConfig(n_steps=15, n_clusters=2, j_stall=4),
     ],
 )
-def test_gkbo_runs_that_may_stall_apart_go_one_seed_per_task(monkeypatch, solver_config, batched):
+def test_every_solver_and_budget_goes_in_seed_batches(monkeypatch, solver_config):
     tasks = []
 
     def spy(task):
@@ -284,8 +282,43 @@ def test_gkbo_runs_that_may_stall_apart_go_one_seed_per_task(monkeypatch, solver
     )
     run_experiment(cfg, workers=1)
     seeds = tuple(range(cfg.base_seed, cfg.base_seed + 4))
-    per_value = [seeds] if batched else [(seed,) for seed in seeds]
-    assert tasks == per_value * 2  # two sweep values
+    assert tasks == [seeds] * 2  # two sweep values
+
+
+@pytest.mark.parametrize("repetitions, sizes", [(2, [2]), (1, [])], ids=["pool", "inline"])
+def test_the_pool_holds_no_more_workers_than_tasks(monkeypatch, repetitions, sizes):
+    # a single task runs inline, with no pool at all
+    import concurrent.futures
+
+    built = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    cfg = tiny_experiment(repetitions=repetitions, sweep="none", sweep_values=())
+    summary = run_experiment(cfg, workers=6)
+    assert built == sizes
+    assert summary.results[0].seeds == tuple(range(11, 11 + repetitions))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_agents": 3}, r"n_clusters \(4\) cannot exceed the population size \(3\)"),
+        (
+            {"sweep": "n_leaders", "sweep_values": (24, 25)},
+            r"n_clusters \(25\) cannot exceed the population size \(24\)",
+        ),
+    ],
+    ids=["population", "sweep"],
+)
+def test_a_pcbo_experiment_rejects_more_clusters_than_particles(overrides, message):
+    cfg = tiny_experiment(solver="pcbo", solver_config=PcboConfig(n_steps=5), **overrides)
+    with pytest.raises(ValueError, match=message):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -121,8 +121,12 @@ def test_bench_config_that_is_not_json_exits_1(tmp_path, capsys):
         (["--threshold", "nan"], "threshold must be finite and non-negative, got nan"),
         (["--n-leaders", "50"], "n_leaders (50) cannot exceed the population size (30)"),
         (["--solver", "pcbo", "--sigma", "-1"], "sigma must be finite and non-negative"),
+        (
+            ["--solver", "pcbo", "--n-clusters", "31"],
+            "n_clusters (31) cannot exceed the population size (30)",
+        ),
     ],
-    ids=["negative-threshold", "nan-threshold", "leaders", "pcbo-sigma"],
+    ids=["negative-threshold", "nan-threshold", "leaders", "pcbo-sigma", "pcbo-clusters"],
 )
 def test_run_rejects_a_bad_setting_before_it_prints_or_runs(argv, message, monkeypatch, capsys):
     def never(*args):

@@ -275,6 +275,13 @@ def test_run_rejects_bad_particle_count():
         run_pcbo(preset("ackley2", 1), PcboConfig(), 0)
 
 
+def test_run_rejects_more_clusters_than_particles():
+    message = r"n_clusters \(5\) cannot exceed the population size \(4\)"
+    with pytest.raises(ValueError, match=message):
+        run_pcbo(preset("ackley2", 1), PcboConfig(n_clusters=5, n_steps=2), 4)
+    assert run_pcbo(preset("ackley2", 1), PcboConfig(n_clusters=4, n_steps=2), 4).iterations == 2
+
+
 def _replay_pcbo(spec, cfg, n_particles):
     """``run_pcbo`` re-driven from the public phase functions, as a reference."""
     rng = np.random.default_rng(cfg.seed)

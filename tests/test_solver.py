@@ -985,7 +985,7 @@ def test_replicas_at_d10_are_screened_replica_by_replica(run_batch):
 
 @pytest.mark.parametrize("objective, dim", [("rastrigin4", 6), ("ackley4", 10)])
 @pytest.mark.parametrize("n_leaders, counts", [(11, [11, 12, 11]), (12, [12, 12, 12])])
-def test_a_replica_whose_every_agent_leads_is_batched_with_ones_that_have_followers(
+def test_a_replica_whose_every_agent_leads_shares_a_batch_with_ones_that_have_followers(
     objective, dim, n_leaders, counts, run_batch
 ):
     # One target leader short of the population, the last follower steps up
