@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _integer, _number, _require_non_negative
+from .errors import _integer, _number, _require_minimizers, _require_non_negative
 from .objectives import PRESET_NAMES, preset
 from .pcbo import PcboConfig
 from .pcbo import _run_replicas as _pcbo_replicas
@@ -37,7 +37,6 @@ __all__ = [
     "evaluate_success",
     "run_experiment",
     "write_results",
-    "read_results",
 ]
 
 log = logging.getLogger(__name__)
@@ -45,21 +44,20 @@ log = logging.getLogger(__name__)
 #: Max-norm radius within which a consensus point detects a minimizer.
 SUCCESS_THRESHOLD = 0.25
 
-#: Each results CSV column, in order, and how :func:`read_results` parses it.
-#: :func:`write_results` writes the :class:`SweepResult` attribute of that
-#: name; a run without a sweep has an empty ``sweep_value``.
-_CSV_COLUMNS = {
-    "sweep_value": lambda token: None if token == "" else _parse_number(token),
-    "success_rate": float,
-    "mean_iterations": float,
-    "mean_detected_minima": float,
-    "repetitions": int,
-    "base_seed": int,
-    "mean_consensus_points": float,
-    "mean_spurious_points": float,
-    "mean_leader_count": float,
-}
-CSV_HEADER = tuple(_CSV_COLUMNS)
+#: The results CSV columns, in order. :func:`write_results` writes the
+#: :class:`SweepResult` attribute of each name; a run without a sweep has an
+#: empty ``sweep_value``.
+CSV_HEADER = (
+    "sweep_value",
+    "success_rate",
+    "mean_iterations",
+    "mean_detected_minima",
+    "repetitions",
+    "base_seed",
+    "mean_consensus_points",
+    "mean_spurious_points",
+    "mean_leader_count",
+)
 
 _CONFIGS = {"gkbo": SolverConfig, "pcbo": PcboConfig}
 _REPLICA_LOOPS = {"gkbo": _gkbo_replicas, "pcbo": _pcbo_replicas}
@@ -270,17 +268,10 @@ def evaluate_success(
     ``threshold`` of it in the max norm; the run is a success when every
     minimizer is detected. Returns ``(success, detected_count)``. A flat
     list of minimizers is one point, or on a 1-d run one point per entry.
+    ValueError unless the final consensus is a non-empty ``(m, d)`` array
+    and the minimizers at least one finite point of dimension d.
     """
     _require_non_negative(threshold=threshold)
-    return _scores(report, minimizers, float(threshold))[:2]
-
-
-def _scores(report: RunReport, minimizers, threshold: float) -> tuple[bool, int, int]:
-    """:func:`evaluate_success`'s ``(success, detected_count)`` and the spurious point count.
-
-    A consensus point is spurious when it lies farther than ``threshold``
-    from every minimizer in the max norm.
-    """
     points = np.asarray(report.final_consensus, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"final consensus must be a non-empty (m, d) array, got {points.shape}")
@@ -288,12 +279,19 @@ def _scores(report: RunReport, minimizers, threshold: float) -> tuple[bool, int,
     if mins.ndim == 1 and points.shape[1] == 1:
         mins = mins[:, np.newaxis]  # a flat list of 1-d minimizers, as ObjectiveSpec reads it
     mins = np.atleast_2d(mins)
-    if mins.shape[1] != points.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: consensus is {points.shape[1]}-d, "
-            f"minimizers are {mins.shape[1]}-d"
-        )
-    gaps = np.abs(mins[:, np.newaxis, :] - points[np.newaxis, :, :]).max(axis=2)
+    _require_minimizers(mins, points.shape[1])
+    return _scores(points, mins, float(threshold))[:2]
+
+
+def _scores(points: np.ndarray, minimizers: np.ndarray, threshold: float) -> tuple[bool, int, int]:
+    """:func:`evaluate_success`'s ``(success, detected_count)`` and the spurious point count.
+
+    ``points`` and ``minimizers`` are ``(m, d)`` and ``(n_min, d)`` float64
+    arrays, as a solver report and a preset hold them. A consensus point is
+    spurious when it lies farther than ``threshold`` from every minimizer in
+    the max norm.
+    """
+    gaps = np.abs(minimizers[:, np.newaxis, :] - points[np.newaxis, :, :]).max(axis=2)
     detected = gaps.min(axis=1) <= threshold
     spurious = int(np.count_nonzero(gaps.min(axis=0) > threshold))
     return bool(detected.all()), int(detected.sum()), spurious
@@ -397,7 +395,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         chunk = outcomes[index * repetitions : (index + 1) * repetitions]
         reports = tuple(report for report, _ in chunk)
         seconds = tuple(elapsed for _, elapsed in chunk)
-        scored = [_scores(report, minimizers[index], SUCCESS_THRESHOLD) for report in reports]
+        scored = [_scores(r.final_consensus, minimizers[index], SUCCESS_THRESHOLD) for r in reports]
         successes = tuple(success for success, _, _ in scored)
         detected = tuple(count for _, count, _ in scored)
         iterations = tuple(report.iterations for report in reports)
@@ -435,9 +433,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 def write_results(summary: ExperimentSummary, path) -> Path:
     """Write one CSV row per sweep value, plus a JSON sidecar.
 
-    The sidecar lands next to the CSV with extension ``.json``. It holds the
-    experiment config, which :meth:`ExperimentConfig.from_dict` reads back,
-    and under ``runs`` one record per sweep value: the seeds and, per seed,
+    The CSV is plain: the :data:`CSV_HEADER` line, then per sweep value the
+    :class:`SweepResult` attributes of those names, numbers as ``str``
+    spells them, so ``csv.DictReader`` reads each row back. The sidecar
+    lands next to the CSV with extension ``.json``. It holds the experiment
+    config, which :meth:`ExperimentConfig.from_dict` reads back, and under
+    ``runs`` one record per sweep value: the seeds and, per seed,
     ``run_seconds`` (see :class:`SweepResult`), ``iterations`` and
     ``evaluations``. Lines use LF endings regardless of platform. Returns
     the CSV path. Both paths are checked before anything is written (see
@@ -482,30 +483,3 @@ def _result_paths(path) -> tuple[Path, Path]:
         raise ValueError(f"output directory {path.parent} does not exist")
     return path, sidecar
 
-
-def _parse_number(token: str):
-    """An int if ``token`` spells one, else a float; ValueError names the token."""
-    try:
-        return int(token)
-    except ValueError:
-        try:
-            return float(token)
-        except ValueError:
-            raise ValueError(f"expected a number, got {token!r}") from None
-
-
-def read_results(path) -> list[dict]:
-    """Read back a results CSV as a list of row dicts with parsed numbers."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected results header {header!r} in {path}")
-        rows = []
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"malformed results row {row!r} in {path}")
-            parsed = zip(_CSV_COLUMNS, _CSV_COLUMNS.values(), row)
-            rows.append({column: parse(token) for column, parse, token in parsed})
-    return rows

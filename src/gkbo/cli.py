@@ -24,7 +24,6 @@ from .bench import (
     ExperimentConfig,
     _config_as_dict,
     _config_class,
-    _parse_number,
     _result_paths,
     _solver_section,
     _with_roles,
@@ -123,6 +122,17 @@ def _experiment(args, data: dict, seed) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(data)
     cfg.validate()
     return cfg
+
+
+def _parse_number(token: str):
+    """An int if ``token`` spells one, else a float; ValueError names the token."""
+    try:
+        return int(token)
+    except ValueError:
+        try:
+            return float(token)
+        except ValueError:
+            raise ValueError(f"expected a number, got {token!r}") from None
 
 
 def _parse_number_list(text: str, flag: str) -> list:

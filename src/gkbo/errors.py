@@ -1,7 +1,8 @@
 """Exceptions raised by the solvers, and the input checks the package shares.
 
 Every scalar check of a config, a phase function or the harness lives
-here, as do the argument checks that several phase functions share. The
+here, as do the argument checks that several phase functions share and
+the minimizer-set check of both an objective and the harness's scoring. The
 scalar checkers take values, not configs: each raises ValueError naming the
 quantity, and those that accept a value return it as a float or an int. A
 bool is never taken for a number, and a fractional count is rejected, never
@@ -88,6 +89,13 @@ def _require_finite(name: str, *arrays: np.ndarray) -> None:
     """Raise ValueError unless every coordinate of the arrays ``name`` spells is finite."""
     if not all(np.isfinite(array).all() for array in arrays):
         raise ValueError(f"{name} must have finite coordinates")
+
+
+def _require_minimizers(minimizers: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless ``minimizers`` is a finite ``(n_min, dim)`` array with n_min >= 1."""
+    if minimizers.ndim != 2 or minimizers.shape[0] < 1 or minimizers.shape[1] != dim:
+        raise ValueError(f"minimizers must have shape (n_min, {dim}), got {minimizers.shape}")
+    _require_finite("minimizers", minimizers)
 
 
 def _require_box(lo, hi) -> tuple[float, float]:

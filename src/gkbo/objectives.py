@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _integer, _require_finite
+from .errors import _integer, _require_finite, _require_minimizers
 
 __all__ = [
     "Kind",
@@ -306,14 +306,14 @@ BASE_MINIMUM = {
 
 #: Scalar shifts defining the named presets. Each shift c plants a global
 #: minimizer at c * (1, ..., 1) in whatever dimension the preset is built for.
-PRESET_SHIFTS: dict[str, tuple[Kind, tuple[float, ...]]] = {
+_PRESETS: dict[str, tuple[Kind, tuple[float, ...]]] = {
     "rastrigin2": (Kind.RASTRIGIN, (-5.0, 5.0)),
     "rastrigin4": (Kind.RASTRIGIN, (-7.0, -3.0, 3.0, 7.0)),
     "ackley2": (Kind.ACKLEY, (-3.0, 3.0)),
     "ackley4": (Kind.ACKLEY, (-7.0, -3.0, 3.0, 7.0)),
 }
 
-PRESET_NAMES = tuple(sorted(PRESET_SHIFTS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,8 +327,9 @@ class ObjectiveSpec:
     dim : int
         Search-space dimension, at least 1.
     minimizers : numpy.ndarray
-        Planted global minimizers, shape ``(n_min, dim)``, pairwise distinct.
-        Stored read-only.
+        Planted global minimizers, shape ``(n_min, dim)``, finite and pairwise
+        distinct; on a 1-d objective a flat list holds one per entry. Stored
+        read-only.
     """
 
     kind: Kind
@@ -343,31 +344,19 @@ class ObjectiveSpec:
         mins = np.asarray(self.minimizers, dtype=np.float64)
         if mins.ndim == 1 and dim == 1:
             mins = mins[:, np.newaxis]
-        if mins.ndim != 2 or mins.shape[0] < 1 or mins.shape[1] != dim:
-            raise ValueError(
-                f"minimizers must have shape (n_min, {dim}), got {mins.shape}"
-            )
-        _require_finite("minimizers", mins)
+        _require_minimizers(mins, dim)
         if np.unique(mins, axis=0).shape[0] != mins.shape[0]:
             raise ValueError("minimizers must be pairwise distinct")
         mins = mins.copy()
         mins.setflags(write=False)
         object.__setattr__(self, "minimizers", mins)
 
-    def evaluate(self, x) -> float:
-        """Objective value at a single point of shape ``(dim,)``."""
-        point = np.asarray(x, dtype=np.float64)
-        if point.shape != (self.dim,):
-            raise ValueError(
-                f"point has shape {point.shape}, objective dimension is {self.dim}"
-            )
-        return float(self.evaluate_batch(point[np.newaxis, :])[0])
-
     def evaluate_batch(self, points) -> np.ndarray:
         """Objective values for an ``(n, dim)`` array of points, as ``(n,)``.
 
         The value at each point is the minimum of the base function over all
-        planted shifts: ``min_k base(x - m_k)``.
+        planted shifts: ``min_k base(x - m_k)``. A single point ``x`` of
+        shape ``(dim,)`` is the one-row batch: ``evaluate_batch(x[np.newaxis])[0]``.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -393,7 +382,7 @@ def preset(name: str, dim: int) -> ObjectiveSpec:
     scalar shift c becomes the minimizer c * (1, ..., 1).
     """
     try:
-        kind, shifts = PRESET_SHIFTS[name]
+        kind, shifts = _PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown objective preset {name!r}; available: {', '.join(PRESET_NAMES)}"

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -10,13 +11,12 @@ import gkbo.bench as bench_module
 from gkbo.bench import (
     CSV_HEADER,
     ExperimentConfig,
-    _parse_number,
     _seed_batches,
     evaluate_success,
-    read_results,
     run_experiment,
     write_results,
 )
+from gkbo.cli import _parse_number
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
 from gkbo.pcbo import PcboConfig, run_pcbo
@@ -111,26 +111,31 @@ def test_a_solver_config_that_is_not_an_object_is_rejected(raw):
         ExperimentConfig.from_dict(data)
 
 
-def test_write_then_read_results_round_trip(tmp_path):
-    cfg = tiny_experiment()
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        tiny_experiment(),
+        tiny_experiment(sweep="sigma_f", sweep_values=(0.1, 0.5)),
+        tiny_experiment(sweep="none", sweep_values=()),
+    ],
+    ids=["dimension", "sigma_f", "none"],
+)
+def test_write_results_writes_every_result_column_and_a_config_sidecar(tmp_path, cfg):
     summary = run_experiment(cfg, workers=1)
     path = write_results(summary, tmp_path / "results.csv")
 
-    assert path.read_text(encoding="utf-8").splitlines()[0] == ",".join(CSV_HEADER)
-    rows = read_results(path)
-    assert len(rows) == len(summary.results)
-    for row, result in zip(rows, summary.results):
-        assert row == {
-            "sweep_value": result.sweep_value,
-            "success_rate": result.success_rate,
-            "mean_iterations": result.mean_iterations,
-            "mean_detected_minima": result.mean_detected_minima,
-            "repetitions": result.repetitions,
-            "base_seed": result.base_seed,
-            "mean_consensus_points": result.mean_consensus_points,
-            "mean_spurious_points": result.mean_spurious_points,
-            "mean_leader_count": result.mean_leader_count,
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        rows = list(reader)
+    assert tuple(reader.fieldnames) == CSV_HEADER
+    # every number as str spells it, so floats read back exactly; no sweep is an empty field
+    assert rows == [
+        {
+            column: "" if getattr(result, column) is None else str(getattr(result, column))
+            for column in CSV_HEADER
         }
+        for result in summary.results
+    ]
     sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
     assert ExperimentConfig.from_dict(sidecar) == cfg
 
@@ -163,7 +168,7 @@ def test_a_point_in_a_local_minimum_is_spurious():
     points = np.array([[-5.1], [-4.0], [1.0], [5.25], [4.7]])
     report = RunReport(0, False, points, 5, 0.0, 1, 0)
     minimizers = preset("rastrigin2", 1).minimizers
-    assert bench_module._scores(report, minimizers, 0.25) == (True, 2, 3)
+    assert bench_module._scores(points, minimizers, 0.25) == (True, 2, 3)
     assert evaluate_success(report, minimizers) == (True, 2)
 
 
@@ -176,17 +181,6 @@ def test_score_columns_are_the_means_over_the_runs():
         assert result.mean_spurious_points == np.mean([(g > 0.25).sum() for g in gaps])
         assert result.mean_consensus_points == np.mean([len(p) for p in points])
         assert result.mean_leader_count == np.mean([r.leader_count for r in result.reports])
-
-
-def test_read_results_rejects_foreign_files(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b\n1,2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unexpected results header"):
-        read_results(path)
-    row = ",".join(["x", *map(str, range(1, len(CSV_HEADER)))])
-    path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected a number, got 'x'"):
-        read_results(path)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +387,33 @@ def test_experiment_config_checks_types_before_values(overrides, message):
         tiny_experiment(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"sweep": "noise"},
+            "unknown sweep 'noise'; available: none, dimension, n_leaders, sigma_f",
+        ),
+        ({"sweep": "none"}, "sweep_values must be empty when sweep is 'none'"),
+        ({"sweep_values": ()}, "sweep 'dimension' needs at least one sweep value"),
+        ({"sweep_values": (2, 1)}, "sweep_values must be strictly increasing"),
+        ({"sweep_values": (1, 1)}, "sweep_values must be strictly increasing"),
+        ({"solver": "pcbo"}, "solver 'pcbo' requires a PcboConfig, got SolverConfig"),
+    ],
+    ids=["unknown-sweep", "values-without-sweep", "sweep-without-values", "decreasing",
+         "repeated", "config-of-another-solver"],
+)
+def test_experiment_config_rejects_an_inconsistent_sweep_or_solver_config(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tiny_experiment(**overrides).validate()
+
+
+@pytest.mark.parametrize("data", [[1], "objective", None])
+def test_a_config_that_is_not_an_object_is_rejected(data):
+    with pytest.raises(ValueError, match="^experiment config must be a JSON object$"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_a_flat_list_of_minimizers_is_one_per_entry_on_a_1d_run():
     report = RunReport(
         iterations=0,
@@ -405,8 +426,26 @@ def test_a_flat_list_of_minimizers_is_one_per_entry_on_a_1d_run():
     )
     assert evaluate_success(report, [-3.0, 3.0]) == (False, 1)
     assert evaluate_success(report, preset("ackley2", 1).minimizers) == (False, 1)
-    with pytest.raises(ValueError, match="minimizers are 2-d"):
+    message = r"^minimizers must have shape \(n_min, 1\), got \(1, 2\)$"
+    with pytest.raises(ValueError, match=message):
         evaluate_success(report, [[-3.0, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "minimizers, message",
+    [
+        (np.zeros((0, 2)), r"minimizers must have shape \(n_min, 2\), got \(0, 2\)"),
+        ([[np.nan, 0.0]], "minimizers must have finite coordinates"),
+        ([[np.inf, 0.0]], "minimizers must have finite coordinates"),
+        (np.zeros((1, 1, 2)), r"minimizers must have shape \(n_min, 2\), got \(1, 1, 2\)"),
+    ],
+    ids=["empty", "nan", "inf", "3-d"],
+)
+def test_evaluate_success_rejects_a_malformed_minimizer_set(minimizers, message):
+    # the check ObjectiveSpec applies to its own minimizers
+    report = RunReport(0, False, np.array([[0.0, 0.0]]), 1, 0.0, 1, 0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate_success(report, minimizers)
 
 
 @pytest.mark.parametrize(

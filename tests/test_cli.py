@@ -1,10 +1,10 @@
+import csv
 import dataclasses
 import json
 
 import pytest
 
 import gkbo.cli as cli_module
-from gkbo.bench import read_results
 from gkbo.cli import main
 from gkbo.pcbo import PcboConfig
 from gkbo.solver import SolverConfig
@@ -20,6 +20,12 @@ def no_env_seed(monkeypatch):
 def effective_config(stdout: str) -> dict:
     """The JSON object the command prints before it runs."""
     return json.JSONDecoder().raw_decode(stdout)[0]
+
+
+def csv_rows(path) -> list[dict]:
+    """The rows of a results CSV, by column name."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 @pytest.mark.parametrize("solver", ["gkbo", "pcbo"])
@@ -115,6 +121,33 @@ def test_bench_config_that_is_not_json_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content, flags, message",
+    [
+        (
+            "{}",
+            ["--sweep", "dimension", "--sweep-values", ","],
+            "--sweep-values needs at least one comma-separated value",
+        ),
+        (None, [], "cannot read config file {path}: "),  # the config path is a directory
+        ("[1]", [], "config file {path} must hold a JSON object"),
+    ],
+    ids=["no-sweep-values", "config-directory", "config-list"],
+)
+def test_bench_rejects_empty_sweep_values_or_a_config_that_is_no_object(
+    content, flags, message, tmp_path, capsys
+):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content, encoding="utf-8")
+    argv = ["bench", "--config", str(path), "--output", str(tmp_path / "out.csv"), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["--threshold", "-1"], "threshold must be finite and non-negative, got -1.0"),
@@ -160,7 +193,7 @@ def test_bench_reads_a_null_solver_config_as_the_defaults_under_a_flag(tmp_path,
     assert main([*argv, "--n-steps", "5"]) == 0
     printed = effective_config(capsys.readouterr().out)["solver_config"]
     assert printed["n_steps"] == 5 and printed["n_leaders"] == 12
-    assert read_results(output)[0]["mean_iterations"] == 5
+    assert csv_rows(output)[0]["mean_iterations"] == "5.0"
 
 
 @pytest.mark.parametrize(
@@ -179,8 +212,8 @@ def test_bench_writes_results_and_sidecar(tmp_path, capsys):
     output = tmp_path / "out.csv"
     argv = ["bench", "--output", str(output), "--repetitions", "2", "--workers", "1"]
     assert main([*argv, "--sweep", "dimension", "--sweep-values", "1,2", *TINY_RUN]) == 0
-    rows = read_results(output)
-    assert [row["sweep_value"] for row in rows] == [1, 2]
+    rows = csv_rows(output)
+    assert [row["sweep_value"] for row in rows] == ["1", "2"]
     sidecar = json.loads(output.with_suffix(".json").read_text(encoding="utf-8"))
     runs = sidecar.pop("runs")
     assert sidecar == effective_config(capsys.readouterr().out)
@@ -193,8 +226,8 @@ def test_compare_writes_both_solvers_results(tmp_path, capsys):
     argv = ["compare", "--dims", "1,2", "--repetitions", "1", "--n-agents", "40"]
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0
     for solver in ("gkbo", "pcbo"):
-        rows = read_results(tmp_path / f"{solver}.csv")
-        assert [row["sweep_value"] for row in rows] == [1, 2]
+        rows = csv_rows(tmp_path / f"{solver}.csv")
+        assert [row["sweep_value"] for row in rows] == ["1", "2"]
         sidecar = json.loads((tmp_path / f"{solver}.json").read_text(encoding="utf-8"))
         assert (sidecar["solver"], sidecar["n_agents"], sidecar["repetitions"]) == (solver, 40, 1)
     assert "mean success rate: gkbo=" in capsys.readouterr().out

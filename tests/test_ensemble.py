@@ -92,6 +92,13 @@ def test_ensemble_validation():
         Ensemble(positions=np.zeros((3, 1)), labels=np.zeros(2, dtype=int))
 
 
+@pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [0]], 0])
+def test_labels_of_another_shape_are_rejected(labels):
+    with pytest.raises(ValueError) as error:
+        Ensemble(positions=np.zeros((3, 1)), labels=labels)
+    assert str(error.value) == f"labels must have shape (3,), got {np.shape(labels)}"
+
+
 @pytest.mark.parametrize("labels", [[0.7, 1.2, 0], [0, 1, 0.5], [0, 1, np.nan]])
 def test_fractional_labels_are_rejected_not_truncated(labels):
     with pytest.raises(ValueError, match="labels must be 0"):

@@ -115,6 +115,28 @@ def test_assign_rejects_non_finite_input_without_warnings(positions, centres):
             pcbo_assign(np.array(positions), np.array(centres))
 
 
+NOT_2D = "positions and centres must be 2-d with at least one centre"
+
+
+@pytest.mark.parametrize(
+    "positions, centres, message",
+    [
+        (np.zeros(3), np.zeros((2, 1)), NOT_2D),
+        (np.zeros((3, 1)), np.zeros(2), NOT_2D),
+        (np.zeros((3, 1)), np.zeros((0, 1)), NOT_2D),
+        (
+            np.zeros((3, 2)),
+            np.zeros((2, 3)),
+            "dimension mismatch: particles are 2-d, centres are 3-d",
+        ),
+    ],
+    ids=["flat-positions", "flat-centres", "no-centre", "dimensions"],
+)
+def test_assign_rejects_arrays_of_the_wrong_shape(positions, centres, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pcbo_assign(positions, centres)
+
+
 def test_assign_is_idempotent_under_reassignment():
     rng = np.random.default_rng(5)
     centres = rng.uniform(-5, 5, size=(3, 2))

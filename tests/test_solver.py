@@ -525,7 +525,7 @@ def test_cluster_weights_best_of_each_cluster_is_zero():
 def test_cluster_weights_validates():
     ens = make_ensemble([[0.0], [1.0]], labels=[1, 0])
     clusters = assign_clusters(ens)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^either an objective or precomputed energies is required"):
         cluster_weights(ens, clusters)
     with pytest.raises(NumericError, match="agent 1"):
         cluster_weights(ens, clusters, energies=np.array([0.0, np.inf]))
@@ -863,7 +863,7 @@ def test_run_two_agent_trajectory_matches_scalar_recursion():
 
     def energy(v):
         # the Rastrigin base function: one minimizer at the origin
-        return ObjectiveSpec(Kind.RASTRIGIN, 1, [[0.0]]).evaluate([v])
+        return float(ObjectiveSpec(Kind.RASTRIGIN, 1, [[0.0]]).evaluate_batch([[v]])[0])
 
     e = [energy(x[0]), energy(x[1])]
     # bootstrap: both followers, population-wide ranks, the best promotes

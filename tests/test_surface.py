@@ -38,7 +38,6 @@ SURFACE = [
     "pcbo_assign",
     "pcbo_step",
     "preset",
-    "read_results",
     "run_experiment",
     "run_gkbo",
     "run_pcbo",
