@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _integer, _number, _require_minimizers, _require_non_negative
+from .errors import _integer, _number, _require_finite, _require_minimizers, _require_non_negative
 from .objectives import PRESET_NAMES, preset
 from .pcbo import PcboConfig
 from .pcbo import _run_replicas as _pcbo_replicas
@@ -268,13 +268,14 @@ def evaluate_success(
     ``threshold`` of it in the max norm; the run is a success when every
     minimizer is detected. Returns ``(success, detected_count)``. A flat
     list of minimizers is one point, or on a 1-d run one point per entry.
-    ValueError unless the final consensus is a non-empty ``(m, d)`` array
-    and the minimizers at least one finite point of dimension d.
+    ValueError unless the final consensus is a non-empty finite ``(m, d)``
+    array and the minimizers at least one finite point of dimension d.
     """
     _require_non_negative(threshold=threshold)
     points = np.asarray(report.final_consensus, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"final consensus must be a non-empty (m, d) array, got {points.shape}")
+    _require_finite("final consensus", points)
     mins = np.asarray(minimizers, dtype=np.float64)
     if mins.ndim == 1 and points.shape[1] == 1:
         mins = mins[:, np.newaxis]  # a flat list of 1-d minimizers, as ObjectiveSpec reads it
@@ -325,18 +326,21 @@ def _execute_run(task) -> list[tuple[RunReport, float]]:
     return [(report, elapsed * report.evaluations / evaluations) for report in reports]
 
 
-def _seed_batches(seeds: range, workers: int, coordinates: int) -> list[tuple]:
-    """The seeds of one sweep value as the batches of the pool's tasks.
+def _seed_batches(seeds: range, workers: int, coordinates: int, values: int = 1) -> list[tuple]:
+    """The seeds of one of ``values`` sweep values as the batches of the pool's tasks.
 
     Both solvers step a batch of replicas together, so the seeds go in
-    contiguous batches of near-equal size: one per worker, or more where a
-    batch would stack more than ``_MAX_BATCH_COORDINATES`` coordinates.
-    ``coordinates`` is the size of one replica, agents times dimension.
-    The split is fixed before any run starts, whatever the solver and the
-    step budget.
+    contiguous batches of near-equal size: ``ceil(workers / values)`` of
+    them, at least one and at most one per seed, or more where a batch
+    would stack more than ``_MAX_BATCH_COORDINATES`` coordinates. A sweep
+    with at least as many values as workers thus runs one batch per value,
+    and a single value takes one batch per worker. ``coordinates`` is the
+    size of one replica, agents times dimension. The split is fixed before
+    any run starts, whatever the solver and the step budget; a pcbo replica
+    that settles early leaves its batch at once (see ``pcbo._run_replicas``).
     """
     per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
-    count = max(min(workers, len(seeds)), math.ceil(len(seeds) / per_batch))
+    count = max(min(math.ceil(workers / values), len(seeds)), math.ceil(len(seeds) / per_batch))
     size, extra = divmod(len(seeds), count)
     bounds = [index * size + min(index, extra) for index in range(count + 1)]
     return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -354,9 +358,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
     ``workers`` caps the process pool; ``None`` uses every available CPU.
     Each task is one batch of a sweep value's seeds, stepped together as
-    replicas (see :func:`_seed_batches`); every report is the one its
-    standalone run gives. The pool holds no more workers than there are
-    tasks, and a single worker runs the tasks inline. Results are
+    replicas (see :func:`_seed_batches`): the workers are shared out over
+    the sweep values, so a sweep with at least as many values as workers
+    runs one batch per value. Every report is the one its standalone run
+    gives; a pcbo replica that settles at a fixed point is reported at once
+    with the report the full loop gives. The pool holds no more workers
+    than there are tasks, and a single worker runs the tasks inline. Results are
     aggregated in seed order, so the summary does not depend on the worker
     count. The population size and every solver config are checked before
     any run starts. A failing run raises the NumericError of the lowest
@@ -375,7 +382,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     for value in values:
         dim, solver_cfg = _sweep_setup(cfg, value)
         minimizers.append(preset(cfg.objective, dim).minimizers)
-        for batch in _seed_batches(seeds, workers, int(cfg.n_agents) * dim):
+        for batch in _seed_batches(seeds, workers, int(cfg.n_agents) * dim, len(values)):
             tasks.append((cfg.solver, cfg.objective, dim, solver_cfg, int(cfg.n_agents), batch))
 
     workers = min(workers, len(tasks))

@@ -167,10 +167,21 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     least 1; it is checked before the configuration. Equal configurations
     produce identical reports. A non-finite position or objective value
     raises NumericError naming the phase, the step and the first offending
-    particle; at the start, before any step, it names the objective. The run
-    is a batch of one replica; see :func:`_run_replicas`.
+    particle; at the start, before any step, it names the objective. A run
+    that reaches a fixed point, every particle bit for bit on its centre and
+    no centre moving, is reported at once with the report the full loop
+    gives. The run is a batch of one replica; see :func:`_run_replicas`.
     """
     return _run_replicas(spec, cfg, n_particles, (cfg.seed,))[0]
+
+
+def _same_bits(new: np.ndarray, old: np.ndarray, replicas: int) -> np.ndarray:
+    """Whether each replica's rows of two stacked float64 arrays are equal bit for bit.
+
+    Bits, not values: a coordinate that goes from -0.0 to 0.0 has changed.
+    """
+    same = new.view(np.int64) == old.view(np.int64)
+    return same.reshape(replicas, -1).all(axis=1)
 
 
 def _run_replicas(
@@ -183,6 +194,14 @@ def _run_replicas(
     the report is bit-identical. When replicas are dropped, the others'
     particles are assigned again. A step draws every replica's normals, one per
     coordinate.
+
+    A replica is settled after a step that left every particle's estimate
+    equal to its position, every position and every centre bit for bit as
+    it was: each later step then repeats the same state, since a zero gap
+    gives a zero move whatever the draws, and only raises every stall
+    counter by one. :meth:`_Replicas.freeze` reports a settled replica at
+    once with the report the full loop gives. The mask is computed before
+    the objective and cut to the replicas it keeps.
     """
     batch = _Replicas(spec, cfg, n_particles, seeds)
     n = batch.n
@@ -214,14 +233,23 @@ def _run_replicas(
     # take, not centres[slots]: fancy indexing of narrow rows is ~10x slower
     estimates = centres.take(slots, axis=0)
     batch.watch(estimates)
+    settled = None
 
-    while batch.freeze(centres, range(0, centres.shape[0] + 1, k)):
+    while batch.freeze(centres, range(0, centres.shape[0] + 1, k), settled):
+        previous = centres
         centres = _consensus(
             batch.positions, batch.energies, slots, centres.shape[0], alpha, centres
         )
         estimates = centres.take(slots, axis=0)
-        if not batch.evaluate(_move(batch.positions, estimates, cfg, batch.normals()), "pcbo_step"):
+        positions = _move(batch.positions, estimates, cfg, batch.normals())
+        replicas = batch.live.size
+        settled = _same_bits(centres, previous, replicas)
+        if settled.any():
+            on_centre = (estimates == batch.positions).reshape(replicas, -1).all(axis=1)
+            settled &= on_centre & _same_bits(positions, batch.positions, replicas)
+        if not batch.evaluate(positions, "pcbo_step"):
             break
+        settled = settled[: batch.live.size]  # a failure drops a suffix of the replicas
         batch.end_step(estimates)
         slots = slots_of(centres)
 

@@ -673,7 +673,9 @@ class _Replicas:
     the hook that drops from it the replicas the batch drops.
 
     A replica that stalls or reaches the step budget is frozen there: its
-    report is taken and its rows are dropped. When a replica fails, it and
+    report is taken and its rows are dropped. A loop may mark replicas
+    settled, at a fixed point of its step; :meth:`freeze` reports those at
+    once with the report the full loop gives. When a replica fails, it and
     the replicas after it are dropped right after the objective, so every
     later phase sees finite rows only. The ones before it run on, and
     :meth:`reports` raises the NumericError of the first failing replica:
@@ -767,26 +769,35 @@ class _Replicas:
         self.tracker = _update_stall(self.tracker, estimates, self.delta_stall)
         self.steps += 1
 
-    def freeze(self, consensus: np.ndarray, bounds) -> bool:
+    def freeze(self, consensus: np.ndarray, bounds, settled: np.ndarray | None = None) -> bool:
         """Report and drop the replicas that have stalled or used up the step budget.
 
         Returns whether any replica is left. Slot r's consensus points are
-        ``consensus[bounds[r]:bounds[r + 1]]``.
+        ``consensus[bounds[r]:bounds[r + 1]]``. A slot that ``settled``
+        marks is one whose every later step changes nothing but its stall
+        counters, each up by one: it is reported at once with the report
+        the full loop gives, at the step where its least counter reaches
+        ``j_stall`` or at the step budget, whichever comes first.
         """
         n, cfg, steps = self.n, self.cfg, self.steps
-        # every slot's stall indicator: its least counter
-        stalled = self.tracker.counters.reshape(-1, n).min(axis=1) >= cfg.j_stall
-        if steps < cfg.n_steps and not stalled.any():
+        least = self.tracker.counters.reshape(-1, n).min(axis=1)  # every slot's stall indicator
+        stalled = least >= cfg.j_stall
+        if steps < cfg.n_steps and not stalled.any() and (settled is None or not settled.any()):
             return True
-        done = stalled | (steps >= cfg.n_steps)
+        iterations = np.full(least.size, steps)
+        if settled is not None:
+            iterations[settled] += np.maximum(0, cfg.j_stall - least[settled])
+            np.minimum(iterations, cfg.n_steps, out=iterations)
+            stalled = least + (iterations - steps) >= cfg.j_stall
+        done = stalled | (iterations >= cfg.n_steps)
         for slot in np.flatnonzero(done):
             self._reports[self.live[slot]] = RunReport(
-                iterations=steps,
+                iterations=int(iterations[slot]),
                 stalled=bool(stalled[slot]),
                 final_consensus=_distinct_rows(consensus[bounds[slot] : bounds[slot + 1]]),
                 leader_count=bounds[slot + 1] - bounds[slot],
                 best_value=float(self.energies[slot * n : (slot + 1) * n].min()),
-                evaluations=n * (steps + 1),
+                evaluations=n * (int(iterations[slot]) + 1),
                 seed=int(self.seeds[self.live[slot]]),
             )
         return self._drop(~done)

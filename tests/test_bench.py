@@ -253,6 +253,59 @@ def test_no_seed_batch_stacks_more_than_the_coordinate_cap(
 
 
 @pytest.mark.parametrize(
+    "repetitions, workers, coordinates, values, sizes",
+    [
+        (4, 2, 600 * 5, 5, [4]),  # as many values as workers: one batch per value
+        (4, 2, 600 * 5, 1, [2, 2]),  # a single value splits as it always has
+        (4, 4, 24 * 2, 3, [2, 2]),  # ceil(4 / 3) = 2 batches per value
+        (2, 8, 24 * 2, 3, [1, 1]),  # at most one batch per seed
+        (12, 2, 600 * 10, 5, [2] * 6),  # the coordinate cap still binds
+    ],
+)
+def test_the_workers_are_shared_out_over_the_sweep_values(
+    repetitions, workers, coordinates, values, sizes
+):
+    batches = _seed_batches(range(repetitions), workers, coordinates, values)
+    assert [len(batch) for batch in batches] == sizes
+    assert [seed for batch in batches for seed in batch] == list(range(repetitions))
+
+
+def test_a_sweep_with_as_many_values_as_workers_runs_one_batch_per_value(monkeypatch):
+    # the pcbo benchmark's shape: 5 dimensions of 4 seeds on 2 workers
+    import concurrent.futures
+
+    built, tasks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, submitted):
+            submitted = list(submitted)
+            tasks.extend((task[2], task[-1]) for task in submitted)
+            return map(fn, submitted)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = tiny_experiment(
+        solver="pcbo",
+        solver_config=PcboConfig(n_steps=10),
+        repetitions=4,
+        sweep_values=(1, 2, 3, 4, 5),
+    )
+    summary = run_experiment(cfg, workers=2)
+    seeds = tuple(range(cfg.base_seed, cfg.base_seed + 4))
+    assert built == [2]
+    assert tasks == [(dim, seeds) for dim in (1, 2, 3, 4, 5)]
+    assert [result.seeds for result in summary.results] == [seeds] * 5
+
+
+@pytest.mark.parametrize(
     "solver_config",
     [
         SolverConfig(n_steps=15, n_leaders=3),  # no run can stall before the budget
@@ -429,6 +482,14 @@ def test_a_flat_list_of_minimizers_is_one_per_entry_on_a_1d_run():
     message = r"^minimizers must have shape \(n_min, 1\), got \(1, 2\)$"
     with pytest.raises(ValueError, match=message):
         evaluate_success(report, [[-3.0, 3.0]])
+
+
+@pytest.mark.parametrize("points", [[[np.nan, 5.0], [np.inf, 5.0]], [[0.0, -np.inf]]])
+def test_evaluate_success_rejects_a_non_finite_final_consensus(points):
+    # scored as nothing detected, such a run would pass as a plain miss
+    report = RunReport(0, False, np.array(points), 2, 0.0, 1, 0)
+    with pytest.raises(ValueError, match="^final consensus must have finite coordinates$"):
+        evaluate_success(report, preset("rastrigin2", 2).minimizers)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import gkbo.solver as solver_module
 from gkbo.errors import NumericError
 from gkbo.objectives import preset
 from gkbo.pcbo import PcboConfig, _run_replicas, pcbo_assign, pcbo_step, run_pcbo
@@ -355,6 +356,11 @@ def _replay_pcbo(spec, cfg, n_particles):
         # the per-axis sums the loop shares with pcbo_assign; with einsum in
         # the loop this run would stall at step 81, not 222
         (4, PcboConfig(n_steps=300, j_stall=50, seed=10)),
+        # every particle sits on its centre from step 163, least counter 50:
+        # reported at once, stalled at step 213
+        (2, PcboConfig(n_steps=600, j_stall=100, seed=11)),
+        # the same fixed point, but the budget ends before the stall
+        (2, PcboConfig(n_steps=200, j_stall=100, seed=11)),
     ],
 )
 def test_run_equals_replay_from_public_phases(dim, cfg):
@@ -458,6 +464,26 @@ def test_replicas_stall_at_different_steps():
     assert len({report.iterations for report in reports}) > 1
 
 
+@pytest.mark.parametrize(
+    "n_steps, iterations, stalled", [(600, 213, True), (200, 200, False)], ids=["stall", "budget"]
+)
+def test_a_settled_run_is_reported_at_its_fixed_point(monkeypatch, n_steps, iterations, stalled):
+    # the replay test's settling runs: the loop stops at step 163, where every
+    # particle sits on its centre, and reports the steps it did not take
+    taken = []
+    end_step = solver_module._Replicas.end_step
+
+    def spy(self, estimates):
+        taken.append(self.steps)
+        end_step(self, estimates)
+
+    monkeypatch.setattr(solver_module._Replicas, "end_step", spy)
+    report = run_pcbo(preset("ackley2", 2), PcboConfig(n_steps=n_steps, j_stall=100, seed=11), 120)
+    assert (report.iterations, report.stalled) == (iterations, stalled)
+    assert report.evaluations == 120 * (iterations + 1)
+    assert len(taken) == 163
+
+
 def standalone_error(objective, dim, cfg, seed) -> tuple[str, int]:
     """Message and step of the NumericError the run with ``seed`` raises."""
     with pytest.raises(NumericError) as raised:
@@ -493,3 +519,35 @@ def test_replicas_raise_the_first_failing_replicas_own_error(objective, dim, cfg
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             _run_replicas(preset(objective, dim), cfg, 60, seeds)
+
+
+def test_replicas_settle_run_and_fail_in_one_batch(monkeypatch, assert_reports_identical):
+    # a box at the edge of the float range: seed 486 overflows in step 75,
+    # the step that settles seed 4, after it in the batch; seed 5 settles in
+    # step 108, and seed 2 does not settle
+    spec = preset("ackley2", 1)
+    cfg = PcboConfig(sigma=1.4, n_steps=150, n_clusters=1, init_lo=-1e306, init_hi=1e306)
+    alone = {seed: run_pcbo(spec, dataclasses.replace(cfg, seed=seed), 3) for seed in (5, 2, 4)}
+    assert [alone[seed].iterations for seed in (5, 2, 4)] == [150] * 3
+    with pytest.raises(NumericError, match="at step 75$") as raised:
+        run_pcbo(spec, dataclasses.replace(cfg, seed=486), 3)
+    message = str(raised.value)
+
+    reported = []
+    reports = solver_module._Replicas.reports
+
+    def spy(self):
+        reported.append(list(self._reports))
+        return reports(self)
+
+    monkeypatch.setattr(solver_module._Replicas, "reports", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _run_replicas(spec, cfg, 3, (5, 2, 4))
+        for seed, report in zip((5, 2, 4), reported.pop(), strict=True):
+            assert_reports_identical(report, alone[seed])
+        # the failure drops seeds 486 and 4 at the step seed 4 settles
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            _run_replicas(spec, cfg, 3, (5, 2, 486, 4))
+    for seed, report in zip((5, 2), reported.pop()):
+        assert_reports_identical(report, alone[seed])
