@@ -230,8 +230,10 @@ class SweepResult:
     ``run_seconds`` holds each run's share of worker time. Runs step in
     batches of replicas (see :func:`run_experiment`), so each batch's
     elapsed seconds are split among its runs in proportion to their
-    objective evaluations; the entries still add up to the worker time
-    spent.
+    reported objective evaluations; the entries still add up to the worker
+    time spent. A pcbo run reported at a fixed point reports the
+    evaluations of the steps it skipped too, so it is charged for them and
+    the runs of its batch that stepped on for less.
     """
 
     sweep_value: object
@@ -315,7 +317,7 @@ def _execute_run(task) -> list[tuple[RunReport, float]]:
     batch, which both solvers' loops (``solver._run_replicas`` and
     ``pcbo._run_replicas``) share. Returns ``(report, seconds)`` per seed:
     the batch's elapsed time split among its runs in proportion to their
-    objective evaluations.
+    reported objective evaluations (see :class:`SweepResult`).
     """
     solver, objective, dim, solver_cfg, n_agents, seeds = task
     spec = preset(objective, dim)
@@ -330,17 +332,17 @@ def _seed_batches(seeds: range, workers: int, coordinates: int, values: int = 1)
     """The seeds of one of ``values`` sweep values as the batches of the pool's tasks.
 
     Both solvers step a batch of replicas together, so the seeds go in
-    contiguous batches of near-equal size: ``ceil(workers / values)`` of
-    them, at least one and at most one per seed, or more where a batch
-    would stack more than ``_MAX_BATCH_COORDINATES`` coordinates. A sweep
-    with at least as many values as workers thus runs one batch per value,
-    and a single value takes one batch per worker. ``coordinates`` is the
-    size of one replica, agents times dimension. The split is fixed before
-    any run starts, whatever the solver and the step budget; a pcbo replica
-    that settles early leaves its batch at once (see ``pcbo._run_replicas``).
+    contiguous batches of near-equal size: one batch when the sweep has at
+    least as many values as there are workers, else one per worker (at
+    most one per seed), and more where a batch would stack more than
+    ``_MAX_BATCH_COORDINATES`` coordinates. ``coordinates`` is the size of
+    one replica, agents times dimension. The split is fixed before any run
+    starts, whatever the solver and the step budget; a pcbo replica that
+    settles early leaves its batch at once (see ``pcbo._run_replicas``).
     """
     per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
-    count = max(min(math.ceil(workers / values), len(seeds)), math.ceil(len(seeds) / per_batch))
+    shared = 1 if values >= workers else min(workers, len(seeds))
+    count = max(shared, math.ceil(len(seeds) / per_batch))
     size, extra = divmod(len(seeds), count)
     bounds = [index * size + min(index, extra) for index in range(count + 1)]
     return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -358,9 +360,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
     ``workers`` caps the process pool; ``None`` uses every available CPU.
     Each task is one batch of a sweep value's seeds, stepped together as
-    replicas (see :func:`_seed_batches`): the workers are shared out over
-    the sweep values, so a sweep with at least as many values as workers
-    runs one batch per value. Every report is the one its standalone run
+    replicas (see :func:`_seed_batches`): a sweep with at least as many
+    values as workers runs one batch per value, anything else one batch
+    per worker for each value. Every report is the one its standalone run
     gives; a pcbo replica that settles at a fixed point is reported at once
     with the report the full loop gives. The pool holds no more workers
     than there are tasks, and a single worker runs the tasks inline. Results are

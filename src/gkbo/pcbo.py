@@ -175,15 +175,6 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     return _run_replicas(spec, cfg, n_particles, (cfg.seed,))[0]
 
 
-def _same_bits(new: np.ndarray, old: np.ndarray, replicas: int) -> np.ndarray:
-    """Whether each replica's rows of two stacked float64 arrays are equal bit for bit.
-
-    Bits, not values: a coordinate that goes from -0.0 to 0.0 has changed.
-    """
-    same = new.view(np.int64) == old.view(np.int64)
-    return same.reshape(replicas, -1).all(axis=1)
-
-
 def _run_replicas(
     spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int, seeds
 ) -> list[RunReport]:
@@ -195,13 +186,13 @@ def _run_replicas(
     particles are assigned again. A step draws every replica's normals, one per
     coordinate.
 
-    A replica is settled after a step that left every particle's estimate
-    equal to its position, every position and every centre bit for bit as
-    it was: each later step then repeats the same state, since a zero gap
-    gives a zero move whatever the draws, and only raises every stall
-    counter by one. :meth:`_Replicas.freeze` reports a settled replica at
-    once with the report the full loop gives. The mask is computed before
-    the objective and cut to the replicas it keeps.
+    A replica is settled after a step that left every centre bit for bit as
+    it was and every particle's estimate equal to its position: each later
+    step then repeats the same state, since a zero gap gives a zero move
+    whatever the draws, and only raises every stall counter by one.
+    :meth:`_Replicas.freeze` reports a settled replica at once with the
+    report the full loop gives. The mask is computed before the objective
+    and cut to the replicas it keeps.
     """
     batch = _Replicas(spec, cfg, n_particles, seeds)
     n = batch.n
@@ -243,10 +234,14 @@ def _run_replicas(
         estimates = centres.take(slots, axis=0)
         positions = _move(batch.positions, estimates, cfg, batch.normals())
         replicas = batch.live.size
-        settled = _same_bits(centres, previous, replicas)
+        # bits, not values: a centre that goes from -0.0 to 0.0 has moved
+        same = centres.view(np.int64) == previous.view(np.int64)
+        settled = same.reshape(replicas, -1).all(axis=1)
         if settled.any():
-            on_centre = (estimates == batch.positions).reshape(replicas, -1).all(axis=1)
-            settled &= on_centre & _same_bits(positions, batch.positions, replicas)
+            # x + nu 0 + sigma 0 z is x bit for bit unless x is -0.0, and no
+            # position is: a sum is -0.0 only when both terms are, and the
+            # uniform start lo + (hi - lo) u never is
+            settled &= (estimates == batch.positions).reshape(replicas, -1).all(axis=1)
         if not batch.evaluate(positions, "pcbo_step"):
             break
         settled = settled[: batch.live.size]  # a failure drops a suffix of the replicas

@@ -145,7 +145,9 @@ class RunReport:
     termination; for the clustered-baseline solver it is the number of cluster
     centres. ``best_value`` is the lowest objective value in the final
     population and ``evaluations`` the total number of single-point objective
-    evaluations consumed.
+    evaluations the full loop uses, ``n (iterations + 1)``: a pcbo run
+    reported at a fixed point counts the steps it skipped too (see
+    ``pcbo._run_replicas``).
     """
 
     iterations: int

@@ -255,14 +255,15 @@ def test_no_seed_batch_stacks_more_than_the_coordinate_cap(
 @pytest.mark.parametrize(
     "repetitions, workers, coordinates, values, sizes",
     [
-        (4, 2, 600 * 5, 5, [4]),  # as many values as workers: one batch per value
+        (4, 2, 600 * 5, 5, [4]),  # more values than workers: one batch per value
+        (4, 2, 600 * 5, 2, [4]),  # as many values as workers
         (4, 2, 600 * 5, 1, [2, 2]),  # a single value splits as it always has
-        (4, 4, 24 * 2, 3, [2, 2]),  # ceil(4 / 3) = 2 batches per value
+        (4, 4, 24 * 2, 3, [1, 1, 1, 1]),  # fewer values than workers: one per worker
         (2, 8, 24 * 2, 3, [1, 1]),  # at most one batch per seed
         (12, 2, 600 * 10, 5, [2] * 6),  # the coordinate cap still binds
     ],
 )
-def test_the_workers_are_shared_out_over_the_sweep_values(
+def test_one_batch_per_value_only_where_the_values_cover_the_workers(
     repetitions, workers, coordinates, values, sizes
 ):
     batches = _seed_batches(range(repetitions), workers, coordinates, values)
