@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericError
 from .errors import _integer, _number, _require_finite, _require_minimizers, _require_non_negative
 from .objectives import PRESET_NAMES, preset
 from .pcbo import PcboConfig
@@ -78,9 +79,14 @@ _PCBO_ROLES = {"nu_f": "nu", "sigma_f": "sigma", "n_leaders": "n_clusters"}
 _MAX_BATCH_COORDINATES = 14_400
 
 
+def _plain(value):
+    """``value`` with a numpy scalar, which ``json`` cannot write, as the Python number it holds."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _config_as_dict(config: SolverConfig | PcboConfig) -> dict:
-    """A solver config as JSON-ready fields, the diffusion mode by its value."""
-    out = dataclasses.asdict(config)
+    """A solver config as JSON-ready fields: Python numbers, the diffusion mode by its value."""
+    out = {name: _plain(value) for name, value in dataclasses.asdict(config).items()}
     out["diffusion"] = config.diffusion.value
     return out
 
@@ -187,7 +193,7 @@ class ExperimentConfig:
             "n_agents": int(self.n_agents),
             "repetitions": int(self.repetitions),
             "sweep": self.sweep,
-            "sweep_values": list(self.sweep_values),
+            "sweep_values": [_plain(value) for value in self.sweep_values],
             "base_seed": int(self.base_seed),
             "solver_config": _config_as_dict(self.solver_config),
         }
@@ -318,11 +324,24 @@ def _execute_run(task) -> list[tuple[RunReport, float]]:
     ``pcbo._run_replicas``) share. Returns ``(report, seconds)`` per seed:
     the batch's elapsed time split among its runs in proportion to their
     reported objective evaluations (see :class:`SweepResult`).
+
+    A batch raises at its first non-finite value, whichever replica made
+    it. A batch of several seeds that raises NumericError runs them again
+    one at a time, in order: a replica is its standalone run bit for bit,
+    so the first seed to raise is the lowest failing one, with its own
+    error. A batch of one raises its error at once.
     """
     solver, objective, dim, solver_cfg, n_agents, seeds = task
     spec = preset(objective, dim)
+    loop = _REPLICA_LOOPS[solver]
     start = time.perf_counter()
-    reports = _REPLICA_LOOPS[solver](spec, solver_cfg, n_agents, seeds)
+    try:
+        reports = loop(spec, solver_cfg, n_agents, seeds)
+    except NumericError:
+        if len(seeds) > 1:
+            for seed in seeds:
+                loop(spec, solver_cfg, n_agents, (seed,))
+        raise
     elapsed = time.perf_counter() - start
     evaluations = sum(report.evaluations for report in reports)
     return [(report, elapsed * report.evaluations / evaluations) for report in reports]
@@ -369,8 +388,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     aggregated in seed order, so the summary does not depend on the worker
     count. The population size and every solver config are checked before
     any run starts. A failing run raises the NumericError of the lowest
-    failing seed: both solvers drop a failing replica and the ones after it
-    in its batch, and the batch raises the first one's error.
+    failing seed, the error its standalone run raises: a batch raises at
+    its first non-finite value, and :func:`_execute_run` then runs the
+    batch's seeds one at a time up to the lowest failing one.
     """
     workers = _worker_count(workers)
     cfg.validate()
@@ -454,15 +474,10 @@ def write_results(summary: ExperimentSummary, path) -> Path:
     :func:`_result_paths`).
     """
     path, sidecar_path = _result_paths(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")  # writes None as an empty field
-        writer.writerow(CSV_HEADER)
-        for result in summary.results:
-            writer.writerow([getattr(result, column) for column in CSV_HEADER])
     sidecar = summary.config.to_dict()
     sidecar["runs"] = [
         {
-            "sweep_value": result.sweep_value,
+            "sweep_value": _plain(result.sweep_value),
             "seeds": list(result.seeds),
             "run_seconds": list(result.run_seconds),
             "iterations": list(result.iterations),
@@ -470,7 +485,12 @@ def write_results(summary: ExperimentSummary, path) -> Path:
         }
         for result in summary.results
     ]
-    text = json.dumps(sidecar, indent=2)
+    text = json.dumps(sidecar, indent=2)  # before the CSV, so a failure writes neither
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")  # writes None as an empty field
+        writer.writerow(CSV_HEADER)
+        for result in summary.results:
+            writer.writerow([getattr(result, column) for column in CSV_HEADER])
     sidecar_path.write_text(text + "\n", encoding="utf-8")
     return path
 

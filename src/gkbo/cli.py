@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .bench import (
     _CONFIGS,
+    _REPLICA_LOOPS,
     _SWEEPS,
     SUCCESS_THRESHOLD,
     ExperimentConfig,
@@ -34,8 +35,7 @@ from .bench import (
 )
 from .errors import _integer, _require_non_negative
 from .objectives import PRESET_NAMES, preset
-from .pcbo import run_pcbo
-from .solver import RunReport, run_gkbo
+from .solver import RunReport
 
 __all__ = ["main"]
 
@@ -172,8 +172,8 @@ def _cmd_run(args) -> int:
     }
     print(json.dumps(effective, indent=2))
     spec = preset(cfg.objective, cfg.dim)
-    # each solver's one-run entry point, imported above as run_<solver>
-    report = globals()[f"run_{cfg.solver}"](spec, config, cfg.n_agents)
+    # a batch of one seed: what run_gkbo and run_pcbo are
+    (report,) = _REPLICA_LOOPS[cfg.solver](spec, config, cfg.n_agents, (cfg.base_seed,))
     _print_report(report, spec.minimizers, args.threshold)
     return 0
 

@@ -95,16 +95,18 @@ def _soft_centres(
 ) -> np.ndarray:
     """Softmax centres under fractional memberships (rows of ``memberships`` sum to 1).
 
-    The objective weights are shifted by the global minimum before
+    ``positions`` ``(R, n, d)``, ``energies`` ``(R, n)`` and ``memberships``
+    ``(R, n, k)`` give ``(R, k, d)`` centres, each replica's from its own
+    rows. The objective weights are shifted by the replica's minimum before
     exponentiation; the shift cancels in the ratio and keeps every exponent
     non-positive.
     """
     # an exponent that overflows to -inf gives weight 0, the value it rounds to anyway
     with np.errstate(over="ignore"):
-        weights = np.exp(-alpha * (energies - energies.min()))
-    weighted = memberships * weights[:, np.newaxis]
-    denom = weighted.sum(axis=0)
-    return (weighted.T @ positions) / denom[:, np.newaxis]
+        weights = np.exp(-alpha * (energies - energies.min(axis=-1, keepdims=True)))
+    weighted = memberships * weights[..., np.newaxis]
+    denom = weighted.sum(axis=-2)
+    return (weighted.swapaxes(-1, -2) @ positions) / denom[..., np.newaxis]
 
 
 def _move(
@@ -183,27 +185,24 @@ def _run_replicas(
     Replica r's centres are slots ``r k .. r k + k - 1`` of one consensus,
     so ``bincount`` still adds each cluster's terms in particle order, and
     the report is bit-identical. When replicas are dropped, the others'
-    particles are assigned again. A step draws every replica's normals, one per
-    coordinate.
+    particles are assigned again. The start draws every replica's
+    memberships through the batch, after its positions, and one call
+    makes every replica's first centres from its own rows; a step draws
+    every replica's normals, one per coordinate.
 
     A replica is settled after a step that left every centre bit for bit as
     it was and every particle's estimate equal to its position: each later
     step then repeats the same state, since a zero gap gives a zero move
     whatever the draws, and only raises every stall counter by one.
     :meth:`_Replicas.freeze` reports a settled replica at once with the
-    report the full loop gives. The mask is computed before the objective
-    and cut to the replicas it keeps.
+    report the full loop gives. The mask is computed before the step's
+    objective, which replaces the batch's positions.
     """
     batch = _Replicas(spec, cfg, n_particles, seeds)
     n = batch.n
     k = int(cfg.n_clusters)
     dim = spec.dim
     alpha = float(cfg.alpha)
-
-    def start(positions, energies, rng):
-        memberships = rng.random((n, k))
-        memberships /= memberships.sum(axis=1, keepdims=True)
-        return _soft_centres(positions, energies, memberships, alpha)
 
     def slots_of(centres):
         """Every particle's centre slot: the nearest of its own replica's centres."""
@@ -218,7 +217,11 @@ def _run_replicas(
         centres, estimates = _keep(centres, keep), _keep(estimates, keep)
         slots = slots_of(centres)
 
-    centres = batch.start(start, drop)
+    batch.start(drop)
+    memberships = batch.draws(np.random.Generator.random, k).reshape(-1, n, k)
+    memberships /= memberships.sum(axis=2, keepdims=True)
+    stacked = batch.positions.reshape(-1, n, dim), batch.energies.reshape(-1, n)
+    centres = _soft_centres(*stacked, memberships, alpha).reshape(-1, dim)
     offsets = np.arange(0, centres.shape[0], k)[:, np.newaxis]  # replica r's first slot, r k
     slots = slots_of(centres)
     # take, not centres[slots]: fancy indexing of narrow rows is ~10x slower
@@ -232,7 +235,8 @@ def _run_replicas(
             batch.positions, batch.energies, slots, centres.shape[0], alpha, centres
         )
         estimates = centres.take(slots, axis=0)
-        positions = _move(batch.positions, estimates, cfg, batch.normals())
+        noise = batch.draws(np.random.Generator.standard_normal, dim)
+        positions = _move(batch.positions, estimates, cfg, noise)
         replicas = batch.live.size
         # bits, not values: a centre that goes from -0.0 to 0.0 has moved
         same = centres.view(np.int64) == previous.view(np.int64)
@@ -242,10 +246,8 @@ def _run_replicas(
             # position is: a sum is -0.0 only when both terms are, and the
             # uniform start lo + (hi - lo) u never is
             settled &= (estimates == batch.positions).reshape(replicas, -1).all(axis=1)
-        if not batch.evaluate(positions, "pcbo_step"):
-            break
-        settled = settled[: batch.live.size]  # a failure drops a suffix of the replicas
+        batch.evaluate(positions, "pcbo_step")
         batch.end_step(estimates)
         slots = slots_of(centres)
 
-    return batch.reports()
+    return batch.reports

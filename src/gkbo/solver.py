@@ -20,7 +20,6 @@ import numpy as np
 from .ensemble import Ensemble, _cluster_ranks, _relabel
 from .errors import (
     EmptyLeaderSetError,
-    NumericError,
     _check_clusters,
     _check_energies,
     _check_positions,
@@ -631,29 +630,6 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
     return _run_replicas(spec, cfg, n_agents, (cfg.seed,))[0]
 
 
-def _first_failure(
-    positions: np.ndarray, energies: np.ndarray, n: int, step: int | None, phase: str
-) -> tuple[int, NumericError] | None:
-    """Slot of the first replica with a non-finite position or value, and its own run's error.
-
-    None when every row is finite. A replica's positions are checked before
-    its values, in the order of its own run's checks; ``phase`` names the
-    kernel that made the positions, and a ``step`` of None, the start, is
-    left out of the message. The values alone decide whether a row
-    failed: every coordinate of a point passes through a cosine in both base
-    functions, so a non-finite coordinate gives a NaN value.
-    """
-    if np.isfinite(energies).all():
-        return None
-    for slot in range(energies.size // n):
-        rows = slice(slot * n, (slot + 1) * n)
-        try:
-            _check_positions(positions[rows], phase, step)
-            _check_energies(energies[rows], "objective", step)
-        except NumericError as exc:
-            return slot, exc
-
-
 def _keep(stacked: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The rows of the replicas ``keep`` selects from an array stacked replica by replica."""
     rest = stacked.shape[1:]
@@ -669,19 +645,20 @@ class _Replicas:
     does not depend on other rows, so its report is its own run's, bit for
     bit. The batch holds what both solvers' loops share: the start, the
     draws, the positions and objective values, the stall counters, the
-    reports and the error, and ``work``, the scratch memory that every
-    step's objective and nearest-centre calls reuse. A loop keeps its own
-    per-replica state, such as labels or centres, and hands :meth:`start`
-    the hook that drops from it the replicas the batch drops.
+    ``reports`` and ``work``, the scratch memory that every step's objective
+    and nearest-centre calls reuse. A loop keeps its own per-replica state,
+    such as labels or centres, and hands :meth:`start` the hook that drops
+    from it the replicas the batch drops.
 
     A replica that stalls or reaches the step budget is frozen there: its
     report is taken and its rows are dropped. A loop may mark replicas
     settled, at a fixed point of its step; :meth:`freeze` reports those at
-    once with the report the full loop gives. When a replica fails, it and
-    the replicas after it are dropped right after the objective, so every
-    later phase sees finite rows only. The ones before it run on, and
-    :meth:`reports` raises the NumericError of the first failing replica:
-    the error its own run raises, with replica-local agent and step.
+    once with the report the full loop gives. The batch raises NumericError
+    at the first non-finite objective value, at the start or after a step.
+    In a batch of one replica that is its own run's error; in a larger
+    batch the agent is counted over the stacked rows, so
+    ``bench._execute_run`` runs such a batch's seeds again one at a time to
+    raise the lowest failing seed's own error.
     """
 
     def __init__(self, spec: ObjectiveSpec, cfg, n_agents: int, seeds) -> None:
@@ -690,81 +667,67 @@ class _Replicas:
         self.spec, self.cfg, self.seeds = spec, cfg, seeds
         self.delta_stall = float(cfg.delta_stall)
         self.steps = 0
-        self.error: NumericError | None = None
         self.work = _Workspace()
-        self._reports: list[RunReport | None] = [None] * len(seeds)
+        self.reports: list[RunReport | None] = [None] * len(seeds)
 
-    def start(self, own_start, own_drop) -> np.ndarray:
-        """Start the replicas in seed order, up to the first whose start fails.
+    def start(self, own_drop) -> None:
+        """Draw every replica's start positions uniformly from the box and evaluate them at once.
 
-        Every replica draws its positions uniformly from the box, finite by
-        construction. The stacked draws are evaluated in one call, so ``work``
-        takes the batch's size once, and each replica's values are checked in
-        seed order; ``own_start(positions, energies, rng)`` then makes each
-        started replica's own start array. Returns those arrays stacked.
+        The positions are finite by construction; the stacked draws are
+        evaluated in one call, so ``work`` takes the batch's size once.
         Whenever the batch drops replicas and some are left,
         ``own_drop(keep)`` keeps the slots ``keep`` selects in the loop's own
         state.
         """
         self.own_drop = own_drop
-        n, shape = self.n, (self.n, self.spec.dim)
-        rngs = [np.random.default_rng(seed) for seed in self.seeds]
-        positions = np.concatenate(
-            [rng.uniform(self.cfg.init_lo, self.cfg.init_hi, shape) for rng in rngs]
+        self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
+        self.live = np.arange(len(self.seeds))  # the replica in every slot of the stack
+        shape = (self.n, self.spec.dim)
+        self.positions = np.concatenate(
+            [rng.uniform(self.cfg.init_lo, self.cfg.init_hi, shape) for rng in self.rngs]
         )
-        energies = self.spec._values(positions, self.work)
-        failure = _first_failure(positions, energies, n, None, "start")
-        started = len(rngs)
-        if failure is not None:
-            started, self.error = failure
-            if not started:
-                raise self.error
-        self.rngs = rngs[:started]
-        self.positions, self.energies = positions[: started * n], energies[: started * n]
-        self.live = np.arange(started)  # the replica in every slot of the stack
-        replicas = zip(positions.reshape(-1, *shape), energies.reshape(-1, n), self.rngs)
-        return np.concatenate([own_start(*replica) for replica in replicas])
+        self.energies = self.spec._values(self.positions, self.work)
+        self._check("start", None)
 
     def watch(self, estimates: np.ndarray) -> None:
         """Start every stall counter at zero on the first consensus estimates."""
         self.tracker = StallTracker(np.zeros(estimates.shape[0], dtype=np.int64), estimates)
 
-    def normals(self) -> np.ndarray:
-        """n rows of d standard normals from every replica's generator, stacked.
+    def draws(self, draw, *shape) -> np.ndarray:
+        """A ``shape`` block of draws per agent from every replica's generator, stacked.
 
-        Each replica fills its own rows of one new array: at two replicas of
-        600 rows, d = 1-5, that costs 2-10 us less a step than joining fresh
-        draws, and a batch of one costs what a fresh draw does (numpy 2.4,
-        2 vCPUs).
+        ``draw`` is a Generator method that fills ``out``, such as
+        ``np.random.Generator.random``. Each replica fills its own n rows of
+        one new array with the numbers of its own run's fresh ``(n, *shape)``
+        draw: at two replicas of 600 rows, d = 1-5, that costs 2-10 us less
+        a step than joining fresh normals, and at 12 replicas of 600 agents
+        46-52 us against 54-60 us for uniforms; a batch of one costs what a
+        fresh draw does (numpy 2.4, 2 vCPUs).
         """
-        rows = [self.n] * len(self.rngs)
-        draw = np.random.Generator.standard_normal
-        return _draws(np.empty(self.positions.shape), draw, self.rngs, rows)
+        out = np.empty((self.energies.size, *shape))
+        return _draws(out, draw, self.rngs, [self.n] * len(self.rngs))
 
-    def uniforms(self) -> np.ndarray:
-        """One uniform per agent from every replica's generator, stacked.
-
-        Filled as :meth:`normals` is: at 12 replicas of 600 agents that
-        reads 46-52 us a step against 54-60 us for joining fresh arrays
-        (numpy 2.4).
-        """
-        rows = [self.n] * len(self.rngs)
-        return _draws(np.empty(self.energies.size), np.random.Generator.random, self.rngs, rows)
-
-    def evaluate(self, positions: np.ndarray, phase: str) -> bool:
+    def evaluate(self, positions: np.ndarray, phase: str) -> None:
         """Take a step's new positions and their objective values, checked once.
 
-        Drops the first failing replica and those after it; returns whether
-        any replica is left. ``phase`` names the kernel that made the
-        positions.
+        ``phase`` names the kernel that made the positions.
         """
         self.positions = positions
         self.energies = self.spec._values(positions, self.work)
-        failure = _first_failure(positions, self.energies, self.n, self.steps, phase)
-        if failure is None:
-            return True
-        failed, self.error = failure
-        return self._drop(np.arange(self.live.size) < failed)
+        self._check(phase, self.steps)
+
+    def _check(self, phase: str, step: int | None) -> None:
+        """Raise NumericError at the first non-finite position, else objective value.
+
+        The values alone decide whether to look: every coordinate of a point
+        passes through a cosine in both base functions, so a non-finite
+        coordinate gives a NaN value. ``phase`` names the kernel that made
+        the positions; a ``step`` of None, the start, is left out of the
+        message.
+        """
+        if not np.isfinite(self.energies).all():
+            _check_positions(self.positions, phase, step)
+            _check_energies(self.energies, "objective", step)
 
     def end_step(self, estimates: np.ndarray) -> None:
         """Close a step: advance the stall counters with the new consensus estimates."""
@@ -793,7 +756,7 @@ class _Replicas:
             stalled = least + (iterations - steps) >= cfg.j_stall
         done = stalled | (iterations >= cfg.n_steps)
         for slot in np.flatnonzero(done):
-            self._reports[self.live[slot]] = RunReport(
+            self.reports[self.live[slot]] = RunReport(
                 iterations=int(iterations[slot]),
                 stalled=bool(stalled[slot]),
                 final_consensus=_distinct_rows(consensus[bounds[slot] : bounds[slot + 1]]),
@@ -802,10 +765,9 @@ class _Replicas:
                 evaluations=n * (int(iterations[slot]) + 1),
                 seed=int(self.seeds[self.live[slot]]),
             )
-        return self._drop(~done)
-
-    def _drop(self, keep: np.ndarray) -> bool:
-        """Keep the slots ``keep`` selects in the batch and the loop; whether any is left."""
+        if done.all():
+            return False
+        keep = ~done
         self.positions, self.energies, self.live = (
             _keep(a, keep) for a in (self.positions, self.energies, self.live)
         )
@@ -813,27 +775,19 @@ class _Replicas:
             _keep(self.tracker.counters, keep), _keep(self.tracker.estimates, keep)
         )
         self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
-        if not keep.any():
-            return False
         self.own_drop(keep)
         return True
 
-    def reports(self) -> list[RunReport]:
-        """Every replica's report, or the first failing replica's NumericError."""
-        if self.error is not None:
-            raise self.error
-        return self._reports
 
+def _leader_bounds(labels: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    """Leaders of stacked replicas of n agents, ascending, and where each replica's leaders begin.
 
-def _leader_bounds(labels: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, list]:
-    """Leaders of stacked replicas, ascending, and where each replica's leaders begin.
-
-    ``row_starts`` holds the first row of every replica and, last, the row
-    count. Replica r's leaders are ``leaders[bounds[r]:bounds[r + 1]]`` and
-    own the cluster slots ``bounds[r]`` to ``bounds[r + 1] - 1``.
+    Replica r's leaders are ``leaders[bounds[r]:bounds[r + 1]]`` and own the
+    cluster slots ``bounds[r]`` to ``bounds[r + 1] - 1``; the last bound is
+    the leader count.
     """
     leaders = np.flatnonzero(labels)
-    return leaders, np.searchsorted(leaders, row_starts).tolist()
+    return leaders, np.searchsorted(leaders, np.arange(0, labels.size + 1, n)).tolist()
 
 
 def _replica_slots(
@@ -873,12 +827,13 @@ def _run_replicas(
 ) -> list[RunReport]:
     """One :func:`run_gkbo` report per seed, from the replicas of one :class:`_Replicas` batch.
 
-    A replica starts as its run does: the population-wide ranks of one
-    cluster promote the agents below ``n_leaders / n_agents``. Its leaders
+    A replica starts as its run does: the population-wide ranks of its
+    agents promote those below ``n_leaders / n_agents``, one rank call
+    serving every replica with each replica as one cluster. Its leaders
     take the cluster slots after those of replicas 0 .. r-1, so one rank
-    call and one consensus call serve every replica: ``bincount`` still adds
-    each cluster's terms in agent order, and ranks do not depend on the
-    order of ties, so the report is bit-identical. The nearest-leader
+    call and one consensus call serve every step too: ``bincount`` still
+    adds each cluster's terms in agent order, and ranks do not depend on
+    the order of ties, so the report is bit-identical. The nearest-leader
     assignment and the leaderless safety net run per replica. When replicas
     are dropped, the others' slots move down with their leaders. A step
     draws the follower normals of every replica before its transition
@@ -889,25 +844,20 @@ def _run_replicas(
     omega_bar = cfg.omega_bar(n)
     eps = float(cfg.eps)
     alpha = float(cfg.alpha)
-    everyone = np.zeros(n, dtype=np.int64)  # one cluster, of followers only
 
     def drop(keep):
         """Keep the replicas' labels and slots; each kept replica's slots move with its leaders."""
-        nonlocal labels, row_starts, leaders, bounds, slots
+        nonlocal labels, leaders, bounds, slots
         own = slots - np.repeat(bounds[:-1], n)  # every agent's slot among its replica's own
         labels = _keep(labels, keep)
-        row_starts = row_starts[: labels.size // n + 1]
-        leaders, bounds = _leader_bounds(labels, row_starts)
+        leaders, bounds = _leader_bounds(labels, n)
         slots = _keep(own, keep) + np.repeat(bounds[:-1], n)
 
-    labels = batch.start(
-        lambda positions, energies, rng: _relabel(
-            everyone, _cluster_ranks(energies, everyone, 1), omega_bar
-        ),
-        drop,
-    )
-    row_starts = np.arange(0, labels.size + 1, n)
-    leaders, bounds = _leader_bounds(labels, row_starts)
+    batch.start(drop)
+    replicas = batch.live.size
+    ranks = _cluster_ranks(batch.energies, np.arange(replicas).repeat(n), replicas)
+    labels = _relabel(np.zeros(replicas * n, dtype=np.int64), ranks, omega_bar)
+    leaders, bounds = _leader_bounds(labels, n)
     slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
     consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
     # take, not consensus[slots]: fancy indexing of narrow rows is ~10x slower
@@ -920,20 +870,19 @@ def _run_replicas(
         positions = _interact(
             batch.positions, followers, leaders[slots], batch.tracker.estimates, cfg, noise
         )
-        if not batch.evaluate(positions, "interaction_step"):
-            break
+        batch.evaluate(positions, "interaction_step")
 
         omega = _cluster_ranks(batch.energies, slots, bounds[-1])
-        labels = _relabel(labels, omega, omega_bar, batch.uniforms() < eps)
-        leaders, bounds = _leader_bounds(labels, row_starts)
+        labels = _relabel(labels, omega, omega_bar, batch.draws(np.random.Generator.random) < eps)
+        leaders, bounds = _leader_bounds(labels, n)
         leaderless = [slot for slot, lo in enumerate(bounds[:-1]) if bounds[slot + 1] == lo]
         if leaderless:
             for slot in leaderless:
                 rows = slice(slot * n, (slot + 1) * n)
                 labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
-            leaders, bounds = _leader_bounds(labels, row_starts)
+            leaders, bounds = _leader_bounds(labels, n)
         slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
         consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
         batch.end_step(consensus.take(slots, axis=0))
 
-    return batch.reports()
+    return batch.reports

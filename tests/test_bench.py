@@ -427,6 +427,143 @@ def test_a_failing_gkbo_experiment_raises_the_lowest_failing_seeds_error(workers
             run_experiment(cfg, workers=workers)
 
 
+def execute(solver, objective, dim, cfg, seeds, n_agents=60) -> list:
+    """The ``(report, seconds)`` pairs of one harness task, run inline."""
+    return bench_module._execute_run((solver, objective, dim, cfg, n_agents, seeds))
+
+
+RUNS = {"gkbo": run_gkbo, "pcbo": run_pcbo}
+
+
+def standalone_error(solver, objective, dim, cfg, seed) -> tuple[str, int]:
+    """Message and step of the NumericError the 60-agent run with ``seed`` raises."""
+    with pytest.raises(NumericError) as raised:
+        RUNS[solver](preset(objective, dim), dataclasses.replace(cfg, seed=seed), 60)
+    message = str(raised.value)
+    return message, int(re.search(r"at step (\d+)$", message).group(1))
+
+
+DIVERGING_GKBO = SolverConfig(diffusion="isotropic", sigma_f=10)
+
+
+@pytest.mark.parametrize(
+    "solver, objective, dim, cfg, seeds, reported",
+    [
+        # both fail; the higher seed fails first (step 249 vs 262)
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=400), (2, 3), 0),
+        # only the second replica fails, so the agent is counted within it
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=255), (2, 3), 1),
+        # the second replica fails at step 249, the last of the first one's budget
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=250), (2, 3), 1),
+        # both fail; the higher seed fails first (step 307 vs 318)
+        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=3000), (0, 1), 0),
+        # both fail, in different phases; the higher seed fails first (215 vs 222)
+        ("pcbo", "ackley2", 1, PcboConfig(sigma=40, n_steps=3000), (2, 3), 0),
+        # only the second replica fails, so the agent is counted within it
+        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=310), (0, 1), 1),
+        # the second replica fails at step 307, the last of the first one's budget
+        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=308), (0, 1), 1),
+        # the second replica fails at step 307 and the third at 318; the
+        # seeds run again in batch order, so the third's error cannot surface
+        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=320), (2, 1, 0), 1),
+    ],
+)
+def test_a_failing_batch_raises_its_first_failing_seeds_own_error(
+    solver, objective, dim, cfg, seeds, reported
+):
+    message, step = standalone_error(solver, objective, dim, cfg, seeds[reported])
+    if reported == 0:
+        assert standalone_error(solver, objective, dim, cfg, seeds[1])[1] < step
+    else:
+        first = RUNS[solver](preset(objective, dim), dataclasses.replace(cfg, seed=seeds[0]), 60)
+        assert first.iterations == cfg.n_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            execute(solver, objective, dim, cfg, seeds)
+
+
+def test_the_seeds_after_the_first_failing_one_cannot_surface():
+    # seed 3 fails at step 249 and seed 4 at 276; seed 1 would fail at 299,
+    # after the budget, so only seed 3's error may surface
+    cfg = dataclasses.replace(DIVERGING_GKBO, n_steps=280)
+    message, step = standalone_error("gkbo", "ackley2", 2, cfg, 3)
+    assert standalone_error("gkbo", "ackley2", 2, cfg, 4)[1] > step
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        execute("gkbo", "ackley2", 2, cfg, (1, 3, 4))
+
+
+def test_a_batch_whose_start_fails_raises_the_failing_seeds_own_error():
+    # In a box of +-1.2e154 some rastrigin2 values overflow: alone, seeds 2, 3
+    # and 5 start and seed 4 fails at agent 1. The batch raises at once,
+    # counting the agent over its stacked rows; the harness finds seed 4.
+    spec = preset("rastrigin2", 2)
+    cfg = SolverConfig(init_lo=-1.2e154, init_hi=1.2e154, n_leaders=1, n_steps=0)
+    for seed in (2, 3, 5):
+        assert run_gkbo(spec, dataclasses.replace(cfg, seed=seed), 3).iterations == 0
+    message = "objective: agent {} has a non-finite objective value"
+    with pytest.raises(NumericError, match=f"^{message.format(1)}$"):
+        run_gkbo(spec, dataclasses.replace(cfg, seed=4), 3)
+    with pytest.raises(NumericError, match=f"^{message.format(7)}$"):
+        bench_module._REPLICA_LOOPS["gkbo"](spec, cfg, 3, (2, 3, 4, 5))
+    with pytest.raises(NumericError, match=f"^{message.format(1)}$"):
+        execute("gkbo", "rastrigin2", 2, cfg, (2, 3, 4, 5), n_agents=3)
+
+
+def test_a_pcbo_batch_that_fails_as_a_replica_settles_raises_the_failing_seeds_own_error():
+    # a box at the edge of the float range: seed 486 overflows in step 75,
+    # the step that settles seed 4, after it in the batch; seed 5 settles in
+    # step 108, and seed 2 does not settle
+    spec = preset("ackley2", 1)
+    cfg = PcboConfig(sigma=1.4, n_steps=150, n_clusters=1, init_lo=-1e306, init_hi=1e306)
+    with pytest.raises(NumericError, match="at step 75$") as raised:
+        run_pcbo(spec, dataclasses.replace(cfg, seed=486), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(str(raised.value))}$"):
+            execute("pcbo", "ackley2", 1, cfg, (5, 2, 486, 4), n_agents=3)
+
+
+@pytest.mark.parametrize(
+    "n_steps, seeds, calls",
+    [
+        (400, (2,), [(2,)]),  # a batch of one is not run again
+        (400, (2, 3), [(2, 3), (2,)]),  # seed 2 fails at step 262
+        (255, (2, 3), [(2, 3), (2,), (3,)]),  # seed 2 runs to the budget, seed 3 fails
+    ],
+)
+def test_a_failing_batch_runs_its_seeds_again_up_to_the_first_failing_one(
+    monkeypatch, n_steps, seeds, calls
+):
+    ran = []
+    loop = bench_module._REPLICA_LOOPS["gkbo"]
+
+    def spy(spec, cfg, n_agents, seeds):
+        ran.append(tuple(seeds))
+        return loop(spec, cfg, n_agents, seeds)
+
+    monkeypatch.setitem(bench_module._REPLICA_LOOPS, "gkbo", spy)
+    with pytest.raises(NumericError):
+        execute("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=n_steps), seeds)
+    assert ran == calls
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"solver_config": SolverConfig(n_steps=15, n_leaders=np.int64(4))},
+        {"sweep_values": np.arange(1, 3)},
+    ],
+    ids=["config", "sweep"],
+)
+def test_numpy_numbers_round_trip_through_the_sidecar(tmp_path, overrides):
+    cfg = tiny_experiment(repetitions=1, **overrides)
+    path = write_results(run_experiment(cfg, workers=1), tmp_path / "out.csv")
+    sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+    assert ExperimentConfig.from_dict(sidecar) == cfg
+    assert [run["sweep_value"] for run in sidecar["runs"]] == [1, 2]
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [

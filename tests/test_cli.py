@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,8 +169,8 @@ def test_run_rejects_a_bad_setting_before_it_prints_or_runs(argv, message, monke
     def never(*args):
         raise AssertionError("the solver ran")
 
-    monkeypatch.setattr(cli_module, "run_gkbo", never)
-    monkeypatch.setattr(cli_module, "run_pcbo", never)
+    monkeypatch.setitem(cli_module._REPLICA_LOOPS, "gkbo", never)
+    monkeypatch.setitem(cli_module._REPLICA_LOOPS, "pcbo", never)
     assert main(["run", *TINY_RUN, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -396,6 +400,19 @@ success: false
 def test_run_prints_exactly_the_pinned_text(solver, capsys):
     assert main(["run", "--solver", solver, "--seed", "3", *TINY_RUN]) == 0
     assert capsys.readouterr().out == RUN_STDOUT[solver]
+
+
+def test_python_dash_m_gkbo_prints_what_main_prints(capsys):
+    argv = ["run", "--n-agents", "24", "--n-steps", "5", "--seed", "0"]
+    assert main(argv) == 0
+    src = str(Path(cli_module.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "gkbo", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == capsys.readouterr().out
 
 
 BENCH_CONFIG_STDOUT = """\
