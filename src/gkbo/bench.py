@@ -186,17 +186,11 @@ class ExperimentConfig:
             _sweep_setup(self, value)[1].validate(self.n_agents)
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "dim": int(self.dim),
-            "solver": self.solver,
-            "n_agents": int(self.n_agents),
-            "repetitions": int(self.repetitions),
-            "sweep": self.sweep,
-            "sweep_values": [_plain(value) for value in self.sweep_values],
-            "base_seed": int(self.base_seed),
-            "solver_config": _config_as_dict(self.solver_config),
-        }
+        """The config as JSON-ready fields in field order, ``solver_config`` last."""
+        out = {field.name: _plain(getattr(self, field.name)) for field in dataclasses.fields(self)}
+        out["sweep_values"] = [_plain(value) for value in self.sweep_values]
+        out["solver_config"] = _config_as_dict(out.pop("solver_config"))
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

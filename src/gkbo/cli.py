@@ -114,6 +114,8 @@ def _experiment(args, data: dict, seed) -> ExperimentConfig:
             data[name] = value
     if getattr(args, "sweep_values", None) is not None:
         data["sweep_values"] = _parse_number_list(args.sweep_values, "--sweep-values")
+    elif getattr(args, "sweep", None) == "none":  # the file's sweep values go with its sweep
+        data.pop("sweep_values", None)
     if seed is not None or "base_seed" not in data:
         data["base_seed"] = _seed(seed)
     overrides = _solver_overrides(args, data.get("solver", ExperimentConfig.solver))
@@ -332,10 +334,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 1
+    except SystemExit as exc:  # argparse exits 0 on --help and 1 on a usage error
+        return exc.code
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)

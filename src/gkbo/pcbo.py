@@ -184,11 +184,12 @@ def _run_replicas(
 
     Replica r's centres are slots ``r k .. r k + k - 1`` of one consensus,
     so ``bincount`` still adds each cluster's terms in particle order, and
-    the report is bit-identical. When replicas are dropped, the others'
-    particles are assigned again. The start draws every replica's
-    memberships through the batch, after its positions, and one call
-    makes every replica's first centres from its own rows; a step draws
-    every replica's normals, one per coordinate.
+    the report is bit-identical. When :meth:`_Replicas.freeze` drops
+    replicas, the loop keeps the others' centres and assigns their particles
+    again. The start draws every replica's memberships through the batch,
+    after its positions, and one call makes every replica's first centres
+    from its own rows; a step draws every replica's normals, one per
+    coordinate.
 
     A replica is settled after a step that left every centre bit for bit as
     it was and every particle's estimate equal to its position: each later
@@ -211,13 +212,7 @@ def _run_replicas(
         )
         return (nearest + offsets[: nearest.shape[0]]).ravel()
 
-    def drop(keep):
-        """Keep the replicas' centres and estimates, and assign their particles again."""
-        nonlocal centres, estimates, slots
-        centres, estimates = _keep(centres, keep), _keep(estimates, keep)
-        slots = slots_of(centres)
-
-    batch.start(drop)
+    batch.start()
     memberships = batch.draws(np.random.Generator.random, k).reshape(-1, n, k)
     memberships /= memberships.sum(axis=2, keepdims=True)
     stacked = batch.positions.reshape(-1, n, dim), batch.energies.reshape(-1, n)
@@ -227,9 +222,12 @@ def _run_replicas(
     # take, not centres[slots]: fancy indexing of narrow rows is ~10x slower
     estimates = centres.take(slots, axis=0)
     batch.watch(estimates)
-    settled = None
+    settled = False
 
-    while batch.freeze(centres, range(0, centres.shape[0] + 1, k), settled):
+    while (keep := batch.freeze(centres, range(0, centres.shape[0] + 1, k), settled)) is not None:
+        if not keep.all():
+            centres = _keep(centres, keep)
+            slots = slots_of(centres)
         previous = centres
         centres = _consensus(
             batch.positions, batch.energies, slots, centres.shape[0], alpha, centres

@@ -513,7 +513,7 @@ def _draws(out: np.ndarray, draw, rngs: list, counts: list) -> np.ndarray:
     return out
 
 
-def _follower_noise(followers: np.ndarray, dim: int, rngs: list, counts: list) -> np.ndarray:
+def _follower_noise(followers: np.ndarray, dim: int, rngs: list, counts) -> np.ndarray:
     """Noise row of every agent: the k-th follower's is the k-th drawn row, a leader's zeros.
 
     Replica r's generator ``rngs[r]`` draws its ``counts[r]`` followers' rows
@@ -647,8 +647,8 @@ class _Replicas:
     draws, the positions and objective values, the stall counters, the
     ``reports`` and ``work``, the scratch memory that every step's objective
     and nearest-centre calls reuse. A loop keeps its own per-replica state,
-    such as labels or centres, and hands :meth:`start` the hook that drops
-    from it the replicas the batch drops.
+    such as labels or centres, and keeps in it the slots that :meth:`freeze`
+    returns.
 
     A replica that stalls or reaches the step budget is frozen there: its
     report is taken and its rows are dropped. A loop may mark replicas
@@ -670,16 +670,12 @@ class _Replicas:
         self.work = _Workspace()
         self.reports: list[RunReport | None] = [None] * len(seeds)
 
-    def start(self, own_drop) -> None:
+    def start(self) -> None:
         """Draw every replica's start positions uniformly from the box and evaluate them at once.
 
         The positions are finite by construction; the stacked draws are
         evaluated in one call, so ``work`` takes the batch's size once.
-        Whenever the batch drops replicas and some are left,
-        ``own_drop(keep)`` keeps the slots ``keep`` selects in the loop's own
-        state.
         """
-        self.own_drop = own_drop
         self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
         self.live = np.arange(len(self.seeds))  # the replica in every slot of the stack
         shape = (self.n, self.spec.dim)
@@ -734,28 +730,27 @@ class _Replicas:
         self.tracker = _update_stall(self.tracker, estimates, self.delta_stall)
         self.steps += 1
 
-    def freeze(self, consensus: np.ndarray, bounds, settled: np.ndarray | None = None) -> bool:
+    def freeze(
+        self, consensus: np.ndarray, bounds, settled: np.ndarray | bool = False
+    ) -> np.ndarray | None:
         """Report and drop the replicas that have stalled or used up the step budget.
 
-        Returns whether any replica is left. Slot r's consensus points are
-        ``consensus[bounds[r]:bounds[r + 1]]``. A slot that ``settled``
-        marks is one whose every later step changes nothing but its stall
-        counters, each up by one: it is reported at once with the report
-        the full loop gives, at the step where its least counter reaches
-        ``j_stall`` or at the step budget, whichever comes first.
+        Returns the mask of the slots kept, which the loop keeps in its own
+        state, or None once every replica is reported. Slot r's consensus
+        points are ``consensus[bounds[r]:bounds[r + 1]]``. A slot that
+        ``settled`` marks is one whose every later step changes nothing but
+        its stall counters, each up by one: it is reported at once with the
+        report the full loop gives, at the step where its least counter
+        reaches ``j_stall`` or at the step budget, whichever comes first.
         """
         n, cfg, steps = self.n, self.cfg, self.steps
         least = self.tracker.counters.reshape(-1, n).min(axis=1)  # every slot's stall indicator
-        stalled = least >= cfg.j_stall
-        if steps < cfg.n_steps and not stalled.any() and (settled is None or not settled.any()):
-            return True
-        iterations = np.full(least.size, steps)
-        if settled is not None:
-            iterations[settled] += np.maximum(0, cfg.j_stall - least[settled])
-            np.minimum(iterations, cfg.n_steps, out=iterations)
-            stalled = least + (iterations - steps) >= cfg.j_stall
-        done = stalled | (iterations >= cfg.n_steps)
-        for slot in np.flatnonzero(done):
+        if steps < cfg.n_steps and least.max() < cfg.j_stall and not np.any(settled):
+            return np.ones(least.size, dtype=bool)
+        iterations = np.minimum(steps + settled * np.maximum(0, cfg.j_stall - least), cfg.n_steps)
+        stalled = least + iterations - steps >= cfg.j_stall
+        keep = ~stalled & (iterations < cfg.n_steps)
+        for slot in np.flatnonzero(~keep):
             self.reports[self.live[slot]] = RunReport(
                 iterations=int(iterations[slot]),
                 stalled=bool(stalled[slot]),
@@ -765,9 +760,6 @@ class _Replicas:
                 evaluations=n * (int(iterations[slot]) + 1),
                 seed=int(self.seeds[self.live[slot]]),
             )
-        if done.all():
-            return False
-        keep = ~done
         self.positions, self.energies, self.live = (
             _keep(a, keep) for a in (self.positions, self.energies, self.live)
         )
@@ -775,8 +767,7 @@ class _Replicas:
             _keep(self.tracker.counters, keep), _keep(self.tracker.estimates, keep)
         )
         self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
-        self.own_drop(keep)
-        return True
+        return keep if self.live.size else None
 
 
 def _leader_bounds(labels: np.ndarray, n: int) -> tuple[np.ndarray, list]:
@@ -834,10 +825,11 @@ def _run_replicas(
     call and one consensus call serve every step too: ``bincount`` still
     adds each cluster's terms in agent order, and ranks do not depend on
     the order of ties, so the report is bit-identical. The nearest-leader
-    assignment and the leaderless safety net run per replica. When replicas
-    are dropped, the others' slots move down with their leaders. A step
-    draws the follower normals of every replica before its transition
-    uniforms.
+    assignment runs per replica; the leaderless safety net relabels only
+    the replicas left without a leader. When :meth:`_Replicas.freeze` drops
+    replicas, the loop keeps the others' labels and assigns their agents
+    again. A step draws the follower normals of every replica before its
+    transition uniforms.
     """
     batch = _Replicas(spec, cfg, n_agents, seeds)
     n = batch.n
@@ -845,15 +837,7 @@ def _run_replicas(
     eps = float(cfg.eps)
     alpha = float(cfg.alpha)
 
-    def drop(keep):
-        """Keep the replicas' labels and slots; each kept replica's slots move with its leaders."""
-        nonlocal labels, leaders, bounds, slots
-        own = slots - np.repeat(bounds[:-1], n)  # every agent's slot among its replica's own
-        labels = _keep(labels, keep)
-        leaders, bounds = _leader_bounds(labels, n)
-        slots = _keep(own, keep) + np.repeat(bounds[:-1], n)
-
-    batch.start(drop)
+    batch.start()
     replicas = batch.live.size
     ranks = _cluster_ranks(batch.energies, np.arange(replicas).repeat(n), replicas)
     labels = _relabel(np.zeros(replicas * n, dtype=np.int64), ranks, omega_bar)
@@ -863,10 +847,13 @@ def _run_replicas(
     # take, not consensus[slots]: fancy indexing of narrow rows is ~10x slower
     batch.watch(consensus.take(slots, axis=0))
 
-    while batch.freeze(consensus, bounds):
+    while (keep := batch.freeze(consensus, bounds)) is not None:
+        if not keep.all():
+            labels = _keep(labels, keep)
+            leaders, bounds = _leader_bounds(labels, n)
+            slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
         followers = labels == 0
-        counts = [n - hi + lo for lo, hi in zip(bounds, bounds[1:])]
-        noise = _follower_noise(followers, spec.dim, batch.rngs, counts)
+        noise = _follower_noise(followers, spec.dim, batch.rngs, n - np.diff(bounds))
         positions = _interact(
             batch.positions, followers, leaders[slots], batch.tracker.estimates, cfg, noise
         )
@@ -875,11 +862,10 @@ def _run_replicas(
         omega = _cluster_ranks(batch.energies, slots, bounds[-1])
         labels = _relabel(labels, omega, omega_bar, batch.draws(np.random.Generator.random) < eps)
         leaders, bounds = _leader_bounds(labels, n)
-        leaderless = [slot for slot, lo in enumerate(bounds[:-1]) if bounds[slot + 1] == lo]
-        if leaderless:
-            for slot in leaderless:
-                rows = slice(slot * n, (slot + 1) * n)
-                labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
+        leaderless = np.diff(bounds) == 0
+        if leaderless.any():
+            rows = leaderless.repeat(n)
+            labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
             leaders, bounds = _leader_bounds(labels, n)
         slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
         consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)

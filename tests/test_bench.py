@@ -631,6 +631,16 @@ def test_evaluate_success_rejects_a_non_finite_final_consensus(points):
 
 
 @pytest.mark.parametrize(
+    "points, shape", [(np.zeros((0, 2)), r"\(0, 2\)"), (np.zeros(2), r"\(2,\)")], ids=["empty", "1-d"]
+)
+def test_evaluate_success_rejects_a_final_consensus_without_points(points, shape):
+    report = RunReport(0, False, points, 1, 0.0, 1, 0)
+    message = rf"^final consensus must be a non-empty \(m, d\) array, got {shape}$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_success(report, preset("rastrigin2", 2).minimizers)
+
+
+@pytest.mark.parametrize(
     "minimizers, message",
     [
         (np.zeros((0, 2)), r"minimizers must have shape \(n_min, 2\), got \(0, 2\)"),

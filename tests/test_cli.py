@@ -104,6 +104,7 @@ def test_a_worker_count_below_one_exits_1(argv, tmp_path, monkeypatch, capsys):
         ({"n_agents": None}, "n_agents must be an integer, got None"),
         ({"sweep": "dimension", "sweep_values": 3}, "sweep_values must be a list"),
         ({"solver_config": {"n_steps": None}}, "n_steps must be an integer"),
+        ({"objective": "sphere"}, "unknown objective preset 'sphere'; available: ackley2, ackley4"),
     ],
 )
 def test_bench_config_of_the_wrong_type_exits_1(config, message, tmp_path, capsys):
@@ -198,6 +199,20 @@ def test_bench_reads_a_null_solver_config_as_the_defaults_under_a_flag(tmp_path,
     printed = effective_config(capsys.readouterr().out)["solver_config"]
     assert printed["n_steps"] == 5 and printed["n_leaders"] == 12
     assert csv_rows(output)[0]["mean_iterations"] == "5.0"
+
+
+def test_a_sweep_none_flag_overrides_a_config_files_sweep(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep": "dimension", "sweep_values": [1, 2]}), encoding="utf-8")
+    output = tmp_path / "out.csv"
+    argv = ["bench", "--config", str(path), "--output", str(output), "--sweep", "none"]
+    assert main([*argv, "--repetitions", "1", "--workers", "1", *TINY_RUN]) == 0
+    printed = effective_config(capsys.readouterr().out)
+    assert (printed["sweep"], printed["sweep_values"]) == ("none", [])
+    assert [row["sweep_value"] for row in csv_rows(output)] == [""]
+    # sweep values given with the flag are still checked against it
+    assert main([*argv, "--sweep-values", "1", *TINY_RUN]) == 1
+    assert "error: sweep_values must be empty when sweep is 'none'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,9 @@ def test_ensemble_validation():
         Ensemble(positions=np.array([[np.inf, 0.0]]), labels=np.array([0]))
     with pytest.raises(ValueError):
         Ensemble(positions=np.zeros((3, 1)), labels=np.zeros(2, dtype=int))
+    message = r"^positions must have shape \(n, d\) with n >= 1, got \(3,\)$"
+    with pytest.raises(ValueError, match=message):
+        Ensemble(positions=np.zeros(3), labels=np.zeros(3, dtype=int))
 
 
 @pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [0]], 0])
@@ -151,6 +154,12 @@ def test_weights_require_spec_or_energies():
     ens = make_ensemble(np.zeros((2, 1)))
     with pytest.raises(ValueError):
         compute_weights(ens)
+
+
+def test_weights_reject_energies_of_another_length():
+    ens = make_ensemble(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=r"^energies must have shape \(3,\), got \(2,\)$"):
+        compute_weights(ens, energies=np.array([0.0, 1.0]))
 
 
 def test_weights_non_finite_energy_names_agent():
