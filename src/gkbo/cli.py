@@ -108,14 +108,15 @@ def _experiment(args, data: dict, seed) -> ExperimentConfig:
     ``seed`` is the seed flag's value; without it ``data``'s ``base_seed``
     stands, else the one :func:`_seed` falls back to.
     """
+    own_sweep = data.get("sweep", ExperimentConfig.sweep)
     for name in ("objective", "dim", "solver", "n_agents", "repetitions", "sweep"):
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
     if getattr(args, "sweep_values", None) is not None:
         data["sweep_values"] = _parse_number_list(args.sweep_values, "--sweep-values")
-    elif getattr(args, "sweep", None) == "none":  # the file's sweep values go with its sweep
-        data.pop("sweep_values", None)
+    elif getattr(args, "sweep", None) not in (None, own_sweep):
+        data.pop("sweep_values", None)  # the file's sweep values go with its sweep
     if seed is not None or "base_seed" not in data:
         data["base_seed"] = _seed(seed)
     overrides = _solver_overrides(args, data.get("solver", ExperimentConfig.solver))

@@ -383,7 +383,7 @@ def preset(name: str, dim: int) -> ObjectiveSpec:
     """
     try:
         kind, shifts = _PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
             f"unknown objective preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None

@@ -224,17 +224,15 @@ def _dense_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace)
     return np.argmin(sq_dist, axis=-1)
 
 
-def _screened_nearest(
-    positions: np.ndarray, centres: np.ndarray, work: _Workspace
-) -> np.ndarray | None:
-    """:func:`_dense_nearest` with exact distances only where the nearest centre is in doubt.
+def _screened_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Nearest centres from a matrix-product screen, rows in doubt from :func:`_dense_nearest`.
 
     One matrix product ``[-2x, 1] @ [c; |c|^2]`` gives ``s_k = |c_k|^2 - 2 x.c_k``,
     the squared distance minus ``|x|^2``, for every agent and centre at
-    once. Its argmin ``g`` is a guess. Any centre with ``s_k`` within
-    ``slack = 8 (d + 2) eps (|x|^2 + max|c|^2) + tiny`` of ``s_g`` stays a
-    candidate, and a row with several candidates takes the lowest index among
-    the least exact per-axis distances over them, as the dense kernel does.
+    once. Its argmin ``g`` is a guess. A row where a second centre has
+    ``s_k`` within ``slack = 8 (d + 2) eps (|x|^2 + max|c|^2) + tiny`` of
+    ``s_g`` is in doubt, and :func:`_dense_nearest` decides it from every
+    exact per-axis distance.
 
     The slack is rigorous for any summation order of the product, with or
     without fused multiply-adds, so neither BLAS nor its thread count can
@@ -246,17 +244,19 @@ def _screened_nearest(
     ``(d + 2) u |x - c|^2 <= (2d + 4) u M`` of the true one. A centre with
     ``s_k > s_g + slack`` therefore has an exact distance strictly above
     that of ``g``, since ``slack`` exceeds the four errors together,
-    ``4 (3d + 4) u M``, with room for higher-order terms. ``tiny``, the
+    ``4 (3d + 4) u M``, with room for higher-order terms. So a row no other
+    centre comes within the slack of has ``g`` as its first exact minimum,
+    and every other row gets the dense kernel's answer. ``tiny``, the
     smallest normal float, covers the absolute error of squares and products
-    that underflow. Returns None when ``4 (|x|^2 + |c|^2)``, a bound on every
+    that underflow. When ``4 (|x|^2 + |c|^2)``, a bound on every
     intermediate, could overflow (coordinates beyond about 1e154, or a NaN),
-    leaving the call to the dense kernel, whose inf distances order last.
+    the dense kernel, whose inf distances order last, takes the whole call.
     """
     n_agents, dim = positions.shape
     sq_norm = np.einsum("ij,ij->i", centres, centres)
     agent_sq = np.einsum("ij,ij->i", positions, positions)
     if not np.isfinite(4.0 * (agent_sq.max() + sq_norm.max())):
-        return None
+        return _dense_nearest(positions, centres, work)
     lhs = np.empty((n_agents, dim + 1))
     np.multiply(positions, -2.0, out=lhs[:, :dim])
     lhs[:, dim] = 1.0
@@ -273,18 +273,7 @@ def _screened_nearest(
     approx[rows, guess] = np.inf
     doubt = np.flatnonzero(approx.min(axis=1) <= bound)
     if doubt.size:
-        near = approx[doubt] <= bound[doubt, np.newaxis]
-        near[np.arange(doubt.size), guess[doubt]] = True
-        row, slot = np.nonzero(near)
-        sq = np.square(positions[doubt[row]] - centres[slot])
-        exact = sq[:, 0].copy()
-        for axis in range(1, dim):
-            exact += sq[:, axis]
-        # candidates are grouped by row with ascending indices
-        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        least = np.minimum.reduceat(exact, starts)[row]
-        ties = np.where(exact == least, slot, centres.shape[0])
-        guess[doubt] = np.minimum.reduceat(ties, starts)
+        guess[doubt] = _dense_nearest(positions.take(doubt, axis=0), centres, work)
     return guess
 
 
@@ -298,32 +287,32 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
 
     The one assignment kernel of both solvers. Distances are squared
     Euclidean distances summed one axis at a time, and a tie goes to the
-    first minimum. From ``_SCREEN_MIN_DIM`` dimensions on,
-    :func:`_screened_nearest` computes those exact sums only for the centres
-    a matrix-product screen cannot rule out, with the same result; below, or
-    when the screen could overflow, :func:`_dense_nearest` computes all of
-    them. A difference or square that overflows, or an inf - inf, gives an
-    inf or NaN distance without a warning. With many centres the screen
-    replaces d difference products and 2d - 1 passes over the
-    ``(n, centres)`` matrix by one product and three passes, plus the exact
-    sums of the rows in doubt. Those are many where centres have converged
-    to within about 1e-6 of each other, which happens in fewer steps at low
-    d. Median microseconds per call, dense / screened, on every seventh
-    call of 600-agent ``run_gkbo`` runs of 500 steps, seeds 0-1, 10 to 197
-    leaders, two processes (numpy 2.4.6, OpenBLAS 0.3.31, 2 vCPUs):
+    first minimum. :func:`_dense_nearest` computes all of those sums. From
+    ``_SCREEN_MIN_DIM`` dimensions on, :func:`_screened_nearest` rules
+    centres out with a matrix-product screen and hands the dense kernel only
+    the rows it cannot decide, with the same result. A difference or square
+    that overflows, or an inf - inf, gives an inf or NaN distance without a
+    warning. With many centres the screen replaces d difference products
+    and 2d - 1 passes over the ``(n, centres)`` matrix by one product and
+    three passes, plus a dense pass over the rows in doubt. Those are many
+    where centres have converged to within about 1e-6 of each other, which
+    happens in fewer steps at low d. Median microseconds per call, dense /
+    screened, on every seventh call of 600-agent ``run_gkbo`` runs of 500
+    steps, seeds 0-1, 10 to 197 leaders, the lower of two processes
+    (numpy 2.4.6, OpenBLAS 0.3.31, 2 vCPUs):
 
     =========  =========  =========  =========  =========  =========  =========
     objective  d = 3      d = 4      d = 5      d = 6      d = 7      d = 10
     =========  =========  =========  =========  =========  =========  =========
-    rastrigin  190 / 262  209 / 236  278 / 256  272 / 232  312 / 242  492 / 228
-    ackley     194 / 836  224 / 647  250 / 734  292 / 512  318 / 577  440 / 272
+    rastrigin  150 / 173  211 / 263  214 / 176  229 / 187  243 / 161  332 / 170
+    ackley     163 / 269  171 / 256  203 / 293  227 / 216  263 / 239  379 / 198
     =========  =========  =========  =========  =========  =========  =========
 
-    (rastrigin4 and ackley4; at d = 2, rastrigin2 reads 135 / 302 and
-    ackley2 134 / 1144.) On Ackley 40-67% of the rows are in doubt up to
+    (rastrigin4 and ackley4; at d = 2, rastrigin2 reads 100 / 169 and
+    ackley2 112 / 249.) On Ackley 40-67% of the rows are in doubt up to
     d = 5, 26-31% at d = 6 and 7, and 4% at d = 10; on Rastrigin at most 7%.
-    From d = 5 on the screen wins on Rastrigin, and it loses on Ackley up
-    to d = 7, so the dimension rule stays at 6.
+    From d = 5 on the screen wins on Rastrigin; on Ackley it loses up to
+    d = 5 and wins from d = 6, so the dimension rule stays at 6.
 
     With few centres the dense kernel is cheaper still, so the screen also
     waits until centres times d exceeds ``_DENSE_MAX_TERMS``. Median
@@ -348,12 +337,8 @@ def _nearest_centre(positions: np.ndarray, centres: np.ndarray, work: _Workspace
         if dim < _SCREEN_MIN_DIM or centres.shape[-2] * dim <= _DENSE_MAX_TERMS:
             return _dense_nearest(positions, centres, work)
         if positions.ndim == 3:
-            nearest = np.empty(positions.shape[:2], dtype=np.intp)
-            for replica, (agents, own) in enumerate(zip(positions, centres)):
-                nearest[replica] = _nearest_centre(agents, own, work)
-            return nearest
-        nearest = _screened_nearest(positions, centres, work)
-        return _dense_nearest(positions, centres, work) if nearest is None else nearest
+            return np.stack([_screened_nearest(p, c, work) for p, c in zip(positions, centres)])
+        return _screened_nearest(positions, centres, work)
 
 
 def assign_clusters(ensemble: Ensemble) -> ClusterState:

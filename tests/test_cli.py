@@ -215,6 +215,19 @@ def test_a_sweep_none_flag_overrides_a_config_files_sweep(tmp_path, capsys):
     assert "error: sweep_values must be empty when sweep is 'none'" in capsys.readouterr().err
 
 
+def test_a_sweep_flag_naming_another_sweep_drops_a_config_files_values(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep": "dimension", "sweep_values": [1, 2]}), encoding="utf-8")
+    output = tmp_path / "out.csv"
+    argv = ["bench", "--config", str(path), "--output", str(output), "--workers", "1", *TINY_RUN]
+    assert main([*argv, "--repetitions", "1", "--sweep", "n_leaders"]) == 1
+    assert "error: sweep 'n_leaders' needs at least one sweep value" in capsys.readouterr().err
+    assert not output.exists()
+    # a flag naming the file's own sweep keeps the file's values
+    assert main([*argv, "--repetitions", "1", "--sweep", "dimension"]) == 0
+    assert [row["sweep_value"] for row in csv_rows(output)] == ["1", "2"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--workers", "0"], ["--n-leaders", "50", "--n-agents", "30"], ["--sigma", "-1"]],

@@ -342,6 +342,8 @@ def test_minimizers_are_read_only():
 def test_unknown_preset_name():
     with pytest.raises(ValueError, match="unknown objective preset"):
         preset("rosenbrock", 2)
+    with pytest.raises(ValueError, match=r"unknown objective preset \['ackley2'\]"):
+        preset(["ackley2"], 2)
 
 
 def test_batch_rejects_bad_shapes():
