@@ -362,8 +362,10 @@ def _seed_batches(seeds: range, workers: int, coordinates: int, values: int = 1)
 
 
 def _worker_count(workers: int | None) -> int:
-    """The pool size ``workers`` asks for: every available CPU for None."""
+    """The pool size ``workers`` asks for: every CPU this process may run on for None."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return _integer("workers", workers, 1)
 
@@ -371,7 +373,7 @@ def _worker_count(workers: int | None) -> int:
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentSummary:
     """Run all repetitions of every sweep value and aggregate.
 
-    ``workers`` caps the process pool; ``None`` uses every available CPU.
+    ``workers`` caps the process pool; ``None`` uses every CPU the process may run on.
     Each task is one batch of a sweep value's seeds, stepped together as
     replicas (see :func:`_seed_batches`): a sweep with at least as many
     values as workers runs one batch per value, anything else one batch

@@ -285,7 +285,7 @@ def _build_parser() -> _Parser:
     )
     bench.add_argument("--config", help="JSON experiment config file")
     bench.add_argument("--output", default="results.csv", help="CSV output path")
-    bench.add_argument("--workers", type=int, help="process pool size (default: all CPUs)")
+    bench.add_argument("--workers", type=int, help="process pool size (default: usable CPUs)")
     bench.add_argument("--objective", choices=PRESET_NAMES)
     bench.add_argument("--dim", type=int)
     bench.add_argument("--solver", choices=tuple(_CONFIGS))

@@ -72,10 +72,6 @@ class Ensemble:
     def leader_count(self) -> int:
         return int(self.labels.sum())
 
-    def leader_indices(self) -> np.ndarray:
-        """Indices of the current leaders, ascending."""
-        return np.flatnonzero(self.labels == 1)
-
 
 def init_uniform(n_agents: int, dim: int, lo: float, hi: float, rng: np.random.Generator) -> Ensemble:
     """Draw an all-follower population uniformly from the box ``[lo, hi]^dim``."""

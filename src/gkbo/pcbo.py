@@ -34,6 +34,7 @@ from .solver import (
     _keep,
     _nearest_centre,
     _Replicas,
+    _require_diffusion,
 )
 
 __all__ = ["PcboConfig", "pcbo_assign", "pcbo_step", "run_pcbo"]
@@ -66,6 +67,7 @@ class PcboConfig:
         _require_non_negative(sigma=self.sigma)
         _require_centres("n_clusters", self.n_clusters, n_particles)
         _require_run_limits(self)
+        _require_diffusion(self.diffusion)
 
 
 def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
@@ -143,6 +145,7 @@ def pcbo_step(
     and ``centres`` k finite points. Raises NumericError naming the first
     offending particle if an energy or a new position is non-finite.
     """
+    cfg.validate()
     positions = np.asarray(positions, dtype=np.float64)
     energies = _energies_of(positions, spec, energies, "pcbo_step")
     centres = np.asarray(centres, dtype=np.float64)
@@ -187,9 +190,9 @@ def _run_replicas(
     the report is bit-identical. When :meth:`_Replicas.freeze` drops
     replicas, the loop keeps the others' centres and assigns their particles
     again. The start draws every replica's memberships through the batch,
-    after its positions, and one call makes every replica's first centres
-    from its own rows; a step draws every replica's normals, one per
-    coordinate.
+    after the positions its constructor drew, and one call makes every
+    replica's first centres from its own rows; a step draws every replica's
+    normals, one per coordinate.
 
     A replica is settled after a step that left every centre bit for bit as
     it was and every particle's estimate equal to its position: each later
@@ -212,7 +215,6 @@ def _run_replicas(
         )
         return (nearest + offsets[: nearest.shape[0]]).ravel()
 
-    batch.start()
     memberships = batch.draws(np.random.Generator.random, k).reshape(-1, n, k)
     memberships /= memberships.sum(axis=2, keepdims=True)
     stacked = batch.positions.reshape(-1, n, dim), batch.energies.reshape(-1, n)

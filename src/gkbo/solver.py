@@ -61,6 +61,16 @@ class DiffusionMode(enum.Enum):
     ANISOTROPIC = "anisotropic"
 
 
+def _require_diffusion(mode) -> None:
+    """Raise ValueError unless ``mode`` is a DiffusionMode.
+
+    A string assigned after construction misses ``__post_init__``'s
+    conversion, and :func:`_diffusion_scale` would read it as anisotropic.
+    """
+    if not isinstance(mode, DiffusionMode):
+        raise ValueError(f"diffusion must be a DiffusionMode, got {mode!r}")
+
+
 @dataclass
 class SolverConfig:
     """Hyperparameters of the leader-follower solver.
@@ -98,6 +108,7 @@ class SolverConfig:
         _require_unit(eps=self.eps)
         _require_centres("n_leaders", self.n_leaders, n_agents)
         _require_run_limits(self)
+        _require_diffusion(self.diffusion)
 
     def omega_bar(self, n_agents: int) -> float:
         """Weight threshold for label transitions: leaders over population."""
@@ -349,12 +360,10 @@ def assign_clusters(ensemble: Ensemble) -> ClusterState:
     cluster, so there are exactly as many clusters as leaders and none is
     empty. Raises EmptyLeaderSetError when the population has no leader.
     """
-    leaders = ensemble.leader_indices()
-    if leaders.size == 0:
+    if not ensemble.labels.any():
         raise EmptyLeaderSetError("population has no leaders to cluster around")
-    n = ensemble.n_agents
-    cluster_of = _replica_slots(
-        ensemble.positions, ensemble.labels, leaders, [0, leaders.size], n, _Workspace()
+    leaders, _, cluster_of = _clusters(
+        ensemble.positions, ensemble.labels, ensemble.n_agents, _Workspace()
     )
     return ClusterState(leaders=leaders, leader_of=leaders[cluster_of], cluster_of=cluster_of)
 
@@ -534,6 +543,7 @@ def interaction_step(
     NumericError naming the phase, the first offending agent and the step
     (when given) if any new position is non-finite.
     """
+    cfg.validate()
     positions = ensemble.positions
     _check_clusters(clusters, "interaction_step", positions.shape, estimates=True)
     followers = ensemble.labels == 0
@@ -635,6 +645,10 @@ class _Replicas:
     such as labels or centres, and keeps in it the slots that :meth:`freeze`
     returns.
 
+    The constructor starts every replica: it draws the start positions
+    uniformly from the box, finite by construction, and evaluates the
+    stacked draws in one call, so ``work`` takes the batch's size once.
+
     A replica that stalls or reaches the step budget is frozen there: its
     report is taken and its rows are dropped. A loop may mark replicas
     settled, at a fixed point of its step; :meth:`freeze` reports those at
@@ -654,20 +668,13 @@ class _Replicas:
         self.steps = 0
         self.work = _Workspace()
         self.reports: list[RunReport | None] = [None] * len(seeds)
-
-    def start(self) -> None:
-        """Draw every replica's start positions uniformly from the box and evaluate them at once.
-
-        The positions are finite by construction; the stacked draws are
-        evaluated in one call, so ``work`` takes the batch's size once.
-        """
-        self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
-        self.live = np.arange(len(self.seeds))  # the replica in every slot of the stack
-        shape = (self.n, self.spec.dim)
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.live = np.arange(len(seeds))  # the replica in every slot of the stack
+        shape = (self.n, spec.dim)
         self.positions = np.concatenate(
-            [rng.uniform(self.cfg.init_lo, self.cfg.init_hi, shape) for rng in self.rngs]
+            [rng.uniform(cfg.init_lo, cfg.init_hi, shape) for rng in self.rngs]
         )
-        self.energies = self.spec._values(self.positions, self.work)
+        self.energies = spec._values(self.positions, self.work)
         self._check("start", None)
 
     def watch(self, estimates: np.ndarray) -> None:
@@ -755,34 +762,23 @@ class _Replicas:
         return keep if self.live.size else None
 
 
-def _leader_bounds(labels: np.ndarray, n: int) -> tuple[np.ndarray, list]:
-    """Leaders of stacked replicas of n agents, ascending, and where each replica's leaders begin.
+def _clusters(
+    positions: np.ndarray, labels: np.ndarray, n: int, work: _Workspace
+) -> tuple[np.ndarray, list, np.ndarray]:
+    """Leaders, leader bounds and cluster slots of stacked replicas of n agents.
 
-    Replica r's leaders are ``leaders[bounds[r]:bounds[r + 1]]`` and own the
-    cluster slots ``bounds[r]`` to ``bounds[r + 1] - 1``; the last bound is
-    the leader count.
+    ``leaders`` holds every leader, ascending. Replica r's leaders are
+    ``leaders[bounds[r]:bounds[r + 1]]`` and own the cluster slots
+    ``bounds[r]`` to ``bounds[r + 1] - 1``, a leader its own one; the last
+    bound is the leader count. ``slots`` gives every agent's slot: a
+    follower takes that of its replica's nearest leader. Only follower rows
+    go to :func:`_nearest_centre`, replica by replica since leader counts
+    differ; a replica without followers skips it. Every replica with
+    followers must have a leader. Leaders were 26-69 of 600 rows at step
+    100 of 500-step rastrigin2 runs and 50-194 at the last step.
     """
     leaders = np.flatnonzero(labels)
-    return leaders, np.searchsorted(leaders, np.arange(0, labels.size + 1, n)).tolist()
-
-
-def _replica_slots(
-    positions: np.ndarray,
-    labels: np.ndarray,
-    leaders: np.ndarray,
-    bounds: list,
-    n: int,
-    work: _Workspace,
-) -> np.ndarray:
-    """Cluster slot of every agent of stacked replicas, each against its own leaders.
-
-    Replica r's leaders, ``leaders[bounds[r]:bounds[r + 1]]``, own slots
-    ``bounds[r]`` to ``bounds[r + 1] - 1``, a leader its own one; a follower
-    takes the slot of its replica's nearest leader. Only follower rows go to
-    :func:`_nearest_centre`, replica by replica since leader counts differ;
-    a replica without followers skips it. Leaders were 26-69 of 600 rows at
-    step 100 of 500-step rastrigin2 runs and 50-194 at the last step.
-    """
+    bounds = np.searchsorted(leaders, np.arange(0, labels.size + 1, n)).tolist()
     slots = np.empty(labels.size, dtype=np.intp)
     slots[leaders] = np.arange(leaders.size)
     followers = np.flatnonzero(labels == 0)
@@ -795,7 +791,7 @@ def _replica_slots(
                 positions.take(own, axis=0), positions.take(leaders[lo:hi], axis=0), work
             )
             slots[own] = nearest + lo
-    return slots
+    return leaders, bounds, slots
 
 
 def _run_replicas(
@@ -803,18 +799,19 @@ def _run_replicas(
 ) -> list[RunReport]:
     """One :func:`run_gkbo` report per seed, from the replicas of one :class:`_Replicas` batch.
 
-    A replica starts as its run does: the population-wide ranks of its
-    agents promote those below ``n_leaders / n_agents``, one rank call
-    serving every replica with each replica as one cluster. Its leaders
-    take the cluster slots after those of replicas 0 .. r-1, so one rank
-    call and one consensus call serve every step too: ``bincount`` still
-    adds each cluster's terms in agent order, and ranks do not depend on
-    the order of ties, so the report is bit-identical. The nearest-leader
-    assignment runs per replica; the leaderless safety net relabels only
-    the replicas left without a leader. When :meth:`_Replicas.freeze` drops
-    replicas, the loop keeps the others' labels and assigns their agents
-    again. A step draws the follower normals of every replica before its
-    transition uniforms.
+    A replica starts as its run does, from the positions the batch's
+    constructor drew: the population-wide ranks of its agents promote those
+    below ``n_leaders / n_agents``, one rank call serving every replica
+    with each replica as one cluster. Its leaders take the cluster slots
+    after those of replicas 0 .. r-1, so one rank call and one consensus
+    call serve every step too: ``bincount`` still adds each cluster's terms
+    in agent order, and ranks do not depend on the order of ties, so the
+    report is bit-identical. One :func:`_clusters` call clusters the start
+    and every step; before it, the leaderless safety net relabels only the
+    replicas whose labels hold no leader. When :meth:`_Replicas.freeze`
+    drops replicas, the loop keeps the others' labels and clusters them
+    again with one more call. A step draws the follower normals of every
+    replica before its transition uniforms.
     """
     batch = _Replicas(spec, cfg, n_agents, seeds)
     n = batch.n
@@ -822,12 +819,10 @@ def _run_replicas(
     eps = float(cfg.eps)
     alpha = float(cfg.alpha)
 
-    batch.start()
     replicas = batch.live.size
     ranks = _cluster_ranks(batch.energies, np.arange(replicas).repeat(n), replicas)
     labels = _relabel(np.zeros(replicas * n, dtype=np.int64), ranks, omega_bar)
-    leaders, bounds = _leader_bounds(labels, n)
-    slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
+    leaders, bounds, slots = _clusters(batch.positions, labels, n, batch.work)
     consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
     # take, not consensus[slots]: fancy indexing of narrow rows is ~10x slower
     batch.watch(consensus.take(slots, axis=0))
@@ -835,8 +830,7 @@ def _run_replicas(
     while (keep := batch.freeze(consensus, bounds)) is not None:
         if not keep.all():
             labels = _keep(labels, keep)
-            leaders, bounds = _leader_bounds(labels, n)
-            slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
+            leaders, bounds, slots = _clusters(batch.positions, labels, n, batch.work)
         followers = labels == 0
         noise = _follower_noise(followers, spec.dim, batch.rngs, n - np.diff(bounds))
         positions = _interact(
@@ -846,13 +840,11 @@ def _run_replicas(
 
         omega = _cluster_ranks(batch.energies, slots, bounds[-1])
         labels = _relabel(labels, omega, omega_bar, batch.draws(np.random.Generator.random) < eps)
-        leaders, bounds = _leader_bounds(labels, n)
-        leaderless = np.diff(bounds) == 0
+        leaderless = ~labels.reshape(-1, n).any(axis=1)
         if leaderless.any():
             rows = leaderless.repeat(n)
             labels[rows] = _relabel(labels[rows], omega[rows], omega_bar)
-            leaders, bounds = _leader_bounds(labels, n)
-        slots = _replica_slots(batch.positions, labels, leaders, bounds, n, batch.work)
+        leaders, bounds, slots = _clusters(batch.positions, labels, n, batch.work)
         consensus = _consensus(batch.positions, batch.energies, slots, leaders.size, alpha)
         batch.end_step(consensus.take(slots, axis=0))
 

@@ -369,6 +369,15 @@ def test_a_pcbo_experiment_rejects_more_clusters_than_particles(overrides, messa
         cfg.validate()
 
 
+def test_the_default_pool_size_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(bench_module.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(bench_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert bench_module._worker_count(None) == 1
+    # where the platform has no affinity mask, every CPU counts
+    monkeypatch.delattr(bench_module.os, "sched_getaffinity", raising=False)
+    assert bench_module._worker_count(None) == 8
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_run_experiment_rejects_a_worker_count_below_one(workers):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gkbo.ensemble import Ensemble, _slot_order, compute_weights
 from gkbo.errors import EmptyLeaderSetError, NumericError
 from gkbo.objectives import Kind, ObjectiveSpec, _Workspace, preset
-from gkbo.pcbo import PcboConfig, pcbo_assign, run_pcbo
+from gkbo.pcbo import PcboConfig, pcbo_assign, pcbo_step, run_pcbo
 from gkbo import solver
 from gkbo.solver import (
     ClusterState,
@@ -32,9 +32,9 @@ from gkbo.solver import (
 )
 from gkbo.solver import (
     _cluster_min,
+    _clusters,
     _diffusion_scale,
     _nearest_centre,
-    _replica_slots,
     _run_replicas,
 )
 
@@ -99,6 +99,15 @@ def test_config_defaults():
 def test_config_accepts_string_diffusion():
     cfg = SolverConfig(diffusion="isotropic")
     assert cfg.diffusion is DiffusionMode.ISOTROPIC
+
+
+@pytest.mark.parametrize("run, config", [(run_gkbo, SolverConfig), (run_pcbo, PcboConfig)])
+def test_a_diffusion_string_set_after_construction_is_rejected(run, config):
+    # only the constructor converts a string to a DiffusionMode
+    cfg = config()
+    cfg.diffusion = "isotropic"
+    with pytest.raises(ValueError, match="^diffusion must be a DiffusionMode, got 'isotropic'$"):
+        run(preset("rastrigin2", 2), cfg, 20)
 
 
 def test_config_omega_bar():
@@ -260,8 +269,7 @@ def test_nearest_leader_kernel_matches_oracle(cases):
         for positions, leaders in cases:
             labels = np.zeros(positions.shape[0], dtype=np.int64)
             labels[leaders] = 1
-            n = labels.size
-            got.append(_replica_slots(positions, labels, leaders, [0, leaders.size], n, work))
+            got.append(_clusters(positions, labels, labels.size, work)[2])
     for (positions, leaders), slots in zip(cases, got):
         with np.errstate(over="ignore"):
             want = nearest_leader_oracle(positions, leaders)
@@ -583,6 +591,27 @@ def one_cluster_state(ens, estimates):
         consensus=np.atleast_2d(estimates)[: clusters.n_clusters],
         agent_estimate=np.asarray(estimates)[clusters.cluster_of],
     )
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (SolverConfig(eps=2.0), r"eps must be in \(0, 1\], got 2.0"),
+        (SolverConfig(eps=-0.1), r"eps must be in \(0, 1\], got -0.1"),
+        (SolverConfig(nu_l=-3.0), "nu_l must be finite and positive, got -3.0"),
+        (PcboConfig(alpha=-1.0), "alpha must be finite and positive, got -1.0"),
+        (PcboConfig(sigma=-1.0), "sigma must be finite and non-negative, got -1.0"),
+        (PcboConfig(nu=math.nan), "nu must be finite and positive, got nan"),
+    ],
+)
+def test_a_phase_step_rejects_a_config_that_validate_rejects(cfg, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if isinstance(cfg, SolverConfig):
+            ens = make_ensemble([[1.0], [0.0]], labels=[1, 0])
+            interaction_step(ens, one_cluster_state(ens, np.array([[1.0]])), cfg, rng)
+        else:
+            pcbo_step([[1.0], [0.0]], [0, 0], [[0.5]], preset("rastrigin2", 1), cfg, rng)
 
 
 def test_follower_drift_example():
@@ -929,6 +958,20 @@ def test_run_rejects_oversized_leader_budget():
 
 
 @pytest.fixture
+def clustering_passes(monkeypatch):
+    """One entry per :func:`solver._clusters` call from here on."""
+    calls = []
+    clusters = solver._clusters
+
+    def spy(*args):
+        calls.append(None)
+        return clusters(*args)
+
+    monkeypatch.setattr(solver, "_clusters", spy)
+    return calls
+
+
+@pytest.fixture
 def run_batch(assert_reports_identical):
     def run(objective, dim, cfg, n_agents, seeds) -> list[RunReport]:
         """The batch's reports, each checked against the standalone run of its seed."""
@@ -959,11 +1002,19 @@ def test_replicas_equal_their_standalone_runs(objective, dim, cfg, n_agents, see
     run_batch(objective, dim, cfg, n_agents, seeds)
 
 
-def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on(run_batch):
+def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on(
+    clustering_passes, run_batch
+):
     # the replicas stall at steps 104 to 218; seed 4 runs to the budget
     reports = run_batch("ackley2", 1, SolverConfig(n_steps=300, j_stall=20), 60, (0, 1, 2, 3, 4))
     assert [report.stalled for report in reports] == [True, True, True, True, False]
-    assert len({report.iterations for report in reports}) == 5
+    iterations = [report.iterations for report in reports]
+    assert len(set(iterations)) == 5
+    # one clustering pass at the start and one per step: the batch takes
+    # 300 + 1, plus one after each of the four drops that leave replicas
+    # running, and each standalone run its own iterations + 1
+    standalone = sum(count + 1 for count in iterations)
+    assert len(clustering_passes) - standalone == max(iterations) + 1 + 4 == 305
 
 
 def test_screened_replicas_that_stall_apart_shrink_the_objective_workspace(run_batch):
@@ -1003,7 +1054,9 @@ def test_a_replica_whose_every_agent_leads_shares_a_batch_with_ones_that_have_fo
     assert min(counts) * dim > solver._DENSE_MAX_TERMS and dim >= solver._SCREEN_MIN_DIM
 
 
-def test_a_replica_whose_leader_set_empties_takes_the_safety_net(monkeypatch, run_batch):
+def test_a_replica_whose_leader_set_empties_takes_the_safety_net(
+    monkeypatch, clustering_passes, run_batch
+):
     # one target leader: with probability eps a leader that is no longer its
     # cluster's best steps down while no follower steps up
     nets = []
@@ -1020,8 +1073,12 @@ def test_a_replica_whose_leader_set_empties_takes_the_safety_net(monkeypatch, ru
         (6, 0.5, (0, 1, 2, 3), 2),  # seeds 0 and 1 lose every leader once each
     ]:
         nets.clear()
+        clustering_passes.clear()
         cfg = SolverConfig(n_steps=60, n_leaders=1, eps=eps)
         run_batch("rastrigin2", 2, cfg, n_agents, seeds)
+        # the net decides from the labels, so a step that takes it still
+        # clusters once: 61 passes in the batch and in each standalone run
+        assert len(clustering_passes) == (cfg.n_steps + 1) * (1 + len(seeds))
         # every run's start takes the same pass: once over the whole batch,
         # each replica its own cluster, and once alone per seed; beyond those
         # the net fired on one replica's rows at a time, as often in the
