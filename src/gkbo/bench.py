@@ -99,11 +99,10 @@ def _config_class(solver) -> type:
         raise ValueError(f"unknown solver {solver!r}; available: {', '.join(_CONFIGS)}") from None
 
 
-def _with_roles(config: SolverConfig | PcboConfig, **values) -> SolverConfig | PcboConfig:
-    """``config`` with each value, named by its gkbo field, set on the field in that role."""
-    own = {field.name for field in dataclasses.fields(config)}
-    renamed = {name if name in own else _PCBO_ROLES[name]: value for name, value in values.items()}
-    return dataclasses.replace(config, **renamed)
+def _in_roles(solver, values: dict) -> dict:
+    """``values``, each keyed by its gkbo field, keyed by the field in that role on ``solver``."""
+    roles = _PCBO_ROLES if solver == "pcbo" else {}
+    return {roles.get(name, name): value for name, value in values.items()}
 
 
 def _solver_section(data: dict) -> dict:
@@ -122,11 +121,11 @@ class ExperimentConfig:
 
     ``sweep`` is one of ``none``, ``dimension``, ``n_leaders`` or ``sigma_f``.
     On the ``pcbo`` baseline a gkbo field's sweep sets the field in its role,
-    ``n_clusters`` or ``sigma``, as the one map ``_PCBO_ROLES`` says; ``gkbo
-    compare`` sets both solvers' drift, noise and centre count through that
-    map too. Repetition ``r`` of every sweep
-    value runs with seed ``base_seed + r``; the seed stored inside
-    ``solver_config`` is ignored by the harness.
+    ``n_clusters`` or ``sigma``, as the one role map ``_in_roles`` says;
+    ``gkbo compare`` sets both solvers' drift, noise and centre count
+    through that map too. Repetition ``r`` of every sweep value runs with
+    seed ``base_seed + r``; the seed stored inside ``solver_config`` is
+    ignored by the harness.
     """
 
     objective: str = "rastrigin2"
@@ -212,7 +211,6 @@ class ExperimentConfig:
         if "sweep_values" in kwargs:
             if not isinstance(kwargs["sweep_values"], (list, tuple)):
                 raise ValueError(f"sweep_values must be a list, got {kwargs['sweep_values']!r}")
-            kwargs["sweep_values"] = tuple(kwargs["sweep_values"])
         return cls(solver_config=config_cls(**raw), **kwargs)
 
 
@@ -307,7 +305,8 @@ def _sweep_setup(cfg: ExperimentConfig, value) -> tuple[int, SolverConfig | Pcbo
     if cfg.sweep == "dimension":
         return int(value), cfg.solver_config
     kind = float if cfg.sweep == "sigma_f" else int
-    return int(cfg.dim), _with_roles(cfg.solver_config, **{cfg.sweep: kind(value)})
+    roles = _in_roles(cfg.solver, {cfg.sweep: kind(value)})
+    return int(cfg.dim), dataclasses.replace(cfg.solver_config, **roles)
 
 
 def _execute_run(task) -> list[tuple[RunReport, float]]:
@@ -481,7 +480,9 @@ def write_results(summary: ExperimentSummary, path) -> Path:
         }
         for result in summary.results
     ]
-    text = json.dumps(sidecar, indent=2)  # before the CSV, so a failure writes neither
+    # encoded before the CSV is opened, so a sidecar json cannot encode writes neither
+    # file; the commands check both paths with _result_paths before they run
+    text = json.dumps(sidecar, indent=2)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")  # writes None as an empty field
         writer.writerow(CSV_HEADER)
@@ -494,16 +495,17 @@ def write_results(summary: ExperimentSummary, path) -> Path:
 def _result_paths(path) -> tuple[Path, Path]:
     """The results CSV path and its sidecar's, the CSV's with suffix ``.json``.
 
-    ValueError where the two would be one file, the CSV path is a
-    directory or their directory is missing, so ``gkbo bench`` can reject
-    such an output before it runs.
+    ValueError where the two would be one file, either path is a directory
+    or their directory is missing, so ``gkbo bench`` and ``gkbo compare``
+    can reject such an output before they run.
     """
     path = Path(path)
     sidecar = path.with_suffix(".json")
     if sidecar == path:
         raise ValueError(f"results CSV {path} must not end in .json, its sidecar's suffix")
-    if path.is_dir():
-        raise ValueError(f"results CSV {path} is a directory")
+    for name, target in (("results CSV", path), ("results sidecar", sidecar)):
+        if target.is_dir():
+            raise ValueError(f"{name} {target} is a directory")
     if not path.parent.is_dir():
         raise ValueError(f"output directory {path.parent} does not exist")
     return path, sidecar

@@ -25,9 +25,9 @@ from .bench import (
     ExperimentConfig,
     _config_as_dict,
     _config_class,
+    _in_roles,
     _result_paths,
     _solver_section,
-    _with_roles,
     _worker_count,
     evaluate_success,
     run_experiment,
@@ -35,7 +35,7 @@ from .bench import (
 )
 from .errors import _integer, _require_non_negative
 from .objectives import PRESET_NAMES, preset
-from .solver import RunReport
+from .solver import DiffusionMode, RunReport
 
 __all__ = ["main"]
 
@@ -77,7 +77,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--delta-stall", type=float, help="stall tolerance (max norm)")
     group.add_argument("--j-stall", type=int, help="consecutive quiet steps to stop")
     group.add_argument(
-        "--diffusion", choices=("isotropic", "anisotropic"), help="noise shape"
+        "--diffusion", choices=tuple(mode.value for mode in DiffusionMode), help="noise shape"
     )
     group.add_argument("--init-lo", type=float, help="initialization box lower bound")
     group.add_argument("--init-hi", type=float, help="initialization box upper bound")
@@ -208,39 +208,35 @@ def _cmd_bench(args) -> int:
 
 def _cmd_compare(args) -> int:
     dims = _parse_number_list(args.dims, "--dims")  # validate() rejects a fractional one
-    base_seed = _seed(args.base_seed)
-    shared = {"nu_f": args.nu, "sigma_f": args.sigma, "n_leaders": args.n_leaders}
+    shared = {"nu_f": args.both_nu, "sigma_f": args.both_sigma, "n_leaders": args.both_n_leaders}
+    # dim is the first dimension in the sweeps too, as each sidecar records it
+    sweep = {} if len(dims) == 1 else {"sweep": "dimension", "sweep_values": dims}
     experiments = {
-        solver: ExperimentConfig(
-            objective=args.objective,
-            dim=dims[0],
-            solver=solver,
-            solver_config=_with_roles(config_cls(), **shared),
-            n_agents=args.n_agents,
-            repetitions=args.repetitions,
-            sweep="none" if len(dims) == 1 else "dimension",
-            sweep_values=() if len(dims) == 1 else tuple(dims),
-            base_seed=base_seed,
+        solver: _experiment(
+            args,
+            {"dim": dims[0], "solver": solver, **sweep, "solver_config": _in_roles(solver, shared)},
+            args.base_seed,
         )
-        for solver, config_cls in _CONFIGS.items()
+        for solver in _CONFIGS
     }
-
     workers = _worker_count(args.workers)
-    for experiment in experiments.values():
-        experiment.validate()
     # only once both experiments and the pool size are valid
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out_dir}: {exc}") from exc
+    outputs = {solver: _result_paths(out_dir / f"{solver}.csv")[0] for solver in experiments}
     effective = {
         "command": "compare",
         "objective": args.objective,
         "dims": dims,
-        "n_agents": int(args.n_agents),
-        "repetitions": int(args.repetitions),
-        "nu": float(args.nu),
-        "sigma": float(args.sigma),
-        "n_leaders": int(args.n_leaders),
-        "base_seed": base_seed,
+        "n_agents": args.n_agents,
+        "repetitions": args.repetitions,
+        "nu": args.both_nu,
+        "sigma": args.both_sigma,
+        "n_leaders": args.both_n_leaders,
+        "base_seed": experiments["gkbo"].base_seed,
         "output_dir": str(out_dir),
     }
     print(json.dumps(effective, indent=2))
@@ -248,7 +244,7 @@ def _cmd_compare(args) -> int:
     means = {}
     for name, experiment in experiments.items():
         summary = run_experiment(experiment, workers=workers)
-        path = write_results(summary, out_dir / f"{name}.csv")
+        path = write_results(summary, outputs[name])
         rates = [result.success_rate for result in summary.results]
         means[name] = sum(rates) / len(rates)
         print(f"wrote {path}")
@@ -312,13 +308,16 @@ def _build_parser() -> _Parser:
     compare.add_argument("--dims", default="1,2,3,4,5", help="comma-separated dimensions")
     compare.add_argument("--n-agents", type=int, default=600)
     compare.add_argument("--repetitions", type=int, default=20)
-    compare.add_argument("--nu", type=float, default=1.0, help="drift strength for both solvers")
-    compare.add_argument(
-        "--sigma", type=float, default=0.5, help="noise strength for both solvers"
-    )
-    compare.add_argument(
-        "--n-leaders", type=int, default=4, help="leader count and cluster count"
-    )
+    # dests apart from the solver fields, which _solver_overrides reads as one solver's flags
+    for flag, kind, default, text in (
+        ("--nu", float, 1.0, "drift strength for both solvers"),
+        ("--sigma", float, 0.5, "noise strength for both solvers"),
+        ("--n-leaders", int, 4, "leader count and cluster count"),
+    ):
+        name = flag[2:].replace("-", "_")
+        compare.add_argument(
+            flag, type=kind, default=default, dest=f"both_{name}", metavar=name.upper(), help=text
+        )
     compare.add_argument(
         "--base-seed",
         type=int,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gkbo.cli as cli_module
+from gkbo import CSV_HEADER
 from gkbo.cli import main
 from gkbo.pcbo import PcboConfig
 from gkbo.solver import SolverConfig
@@ -271,9 +272,10 @@ def test_compare_writes_both_solvers_results(tmp_path, capsys):
         (["--output", "r.json"], "results CSV r.json must not end in .json, its sidecar's suffix"),
         (["--output", "missing/r.csv"], "output directory missing does not exist"),
         (["--output", "results"], "results CSV results is a directory"),
+        (["--output", "r.csv"], "results sidecar r.json is a directory"),
         (["--workers", "0"], "workers must be at least 1, got 0"),
     ],
-    ids=["sidecar-name", "missing-dir", "dir", "workers"],
+    ids=["sidecar-name", "missing-dir", "dir", "sidecar-dir", "workers"],
 )
 def test_bench_rejects_a_bad_output_or_pool_before_it_prints_or_runs(
     flags, message, tmp_path, monkeypatch, capsys
@@ -284,11 +286,41 @@ def test_bench_rejects_a_bad_output_or_pool_before_it_prints_or_runs(
     monkeypatch.setattr(cli_module, "run_experiment", never)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "results").mkdir()
+    (tmp_path / "r.json").mkdir()
     assert main(["bench", "--output", "out.csv", *TINY_RUN, *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
+
+
+@pytest.mark.parametrize(
+    "out_dir, made, message",
+    [
+        ("taken", None, "cannot create output directory taken: "),
+        ("taken/sub", None, "cannot create output directory taken/sub: "),
+        ("out", "gkbo.csv", "results CSV out/gkbo.csv is a directory\n"),
+        ("out", "pcbo.json", "results sidecar out/pcbo.json is a directory\n"),
+    ],
+    ids=["dir-is-a-file", "dir-under-a-file", "csv-dir", "sidecar-dir"],
+)
+def test_compare_rejects_a_bad_output_before_it_prints_or_runs(
+    out_dir, made, message, tmp_path, monkeypatch, capsys
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli_module, "run_experiment", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    if made is not None:
+        (tmp_path / out_dir / made).mkdir(parents=True)
+    argv = ["compare", "--dims", "1,2", "--repetitions", "1", "--n-agents", "20"]
+    assert main([*argv, "--output-dir", out_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == [tmp_path / "taken"]
 
 
 @pytest.mark.parametrize(
@@ -487,3 +519,80 @@ def test_bench_writes_exactly_the_pinned_csv(tmp_path, capsys):
         b"1,0.5,10.0,1.5,2,0,18.0,15.0,18.0\n"
         b"2,0.0,10.0,0.0,2,0,17.0,17.0,17.0\n"
     )
+
+
+COMPARE_STDOUT = """\
+{
+  "command": "compare",
+  "objective": "ackley2",
+  "dims": [
+    1,
+    2
+  ],
+  "n_agents": 20,
+  "repetitions": 1,
+  "nu": 1.0,
+  "sigma": 0.5,
+  "n_leaders": 4,
+  "base_seed": 0,
+  "output_dir": "{out}"
+}
+wrote {out}/gkbo.csv
+wrote {out}/pcbo.csv
+mean success rate: gkbo=0.000 pcbo=0.000
+"""
+
+COMPARE_SIDECAR_CONFIG = {
+    solver: {
+        "objective": "ackley2",
+        "dim": 1,
+        "solver": solver,
+        "n_agents": 20,
+        "repetitions": 1,
+        "sweep": "dimension",
+        "sweep_values": [1, 2],
+        "base_seed": 0,
+        "solver_config": {
+            **roles,
+            "n_steps": 10000,
+            "delta_stall": 0.0001,
+            "j_stall": 1000,
+            "diffusion": "anisotropic",
+            "seed": 0,
+            "init_lo": -10.0,
+            "init_hi": 10.0,
+        },
+    }
+    for solver, roles in [
+        (
+            "gkbo",
+            {
+                "nu_f": 1.0,
+                "nu_l": 2.0,
+                "sigma_f": 0.5,
+                "eps": 0.1,
+                "alpha": 5000000.0,
+                "n_leaders": 4,
+            },
+        ),
+        ("pcbo", {"nu": 1.0, "sigma": 0.5, "alpha": 5000000.0, "n_clusters": 4}),
+    ]
+}
+
+COMPARE_CSV = {
+    "gkbo": b"1,0.0,1168.0,0.0,1,0,17.0,17.0,17.0\n2,0.0,1250.0,0.0,1,0,15.0,15.0,15.0\n",
+    "pcbo": b"1,0.0,1012.0,1.0,1,0,4.0,2.0,4.0\n2,0.0,1020.0,1.0,1,0,4.0,2.0,4.0\n",
+}
+
+
+def test_compare_writes_exactly_the_pinned_output(tmp_path, capsys):
+    out_dir = tmp_path / "cmp"
+    argv = ["compare", "--dims", "1,2", "--repetitions", "1", "--n-agents", "20", "--workers", "1"]
+    assert main([*argv, "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().out == COMPARE_STDOUT.replace("{out}", str(out_dir))
+    header = ",".join(CSV_HEADER).encode() + b"\n"
+    for solver, rows in COMPARE_CSV.items():
+        assert (out_dir / f"{solver}.csv").read_bytes() == header + rows
+        sidecar = json.loads((out_dir / f"{solver}.json").read_text(encoding="utf-8"))
+        del sidecar["runs"]  # run_seconds are wall times
+        assert sidecar == COMPARE_SIDECAR_CONFIG[solver]
