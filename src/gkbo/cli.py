@@ -33,7 +33,7 @@ from .bench import (
     run_experiment,
     write_results,
 )
-from .errors import _integer, _require_non_negative
+from .errors import _integer, _require_non_negative, _require_positive
 from .objectives import PRESET_NAMES, preset
 from .solver import DiffusionMode, RunReport
 
@@ -207,7 +207,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    dims = _parse_number_list(args.dims, "--dims")  # validate() rejects a fractional one
+    dims = [_integer("--dims", dim, 1) for dim in _parse_number_list(args.dims, "--dims")]
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError("--dims must be strictly increasing")
+    # under the flags' names, not the config fields they set
+    _require_positive(**{"--nu": args.both_nu})
+    _require_non_negative(**{"--sigma": args.both_sigma})
+    _integer("--n-leaders", args.both_n_leaders, 1)
     shared = {"nu_f": args.both_nu, "sigma_f": args.both_sigma, "n_leaders": args.both_n_leaders}
     # dim is the first dimension in the sweeps too, as each sidecar records it
     sweep = {} if len(dims) == 1 else {"sweep": "dimension", "sweep_values": dims}

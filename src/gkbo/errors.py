@@ -98,6 +98,34 @@ def _require_minimizers(minimizers: np.ndarray, dim: int) -> None:
     _require_finite("minimizers", minimizers)
 
 
+def _points_and_centres(positions, centres, phase: str | None = None):
+    """``(n, d)`` positions and ``(k, d)`` centres, k >= 1, as float64 arrays of finite coordinates.
+
+    Raises ValueError otherwise. A phase function names itself in
+    ``phase`` and is told which array is at fault; without it the message
+    covers both arrays, as ``pcbo_assign`` has always reported them.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    centres = np.asarray(centres, dtype=np.float64)
+    if phase is not None:
+        if positions.ndim != 2 or not np.isfinite(positions).all():
+            raise ValueError(f"{phase}: positions must be finite, of shape (n, d)")
+        dim = positions.shape[1]
+        fits = centres.ndim == 2 and centres.shape[0] >= 1 and centres.shape[1] == dim
+        if not (fits and np.isfinite(centres).all()):
+            raise ValueError(f"{phase}: centres must be finite, of shape (k, {dim})")
+        return positions, centres
+    if positions.ndim != 2 or centres.ndim != 2 or centres.shape[0] < 1:
+        raise ValueError("positions and centres must be 2-d with at least one centre")
+    if positions.shape[1] != centres.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: particles are {positions.shape[1]}-d, "
+            f"centres are {centres.shape[1]}-d"
+        )
+    _require_finite("positions and centres", positions, centres)
+    return positions, centres
+
+
 def _require_box(lo, hi) -> tuple[float, float]:
     """The initialization box as floats; ValueError unless ``lo < hi``, both finite."""
     lo, hi = _number("init_lo", lo), _number("init_hi", hi)
@@ -137,11 +165,13 @@ def _energies_of(positions: np.ndarray, spec, energies, phase: str) -> np.ndarra
 
 
 def _omega_of(omega, n_agents: int, omega_bar, phase: str) -> np.ndarray:
-    """The rank weights of a transition round as float64, checked with their threshold."""
+    """The finite rank weights of a transition round as float64, checked with their threshold."""
     _require_unit(omega_bar=omega_bar)
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (n_agents,):
         raise ValueError(f"{phase}: omega must have shape ({n_agents},), got {omega.shape}")
+    if not np.isfinite(omega).all():
+        raise ValueError(f"{phase}: omega must have finite weights")
     return omega
 
 

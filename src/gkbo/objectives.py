@@ -59,68 +59,27 @@ class _Workspace:
         return arrays
 
 
-#: Row length up to which numpy sums a contiguous row with eight interleaved
-#: accumulators; longer rows are split in halves first.
-_PAIRWISE_BLOCK = 128
+def _axis_mean(terms: np.ndarray) -> np.ndarray:
+    """Mean over axis 0 of a ``(d, ...)`` array, its rows added left to right.
 
-#: Rows of the lane scratch of :func:`_axis_sum`: eight accumulators, their
-#: four pairs and two quads.
-_LANES = 14
-
-
-def _axis_sum(terms: np.ndarray, lo: int, count: int, lanes: np.ndarray) -> np.ndarray:
-    """Sum of ``terms[lo:lo + count]`` over axis 0, in the order numpy sums a row.
-
-    ``terms`` holds one coordinate per row, ``(d, shifts, n)`` or
-    ``(d, candidates)``; ``lanes`` is scratch of ``_LANES`` such rows that
-    shares no memory with it. Every column gets the additions
-    ``np.add.reduce`` applies to a contiguous row: in sequence below 8
-    terms; up to 128 terms, eight stride-8 accumulators combined pairwise,
-    then the tail in sequence; beyond that, the two halves split at a
-    multiple of 8. The result is bit-identical to the row sums of the
-    ``(n, d)`` layout, while each addition runs over all shifts and points.
-    With a single 8-term block the accumulators are the terms themselves.
+    The fold is one explicit addition per row, never a reduction over axis
+    0: numpy adds a ``(d, m > 1)`` array in axis order but a ``(d, 1)``
+    array pairwise, so a reduction would make a point's value depend on how
+    many others share its call.
     """
-    if count < 8:
-        if count == 1:
-            return terms[lo].copy()
-        total = terms[lo] + terms[lo + 1]
-        for j in range(lo + 2, lo + count):
-            total += terms[j]
-        return total
-    if count <= _PAIRWISE_BLOCK:
-        end = lo + count - count % 8
-        if end == lo + 8:
-            acc = terms[lo:end]
-        else:
-            acc = np.add(terms[lo : lo + 8], terms[lo + 8 : lo + 16], out=lanes[:8])
-            for start in range(lo + 16, end, 8):
-                acc += terms[start : start + 8]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        pairs = np.add(acc[0::2], acc[1::2], out=lanes[8:12])
-        quads = np.add(pairs[0::2], pairs[1::2], out=lanes[12:14])
-        total = quads[0] + quads[1]
-        for j in range(end, lo + count):
-            total += terms[j]
-        return total
-    half = count // 2
-    half -= half % 8
-    return _axis_sum(terms, lo, half, lanes) + _axis_sum(terms, lo + half, count - half, lanes)
-
-
-def _axis_mean(terms: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    """``np.mean`` over axis 0 of a ``(d, ...)`` array, bit for bit as over rows."""
     dim = terms.shape[0]
-    total = _axis_sum(terms, 0, dim, lanes)
+    total = terms[0].copy() if dim == 1 else terms[0] + terms[1]
+    for j in range(2, dim):
+        total += terms[j]
     total /= dim
     return total
 
 
-def _cos_mean(diff: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+def _cos_mean(diff: np.ndarray) -> np.ndarray:
     """mean_i cos(2 pi x_i) over axis 0 of ``(d, ...)`` offsets, computed in ``diff``."""
     np.multiply(diff, _TWO_PI, out=diff)
     np.cos(diff, out=diff)
-    return _axis_mean(diff, lanes)
+    return _axis_mean(diff)
 
 
 def _ackley_head(mean_sq: np.ndarray) -> np.ndarray:
@@ -137,20 +96,20 @@ def _ackley_value(head: np.ndarray, cos_mean: np.ndarray) -> np.ndarray:
     return head - np.exp(cos_mean) + 20.0 + math.e
 
 
-def _rastrigin(diff: np.ndarray, squares: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+def _rastrigin(diff: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """mean_i(x_i^2 - 10 cos(2 pi x_i)) over axis 0 of ``(d, ...)`` offsets.
 
     Minimum -10 at the origin. ``diff`` is overwritten; ``squares``, of its
-    shape, and ``lanes`` (see :func:`_axis_sum`) are scratch.
+    shape, is scratch.
     """
     np.multiply(diff, diff, out=squares)
     np.multiply(diff, _TWO_PI, out=diff)
     np.cos(diff, out=diff)
     diff *= 10.0
-    return _axis_mean(np.subtract(squares, diff, out=squares), lanes)
+    return _axis_mean(np.subtract(squares, diff, out=squares))
 
 
-def _ackley(diff: np.ndarray, squares: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+def _ackley(diff: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """-20 exp(-0.2 rms(x)) - exp(mean_i cos(2 pi x_i)) + 20 + e over axis 0.
 
     ``diff`` holds ``(d, ...)`` offsets and is overwritten, as for
@@ -158,8 +117,8 @@ def _ackley(diff: np.ndarray, squares: np.ndarray, lanes: np.ndarray) -> np.ndar
     the dimension-normalized form, so the landscape keeps the same scale in
     every dimension. Minimum 0 at the origin.
     """
-    head = _ackley_head(_axis_mean(np.multiply(diff, diff, out=squares), lanes))
-    return _ackley_value(head, _cos_mean(diff, lanes))
+    head = _ackley_head(_axis_mean(np.multiply(diff, diff, out=squares)))
+    return _ackley_value(head, _cos_mean(diff))
 
 
 _BASE_EVAL = {
@@ -178,7 +137,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _screened_min_base(
-    kind: Kind, diff: np.ndarray, squares: np.ndarray, lanes: np.ndarray, work: _Workspace
+    kind: Kind, diff: np.ndarray, squares: np.ndarray, work: _Workspace
 ) -> np.ndarray | None:
     """:func:`_min_base` computing the base only where it can be the minimum.
 
@@ -207,10 +166,10 @@ def _screened_min_base(
 
     Returns None, with ``diff`` intact, when a mean square is not finite, so
     that the caller's full evaluation keeps its inf and NaN values.
-    Otherwise ``diff``, ``squares`` and ``lanes`` are scratch, and the
-    candidates' own lanes come from ``work``.
+    Otherwise ``diff`` and ``squares`` are scratch, and the candidates'
+    squares come from ``work``.
     """
-    mean_sq = _axis_mean(np.multiply(diff, diff, out=squares), lanes)
+    mean_sq = _axis_mean(np.multiply(diff, diff, out=squares))
     if not np.isfinite(mean_sq).all():
         return None
     if kind is Kind.ACKLEY:
@@ -230,11 +189,10 @@ def _screened_min_base(
     values = upper  # the bounds are spent
     values.fill(np.inf)
     if kind is Kind.ACKLEY:
-        (lanes,) = work.arrays((_LANES, kept.size))
-        found = _ackley_value(head.take(kept), _cos_mean(candidates, lanes))
+        found = _ackley_value(head.take(kept), _cos_mean(candidates))
     else:
-        squares, lanes = work.arrays(candidates.shape, (_LANES, kept.size))
-        found = _rastrigin(candidates, squares, lanes)
+        (squares,) = work.arrays(candidates.shape)
+        found = _rastrigin(candidates, squares)
     values.ravel()[kept] = found  # a view: values is contiguous
     return np.minimum.reduce(values, axis=0)
 
@@ -244,13 +202,12 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspa
 
     All shifts go through the base function at once, as one C-ordered
     ``(d, shifts, n)`` array of offsets: coordinate j of every (shift,
-    point) pair is one contiguous block, so each addition of the row-order
+    point) pair is one contiguous block, so each addition of the coordinate
     sums runs over one block. numpy 2.4 buffers the strided rows of a
     ``(shifts, d, n)`` layout instead: the screen's mean square took 81
-    against 50 us at ackley4, d = 10, 1200 points. Every array of that size,
-    the offsets, their squares and the summation lanes, lives in ``work``,
-    so a solver that passes the same workspace every step maps no new
-    memory for them.
+    against 50 us at ackley4, d = 10, 1200 points. Every array of that
+    size, the offsets and their squares, lives in ``work``, so a solver that
+    passes the same workspace every step maps no new memory for them.
 
     With at least 2 shifts, from d = 4 on, :func:`_screened_min_base`
     evaluates the base only where it can be the minimum, with the same
@@ -284,18 +241,16 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspa
     """
     n_shifts, dim = shifts.shape
     n = points.shape[0]
-    columns, diff, squares, lanes = work.arrays(
-        (dim, n), (dim, n_shifts, n), (dim, n_shifts, n), (_LANES, n_shifts, n)
-    )
+    columns, diff, squares = work.arrays((dim, n), (dim, n_shifts, n), (dim, n_shifts, n))
     with np.errstate(over="ignore", invalid="ignore"):
         # one contiguous copy of the columns makes the broadcast subtract fast
         np.copyto(columns, points.T)
         np.subtract(columns[:, np.newaxis], shifts.T[:, :, np.newaxis], out=diff)
         if n_shifts > 1 and dim >= _SCREEN_MIN_DIM:
-            values = _screened_min_base(kind, diff, squares, lanes, work)
+            values = _screened_min_base(kind, diff, squares, work)
             if values is not None:
                 return values
-        return np.minimum.reduce(_BASE_EVAL[kind](diff, squares, lanes), axis=0)
+        return np.minimum.reduce(_BASE_EVAL[kind](diff, squares), axis=0)
 
 
 #: Global minimum value of each base function (attained at the origin).

@@ -18,8 +18,8 @@ from .errors import (
     _check_positions,
     _energies_of,
     _indices,
+    _points_and_centres,
     _require_centres,
-    _require_finite,
     _require_non_negative,
     _require_population,
     _require_positive,
@@ -76,16 +76,7 @@ def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
     Squared distances are summed one axis at a time, as in the leader-follower
     solver's assignment, which shares this kernel.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    centres = np.asarray(centres, dtype=np.float64)
-    if positions.ndim != 2 or centres.ndim != 2 or centres.shape[0] < 1:
-        raise ValueError("positions and centres must be 2-d with at least one centre")
-    if positions.shape[1] != centres.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: particles are {positions.shape[1]}-d, "
-            f"centres are {centres.shape[1]}-d"
-        )
-    _require_finite("positions and centres", positions, centres)
+    positions, centres = _points_and_centres(positions, centres)
     return _nearest_centre(positions, centres, _Workspace())
 
 
@@ -141,17 +132,14 @@ def pcbo_step(
     ``centres``). Every particle then moves by ``nu`` times its gap to its
     cluster's new centre plus ``sigma * D(x) xi`` with a fresh standard normal
     draw per particle in particle order. Returns the new positions and the new
-    centres. ``assignment`` must hold one centre index in [0, k) per particle
-    and ``centres`` k finite points. Raises NumericError naming the first
-    offending particle if an energy or a new position is non-finite.
+    centres. ``positions`` must be n finite points, ``assignment`` hold one
+    centre index in [0, k) per particle and ``centres`` k finite points.
+    Raises NumericError naming the first offending particle if an energy or
+    a new position is non-finite.
     """
     cfg.validate()
-    positions = np.asarray(positions, dtype=np.float64)
+    positions, centres = _points_and_centres(positions, centres, "pcbo_step")
     energies = _energies_of(positions, spec, energies, "pcbo_step")
-    centres = np.asarray(centres, dtype=np.float64)
-    dim = positions.shape[-1]
-    if centres.ndim != 2 or centres.shape[1] != dim or not np.isfinite(centres).all():
-        raise ValueError(f"pcbo_step: centres must be finite, of shape (k, {dim})")
     n_clusters = centres.shape[0]
     assignment = _indices(assignment, "assignment", positions.shape[0], n_clusters, "pcbo_step")
     new_centres = _consensus(positions, energies, assignment, n_clusters, float(cfg.alpha), centres)

@@ -111,8 +111,14 @@ class SolverConfig:
         _require_diffusion(self.diffusion)
 
     def omega_bar(self, n_agents: int) -> float:
-        """Weight threshold for label transitions: leaders over population."""
-        return int(self.n_leaders) / int(n_agents)
+        """Weight threshold for label transitions: leaders over population.
+
+        Raises ValueError unless ``n_agents`` is a population size and
+        ``n_leaders`` a count in [1, ``n_agents``].
+        """
+        n_agents = _require_population(n_agents)
+        _require_centres("n_leaders", self.n_leaders, n_agents)
+        return self.n_leaders / n_agents
 
 
 @dataclass
@@ -605,14 +611,16 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
 
     The population starts uniformly in the configured box, all followers, and
     one deterministic transition pass immediately promotes the agents whose
-    population-wide rank weight is below ``n_leaders / n_agents``; the same
-    pass is reapplied as a safety net if stochastic transitions ever leave the
-    population leaderless. Each step then moves all agents, re-evaluates the
-    objective once, applies stochastic label transitions driven by
-    within-cluster standing (see :func:`cluster_weights`), reclusters, and
-    recomputes the consensus points; the run stops after ``n_steps`` steps or
-    once every agent's consensus estimate has stayed within ``delta_stall``
-    (max norm) for ``j_stall`` consecutive steps.
+    population-wide rank weight is below ``n_leaders / n_agents``. Each step
+    then moves all agents, re-evaluates the objective once, applies
+    stochastic label transitions driven by within-cluster standing (see
+    :func:`cluster_weights`); should they leave the population leaderless, a
+    deterministic pass with that step's within-cluster weights, not the
+    population-wide ranks of the start, promotes every agent whose weight is
+    below the same threshold. The step then reclusters and recomputes the
+    consensus points. The run stops after ``n_steps`` steps or once every
+    agent's consensus estimate has stayed within ``delta_stall`` (max norm)
+    for ``j_stall`` consecutive steps.
 
     ``n_agents`` must be an integer of at least 1; it is checked before the
     configuration. All randomness comes from one generator seeded with

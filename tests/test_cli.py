@@ -241,6 +241,30 @@ def test_compare_validates_before_it_creates_the_output_dir(argv, tmp_path, caps
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--dims", "2,1"], "--dims must be strictly increasing"),
+        (["--dims", "1,1"], "--dims must be strictly increasing"),
+        (["--dims", "0"], "--dims must be at least 1, got 0"),
+        (["--dims", "1.5"], "--dims must be an integer, got 1.5"),
+        (["--nu", "0"], "--nu must be finite and positive, got 0.0"),
+        (["--nu", "nan"], "--nu must be finite and positive, got nan"),
+        (["--sigma", "-1"], "--sigma must be finite and non-negative, got -1.0"),
+        (["--n-leaders", "0"], "--n-leaders must be at least 1, got 0"),
+    ],
+    ids=[
+        "decreasing", "repeated", "zero-dim", "fractional-dim", "nu", "nan-nu", "sigma", "leaders"
+    ],
+)
+def test_compare_names_the_flag_of_a_bad_shared_setting(argv, message, tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    assert main(["compare", *argv, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_bench_writes_results_and_sidecar(tmp_path, capsys):
     output = tmp_path / "out.csv"
     argv = ["bench", "--output", str(output), "--repetitions", "2", "--workers", "1"]

@@ -353,10 +353,7 @@ def test_plain_weight_arrays_drive_the_transitions():
     assert sto.labels.tolist() == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1]
 
 
-@pytest.mark.parametrize(
-    "omega", [np.zeros(3), np.zeros((2, 1)), np.zeros((1, 2))], ids=["long", "column", "row"]
-)
-@pytest.mark.parametrize(
+_TRANSITION_CALLS = pytest.mark.parametrize(
     "phase, call",
     [
         (
@@ -367,7 +364,22 @@ def test_plain_weight_arrays_drive_the_transitions():
     ],
     ids=["apply_label_transitions", "deterministic_label_pass"],
 )
+
+
+@pytest.mark.parametrize(
+    "omega", [np.zeros(3), np.zeros((2, 1)), np.zeros((1, 2))], ids=["long", "column", "row"]
+)
+@_TRANSITION_CALLS
 def test_weights_of_another_shape_are_rejected(phase, call, omega):
     ens = make_ensemble(np.zeros((2, 1)))
     with pytest.raises(ValueError, match=rf"^{phase}: omega must have shape \(2,\)"):
         call(ens, omega)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@_TRANSITION_CALLS
+def test_non_finite_weights_are_rejected(phase, call, bad):
+    # a NaN weight compares false both ways, so it would switch nobody
+    ens = make_ensemble(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=rf"^{phase}: omega must have finite weights$"):
+        call(ens, np.array([0.0, bad]))

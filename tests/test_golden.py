@@ -51,6 +51,16 @@ CASES = {
         lambda: run_pcbo(preset("ackley4", 4), PcboConfig(n_steps=200, seed=7), 200),
         "acf207d3a858a922453b6caebbc090f6599b927c1a748c28195e288562e24260",
     ),
+    # d >= 8: each coordinate sum is a left-to-right fold; numpy's pairwise
+    # row sums, which the objective kept up to 0bc3348, give other digests
+    "gkbo-rastrigin4-d8": (
+        lambda: run_gkbo(preset("rastrigin4", 8), SolverConfig(n_steps=120, seed=6), 200),
+        "29716bfc4fab9b90bb05125fb88864f7ce541b71bda20ae66788e0dc087182aa",
+    ),
+    "pcbo-ackley4-d10": (
+        lambda: run_pcbo(preset("ackley4", 10), PcboConfig(n_steps=200, seed=7), 200),
+        "949d168760259ba15b0170940e46217ad09262611e2694ca3c03a79a880a4d34",
+    ),
     # 2 and 8 centres, recorded when up to 8 centres took a row-per-centre
     # subtract: the difference products must sum to the same distances
     "pcbo-ackley2-d1-2-clusters": (

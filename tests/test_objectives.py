@@ -20,15 +20,23 @@ PRESETS = sorted(_PRESETS)
 _TWO_PI = 2.0 * math.pi
 
 
+def _row_mean(terms):
+    """Mean of every row of an ``(n, d)`` array, its columns added left to right."""
+    total = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        total += column
+    return total / terms.shape[1]
+
+
 def _rastrigin_rows(points):
     """Oracle: the Rastrigin base value of every row of an ``(n, d)`` array."""
-    return np.mean(points * points - 10.0 * np.cos(_TWO_PI * points), axis=1)
+    return _row_mean(points * points - 10.0 * np.cos(_TWO_PI * points))
 
 
 def _ackley_rows(points):
     """Oracle: the Ackley base value of every row of an ``(n, d)`` array."""
-    rms = np.sqrt(np.mean(points * points, axis=1))
-    cos_mean = np.mean(np.cos(_TWO_PI * points), axis=1)
+    rms = np.sqrt(_row_mean(points * points))
+    cos_mean = _row_mean(np.cos(_TWO_PI * points))
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + math.e
 
 
@@ -150,7 +158,7 @@ def test_min_composition_property(point, name):
 )
 @settings(max_examples=120, deadline=None)
 def test_values_bit_identical_to_row_oracle(dim, kind, log_scale, n_points, n_min, seed):
-    """The column-order sums reproduce numpy's row sums bit for bit, pairwise blocks included."""
+    """Every dimension sums its coordinates left to right, bit for bit as the row oracle."""
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     spec = ObjectiveSpec(kind, dim, rng.normal(size=(n_min, dim)) * scale)
@@ -236,10 +244,8 @@ def shared_workspace():
 def test_values_in_a_reused_workspace_bit_identical_to_row_oracle(case, shared_workspace):
     """Values through one workspace reused across shapes, screened or not, inf and NaN included.
 
-    The shapes change from example to example, so the offsets, squares and
-    summation lanes land on memory that earlier calls left behind; from
-    d = 16 the lanes hold a second 8-term block's accumulators, and beyond
-    128 terms each half of a row is summed in turn.
+    The shapes change from example to example, so the offsets and squares
+    land on memory that earlier calls left behind.
     """
     spec, points = case
     got = spec._values(points, shared_workspace)
@@ -270,21 +276,29 @@ def test_screened_values_in_a_batch_workspace_allocate_less_than_one_offset_arra
 
 
 def test_screen_keeps_a_shift_that_rounding_puts_outside_its_bracket():
-    # a balance point a few ulps off, found by search: the two bracketed
-    # values differ in the last bit, and a bracket without its rounding
-    # margin discards the shift that holds the minimum
+    # a balance point a few ulps off, found by search at d = 32 (none turned
+    # up at d = 16 or 24): the two bracketed values differ in the last bit,
+    # and a bracket without its rounding margin discards the shift that
+    # holds the minimum
     base = np.array([
-        3.3955164614470625, -5.340258141053084, 5.820969067018149, -5.373519466661525,
-        -8.562844244869849, -9.232297573091351, 1.971675871175183, -3.5384413499230805,
-        1.4913494563623182, -3.7854972521419157, -1.20956890698805, 7.403331783709234,
-        8.470809281202975, -9.13798306956652, 8.964094945046092, 0.09719975557282723,
+        2.49123499559129, -2.1685923316962796, 9.105698391464827, 4.931896896395873,
+        -4.464707772271583, -1.8790724236707153, 5.645945775452272, -0.7366445943655027,
+        8.832375792389776, -4.545352159558533, 1.3872564301214076, -5.958625356012739,
+        -2.0655585498039635, 5.547496532166596, 3.204864708072181, -2.824979372807624,
+        4.948702839359388, 6.3112371452778895, 9.584757088916888, 1.0855754575357182,
+        3.9847972729385965, 5.953477621773839, -1.0419238183345563, -9.887175586039163,
+        5.572038808602963, 8.34032907479876, -8.083562524235084, -8.826660214311858,
+        8.489622405784406, 9.008981519244323, -3.434127868407084, 2.1471767064305585,
     ])
-    ulps = np.array([-1, 2, -1, 3, 3, -2, -2, -1, 1, 3, 1, 0, -1, 3, -3, 2])
-    point = base + balance_offsets(16)
+    ulps = np.array([
+        -2, -1, 0, 1, 1, -2, -2, -1, -2, 1, 2, 0, 1, -1, 3, -3,
+        0, 1, -1, 2, -3, 2, 0, 3, -1, 1, 2, 2, -3, 0, 2, -2,
+    ])
+    point = base + balance_offsets(32)
     point += ulps * np.spacing(point)
-    far = np.full(16, 100.0)
+    far = np.full(32, 100.0)
     spec = ObjectiveSpec(
-        Kind.RASTRIGIN, 16, np.array([far, -far, base, base + balance_offsets(16) - 0.5])
+        Kind.RASTRIGIN, 32, np.array([far, -far, base, base + balance_offsets(32) - 0.5])
     )
     got = spec.evaluate_batch(point[np.newaxis])
     want = objective_oracle(spec, point[np.newaxis])

@@ -230,6 +230,7 @@ STEP_DEFECTS = {
     "centres-of-another-dimension": ([0, 0, 1, 0], np.zeros((2, 2)), "centres"),
     "flat-centres": ([0, 0, 1, 0], np.zeros(2), "centres"),
     "non-finite-centre": ([0, 0, 1, 0], np.array([[0.0], [np.nan]]), "centres"),
+    "no-centre": ([0, 0, 0, 0], np.zeros((0, 1)), "centres"),
 }
 
 
@@ -241,6 +242,24 @@ def test_step_rejects_a_malformed_assignment_or_centres(defect):
     pcbo_step(positions, [0, 0, 1, 1], np.zeros((2, 1)), *args)  # the well-formed call passes
     with pytest.raises(ValueError, match=f"^pcbo_step: {name} must"):
         pcbo_step(positions, assignment, centres, *args)
+
+
+@pytest.mark.parametrize(
+    "positions, energies",
+    [
+        (np.zeros(4), np.zeros(4)),
+        (np.array([[0.0], [1.0], [np.nan], [3.0]]), np.zeros(4)),
+        (np.array([[0.0], [1.0], [np.inf], [3.0]]), None),
+    ],
+    ids=["flat", "nan-with-energies", "inf"],
+)
+def test_step_rejects_malformed_positions_before_it_reads_them(positions, energies):
+    # a NaN row with its energies given used to surface only after the move,
+    # as particle 0 reaching a non-finite position
+    args = (preset("rastrigin2", 1), PcboConfig(n_clusters=2), np.random.default_rng(0))
+    message = r"^pcbo_step: positions must be finite, of shape \(n, d\)$"
+    with pytest.raises(ValueError, match=message):
+        pcbo_step(positions, [0, 0, 1, 1], np.zeros((2, 1)), *args, energies=energies)
 
 
 def test_single_cluster_zero_noise_contracts_to_softmax_mean():

@@ -115,6 +115,22 @@ def test_config_omega_bar():
 
 
 @pytest.mark.parametrize(
+    "n_leaders, n_agents, message",
+    [
+        (12, 2.5, r"^population size must be an integer of at least 1, got 2\.5$"),
+        (12, True, r"^population size must be an integer of at least 1, got True$"),
+        (12, 0, r"^population size must be an integer of at least 1, got 0$"),
+        (12, 6, r"^n_leaders \(12\) cannot exceed the population size \(6\)$"),
+        (2.5, 6, r"^n_leaders must be an integer, got 2\.5$"),
+    ],
+    ids=["fractional", "bool", "zero", "fewer-agents-than-leaders", "fractional-leaders"],
+)
+def test_config_omega_bar_rejects_what_validate_rejects(n_leaders, n_agents, message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(n_leaders=n_leaders).omega_bar(n_agents)
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"eps": 0.0},
