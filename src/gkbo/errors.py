@@ -98,31 +98,19 @@ def _require_minimizers(minimizers: np.ndarray, dim: int) -> None:
     _require_finite("minimizers", minimizers)
 
 
-def _points_and_centres(positions, centres, phase: str | None = None):
+def _points_and_centres(positions, centres, phase: str):
     """``(n, d)`` positions and ``(k, d)`` centres, k >= 1, as float64 arrays of finite coordinates.
 
-    Raises ValueError otherwise. A phase function names itself in
-    ``phase`` and is told which array is at fault; without it the message
-    covers both arrays, as ``pcbo_assign`` has always reported them.
+    Raises ValueError naming ``phase`` and the array at fault otherwise.
     """
     positions = np.asarray(positions, dtype=np.float64)
     centres = np.asarray(centres, dtype=np.float64)
-    if phase is not None:
-        if positions.ndim != 2 or not np.isfinite(positions).all():
-            raise ValueError(f"{phase}: positions must be finite, of shape (n, d)")
-        dim = positions.shape[1]
-        fits = centres.ndim == 2 and centres.shape[0] >= 1 and centres.shape[1] == dim
-        if not (fits and np.isfinite(centres).all()):
-            raise ValueError(f"{phase}: centres must be finite, of shape (k, {dim})")
-        return positions, centres
-    if positions.ndim != 2 or centres.ndim != 2 or centres.shape[0] < 1:
-        raise ValueError("positions and centres must be 2-d with at least one centre")
-    if positions.shape[1] != centres.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: particles are {positions.shape[1]}-d, "
-            f"centres are {centres.shape[1]}-d"
-        )
-    _require_finite("positions and centres", positions, centres)
+    if positions.ndim != 2 or not np.isfinite(positions).all():
+        raise ValueError(f"{phase}: positions must be finite, of shape (n, d)")
+    dim = positions.shape[1]
+    fits = centres.ndim == 2 and centres.shape[0] >= 1 and centres.shape[1] == dim
+    if not (fits and np.isfinite(centres).all()):
+        raise ValueError(f"{phase}: centres must be finite, of shape (k, {dim})")
     return positions, centres
 
 

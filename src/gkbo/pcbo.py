@@ -76,7 +76,7 @@ def pcbo_assign(positions: np.ndarray, centres: np.ndarray) -> np.ndarray:
     Squared distances are summed one axis at a time, as in the leader-follower
     solver's assignment, which shares this kernel.
     """
-    positions, centres = _points_and_centres(positions, centres)
+    positions, centres = _points_and_centres(positions, centres, "pcbo_assign")
     return _nearest_centre(positions, centres, _Workspace())
 
 
@@ -155,15 +155,17 @@ def run_pcbo(spec: ObjectiveSpec, cfg: PcboConfig, n_particles: int = 600) -> Ru
     Initialization draws positions uniformly from the configured box, then
     fractional memberships uniformly from [0, 1] (rows normalized); those only
     seed the first centres, after which assignment is always hard nearest
-    centre. Stall detection watches each particle's own centre, same rule as
-    the leader-follower solver. ``n_particles`` must be an integer of at
-    least 1; it is checked before the configuration. Equal configurations
-    produce identical reports. A non-finite position or objective value
-    raises NumericError naming the phase, the step and the first offending
-    particle; at the start, before any step, it names the objective. A run
-    that reaches a fixed point, every particle bit for bit on its centre and
-    no centre moving, is reported at once with the report the full loop
-    gives. The run is a batch of one replica; see :func:`_run_replicas`.
+    centre. The run stops after ``n_steps`` steps or once it stalls: after
+    ``j_stall`` consecutive steps in which no particle's consensus estimate,
+    its own centre, moved more than ``delta_stall`` in the max norm.
+    ``n_particles`` must be an integer of at least 1; it is checked before
+    the configuration. Equal configurations produce identical reports. A
+    non-finite position or objective value raises NumericError naming the
+    phase, the step and the first offending particle; at the start, before
+    any step, it names the objective. A run that reaches a fixed point,
+    every particle bit for bit on its centre and no centre moving, is
+    reported at once with the report the full loop gives. The run is a
+    batch of one replica; see :func:`_run_replicas`.
     """
     return _run_replicas(spec, cfg, n_particles, (cfg.seed,))[0]
 
@@ -175,17 +177,17 @@ def _run_replicas(
 
     Replica r's centres are slots ``r k .. r k + k - 1`` of one consensus,
     so ``bincount`` still adds each cluster's terms in particle order, and
-    the report is bit-identical. When :meth:`_Replicas.freeze` drops
-    replicas, the loop keeps the others' centres and assigns their particles
-    again. The start draws every replica's memberships through the batch,
-    after the positions its constructor drew, and one call makes every
-    replica's first centres from its own rows; a step draws every replica's
-    normals, one per coordinate.
+    the report is bit-identical. Each step assigns every particle once, after
+    :meth:`_Replicas.freeze` has dropped the replicas it reported; the loop
+    keeps the others' centres. The start draws every replica's memberships
+    through the batch, after the positions its constructor drew, and one
+    call makes every replica's first centres from its own rows; a step
+    draws every replica's normals, one per coordinate.
 
     A replica is settled after a step that left every centre bit for bit as
     it was and every particle's estimate equal to its position: each later
     step then repeats the same state, since a zero gap gives a zero move
-    whatever the draws, and only raises every stall counter by one.
+    whatever the draws, and only raises the replica's quiet count by one.
     :meth:`_Replicas.freeze` reports a settled replica at once with the
     report the full loop gives. The mask is computed before the step's
     objective, which replaces the batch's positions.
@@ -217,7 +219,7 @@ def _run_replicas(
     while (keep := batch.freeze(centres, range(0, centres.shape[0] + 1, k), settled)) is not None:
         if not keep.all():
             centres = _keep(centres, keep)
-            slots = slots_of(centres)
+        slots = slots_of(centres)
         previous = centres
         centres = _consensus(
             batch.positions, batch.energies, slots, centres.shape[0], alpha, centres
@@ -236,6 +238,5 @@ def _run_replicas(
             settled &= (estimates == batch.positions).reshape(replicas, -1).all(axis=1)
         batch.evaluate(positions, "pcbo_step")
         batch.end_step(estimates)
-        slots = slots_of(centres)
 
     return batch.reports

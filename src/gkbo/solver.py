@@ -79,7 +79,9 @@ class SolverConfig:
     experiments: time step ``eps`` 0.1, softmax sharpness ``alpha`` 5e6,
     follower/leader drift strengths 1 and 2, anisotropic noise with strength
     2.5, 12 leaders, at most 10000 steps with a stall window of 1000 steps at
-    tolerance 1e-4, and initialization in the box [-10, 10]^d.
+    tolerance 1e-4, and initialization in the box [-10, 10]^d. A run stalls
+    after ``j_stall`` consecutive steps in which no agent's consensus
+    estimate moved more than ``delta_stall`` in the max norm.
     """
 
     nu_f: float = 1.0
@@ -513,15 +515,16 @@ def _draws(out: np.ndarray, draw, rngs: list, counts: list) -> np.ndarray:
     return out
 
 
-def _follower_noise(followers: np.ndarray, dim: int, rngs: list, counts) -> np.ndarray:
+def _follower_noise(followers: np.ndarray, dim: int, rngs: list) -> np.ndarray:
     """Noise row of every agent: the k-th follower's is the k-th drawn row, a leader's zeros.
 
-    Replica r's generator ``rngs[r]`` draws its ``counts[r]`` followers' rows
-    of ``dim`` standard normals in agent order, after one zero row. One
-    ``take`` by follower rank, 0 for a leader, places them: at (7200, 2)
-    that takes about 50 us, a zero array plus a boolean-mask scatter 190 us
-    (numpy 2.4).
+    ``followers`` stacks one equal block of agents per generator. Replica
+    r's generator ``rngs[r]`` draws its followers' rows of ``dim`` standard
+    normals in agent order, after one zero row. One ``take`` by follower
+    rank, 0 for a leader, places them: at (7200, 2) that takes about 50 us,
+    a zero array plus a boolean-mask scatter 190 us (numpy 2.4).
     """
+    counts = followers.reshape(len(rngs), -1).sum(axis=1).tolist()
     block = np.empty((1 + sum(counts), dim))
     block[0] = 0.0
     _draws(block[1:], np.random.Generator.standard_normal, rngs, counts)
@@ -553,28 +556,12 @@ def interaction_step(
     positions = ensemble.positions
     _check_clusters(clusters, "interaction_step", positions.shape, estimates=True)
     followers = ensemble.labels == 0
-    noise = _follower_noise(followers, positions.shape[1], [rng], [np.count_nonzero(followers)])
+    noise = _follower_noise(followers, positions.shape[1], [rng])
     new_positions = _interact(
         positions, followers, clusters.leader_of, clusters.agent_estimate, cfg, noise
     )
     _check_positions(new_positions, "interaction_step", step)
     return Ensemble._unchecked(new_positions, ensemble.labels.copy())
-
-
-def _update_stall(
-    tracker: StallTracker, new_estimates: np.ndarray, delta_stall: float
-) -> StallTracker:
-    """Advance ``tracker``; the new tracker keeps ``new_estimates`` without copying it.
-
-    The caller takes the stall indicator, the minimum counter, over the
-    agents it stops on.
-    """
-    moved = np.abs(new_estimates - tracker.estimates)
-    # the max over each row, taken down the columns of a transposed copy:
-    # a reduction along short rows costs a loop call per agent
-    small = np.ascontiguousarray(moved.T).max(axis=0) <= delta_stall
-    counters = np.where(small, tracker.counters + 1, 0)
-    return StallTracker(counters=counters, estimates=new_estimates)
 
 
 def check_stall(
@@ -587,6 +574,12 @@ def check_stall(
     zero otherwise, so it counts consecutive quiet steps. Returns the new
     tracker and the population-wide stall indicator: the minimum counter.
     The tracker must hold ``(n, d)`` estimates and n integer counters.
+
+    A run stalls after ``j_stall`` consecutive steps in which no agent's
+    consensus estimate moved more than ``delta_stall`` in the max norm.
+    Started from zero counters, the minimum counter equals that count of
+    quiet steps, which is all the solvers keep: it is the number of steps
+    since any agent last moved more.
     """
     _require_non_negative(delta_stall=delta_stall)
     shape = np.shape(tracker.estimates)
@@ -596,8 +589,13 @@ def check_stall(
     if counters.shape != shape[:1] or counters.dtype.kind not in "iu":
         raise ValueError(f"check_stall: counters must hold {shape[0]} integers, one per agent")
     _check_clusters(clusters, "check_stall", shape, estimates=True)
-    tracker = _update_stall(tracker, clusters.agent_estimate.copy(), float(delta_stall))
-    return tracker, int(tracker.counters.min())
+    estimates = clusters.agent_estimate.copy()
+    moved = np.abs(estimates - tracker.estimates)
+    # the max over each row, taken down the columns of a transposed copy:
+    # a reduction along short rows costs a loop call per agent
+    small = np.ascontiguousarray(moved.T).max(axis=0) <= delta_stall
+    counters = np.where(small, counters + 1, 0)
+    return StallTracker(counters=counters, estimates=estimates), int(counters.min())
 
 
 def _distinct_rows(points: np.ndarray) -> np.ndarray:
@@ -618,9 +616,9 @@ def run_gkbo(spec: ObjectiveSpec, cfg: SolverConfig, n_agents: int = 600) -> Run
     deterministic pass with that step's within-cluster weights, not the
     population-wide ranks of the start, promotes every agent whose weight is
     below the same threshold. The step then reclusters and recomputes the
-    consensus points. The run stops after ``n_steps`` steps or once every
-    agent's consensus estimate has stayed within ``delta_stall`` (max norm)
-    for ``j_stall`` consecutive steps.
+    consensus points. The run stops after ``n_steps`` steps or once it
+    stalls: after ``j_stall`` consecutive steps in which no agent's
+    consensus estimate moved more than ``delta_stall`` in the max norm.
 
     ``n_agents`` must be an integer of at least 1; it is checked before the
     configuration. All randomness comes from one generator seeded with
@@ -647,25 +645,29 @@ class _Replicas:
     rows of the stacked arrays go through kernels whose result for a row
     does not depend on other rows, so its report is its own run's, bit for
     bit. The batch holds what both solvers' loops share: the start, the
-    draws, the positions and objective values, the stall counters, the
-    ``reports`` and ``work``, the scratch memory that every step's objective
-    and nearest-centre calls reuse. A loop keeps its own per-replica state,
-    such as labels or centres, and keeps in it the slots that :meth:`freeze`
-    returns.
+    draws, the positions and objective values, the consensus
+    ``estimates`` and one ``quiet`` count per replica, the ``reports`` and
+    ``work``, the scratch memory that every step's objective and
+    nearest-centre calls reuse. A loop keeps its own per-replica state,
+    such as labels or centres, and keeps in it the slots that
+    :meth:`freeze` returns.
 
     The constructor starts every replica: it draws the start positions
     uniformly from the box, finite by construction, and evaluates the
     stacked draws in one call, so ``work`` takes the batch's size once.
 
-    A replica that stalls or reaches the step budget is frozen there: its
-    report is taken and its rows are dropped. A loop may mark replicas
-    settled, at a fixed point of its step; :meth:`freeze` reports those at
-    once with the report the full loop gives. The batch raises NumericError
-    at the first non-finite objective value, at the start or after a step.
-    In a batch of one replica that is its own run's error; in a larger
-    batch the agent is counted over the stacked rows, so
-    ``bench._execute_run`` runs such a batch's seeds again one at a time to
-    raise the lowest failing seed's own error.
+    A replica stalls after ``j_stall`` consecutive steps in which no
+    agent's consensus estimate moved more than ``delta_stall`` in the max
+    norm; ``quiet`` counts those steps. A replica that stalls or reaches
+    the step budget is frozen there: its report is taken and its rows are
+    dropped. A loop may mark replicas settled, at a fixed point of its
+    step; :meth:`freeze` reports those at once with the report the full
+    loop gives. The batch raises NumericError at the first non-finite
+    objective value, at the start or after a step. In a batch of one
+    replica that is its own run's error; in a larger batch the agent is
+    counted over the stacked rows, so ``bench._execute_run`` runs such a
+    batch's seeds again one at a time to raise the lowest failing seed's
+    own error.
     """
 
     def __init__(self, spec: ObjectiveSpec, cfg, n_agents: int, seeds) -> None:
@@ -686,8 +688,9 @@ class _Replicas:
         self._check("start", None)
 
     def watch(self, estimates: np.ndarray) -> None:
-        """Start every stall counter at zero on the first consensus estimates."""
-        self.tracker = StallTracker(np.zeros(estimates.shape[0], dtype=np.int64), estimates)
+        """Take the first consensus estimates and start every quiet-step count at zero."""
+        self.estimates = estimates
+        self.quiet = np.zeros(self.live.size, dtype=np.int64)
 
     def draws(self, draw, *shape) -> np.ndarray:
         """A ``shape`` block of draws per agent from every replica's generator, stacked.
@@ -726,8 +729,15 @@ class _Replicas:
             _check_energies(self.energies, "objective", step)
 
     def end_step(self, estimates: np.ndarray) -> None:
-        """Close a step: advance the stall counters with the new consensus estimates."""
-        self.tracker = _update_stall(self.tracker, estimates, self.delta_stall)
+        """Close a step: count it quiet in each replica whose estimates all stayed put.
+
+        A replica's count goes up by one when no agent's estimate moved more
+        than ``delta_stall`` in the max norm since the last step, and back
+        to zero otherwise. ``estimates`` is kept without a copy.
+        """
+        moved = np.abs(estimates - self.estimates).reshape(self.live.size, -1).max(axis=1)
+        self.quiet = np.where(moved <= self.delta_stall, self.quiet + 1, 0)
+        self.estimates = estimates
         self.steps += 1
 
     def freeze(
@@ -737,18 +747,19 @@ class _Replicas:
 
         Returns the mask of the slots kept, which the loop keeps in its own
         state, or None once every replica is reported. Slot r's consensus
-        points are ``consensus[bounds[r]:bounds[r + 1]]``. A slot that
+        points are ``consensus[bounds[r]:bounds[r + 1]]``. A slot stalls
+        once its ``quiet`` count reaches ``j_stall``. A slot that
         ``settled`` marks is one whose every later step changes nothing but
-        its stall counters, each up by one: it is reported at once with the
-        report the full loop gives, at the step where its least counter
-        reaches ``j_stall`` or at the step budget, whichever comes first.
+        its quiet count, up by one: it is reported at once with the report
+        the full loop gives, at the step where that count reaches
+        ``j_stall`` or at the step budget, whichever comes first.
         """
         n, cfg, steps = self.n, self.cfg, self.steps
-        least = self.tracker.counters.reshape(-1, n).min(axis=1)  # every slot's stall indicator
-        if steps < cfg.n_steps and least.max() < cfg.j_stall and not np.any(settled):
-            return np.ones(least.size, dtype=bool)
-        iterations = np.minimum(steps + settled * np.maximum(0, cfg.j_stall - least), cfg.n_steps)
-        stalled = least + iterations - steps >= cfg.j_stall
+        quiet = self.quiet
+        if steps < cfg.n_steps and quiet.max() < cfg.j_stall and not np.any(settled):
+            return np.ones(quiet.size, dtype=bool)
+        iterations = np.minimum(steps + settled * np.maximum(0, cfg.j_stall - quiet), cfg.n_steps)
+        stalled = quiet + iterations - steps >= cfg.j_stall
         keep = ~stalled & (iterations < cfg.n_steps)
         for slot in np.flatnonzero(~keep):
             self.reports[self.live[slot]] = RunReport(
@@ -760,11 +771,9 @@ class _Replicas:
                 evaluations=n * (int(iterations[slot]) + 1),
                 seed=int(self.seeds[self.live[slot]]),
             )
-        self.positions, self.energies, self.live = (
-            _keep(a, keep) for a in (self.positions, self.energies, self.live)
-        )
-        self.tracker = StallTracker(
-            _keep(self.tracker.counters, keep), _keep(self.tracker.estimates, keep)
+        self.positions, self.energies, self.live, self.quiet, self.estimates = (
+            _keep(a, keep)
+            for a in (self.positions, self.energies, self.live, self.quiet, self.estimates)
         )
         self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
         return keep if self.live.size else None
@@ -840,10 +849,8 @@ def _run_replicas(
             labels = _keep(labels, keep)
             leaders, bounds, slots = _clusters(batch.positions, labels, n, batch.work)
         followers = labels == 0
-        noise = _follower_noise(followers, spec.dim, batch.rngs, n - np.diff(bounds))
-        positions = _interact(
-            batch.positions, followers, leaders[slots], batch.tracker.estimates, cfg, noise
-        )
+        noise = _follower_noise(followers, spec.dim, batch.rngs)
+        positions = _interact(batch.positions, followers, leaders[slots], batch.estimates, cfg, noise)
         batch.evaluate(positions, "interaction_step")
 
         omega = _cluster_ranks(batch.energies, slots, bounds[-1])

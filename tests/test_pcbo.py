@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -97,44 +98,46 @@ def test_assign_near_ties_match_per_axis_oracle(dim):
     assert np.array_equal(pcbo_assign(agents, centres), nearest_centre_oracle(agents, centres))
 
 
-@pytest.mark.parametrize(
-    "positions, centres",
-    [
-        ([[np.inf, 0.0], [1.0, -np.inf], [0.0, 0.0]], [[np.inf, 0.0], [0.0, 1.0]]),
-        ([[np.inf, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]),
-        ([[1.0, 0.0], [0.0, 0.0]], [[0.0, np.nan], [0.0, 1.0]]),
-    ],
-    ids=["both", "positions", "centres"],
-)
-def test_assign_rejects_non_finite_input_without_warnings(positions, centres):
-    # as assign_clusters does; an inf - inf distance would be a NaN that
-    # argmin takes as the minimum
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="must have finite coordinates"):
-            pcbo_assign(np.array(positions), np.array(centres))
+POSITIONS = "pcbo_assign: positions must be finite, of shape (n, d)"
 
 
-NOT_2D = "positions and centres must be 2-d with at least one centre"
+def centres_message(dim):
+    return f"pcbo_assign: centres must be finite, of shape (k, {dim})"
 
 
 @pytest.mark.parametrize(
     "positions, centres, message",
     [
-        (np.zeros(3), np.zeros((2, 1)), NOT_2D),
-        (np.zeros((3, 1)), np.zeros(2), NOT_2D),
-        (np.zeros((3, 1)), np.zeros((0, 1)), NOT_2D),
-        (
-            np.zeros((3, 2)),
-            np.zeros((2, 3)),
-            "dimension mismatch: particles are 2-d, centres are 3-d",
-        ),
+        ([[np.inf, 0.0], [1.0, -np.inf], [0.0, 0.0]], [[np.inf, 0.0], [0.0, 1.0]], POSITIONS),
+        ([[np.inf, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], POSITIONS),
+        ([[1.0, 0.0], [0.0, 0.0]], [[0.0, np.nan], [0.0, 1.0]], centres_message(2)),
+    ],
+    ids=["both", "positions", "centres"],
+)
+def test_assign_rejects_non_finite_input_without_warnings(positions, centres, message):
+    # as assign_clusters does; an inf - inf distance would be a NaN that
+    # argmin takes as the minimum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pcbo_assign(np.array(positions), np.array(centres))
+
+
+@pytest.mark.parametrize(
+    "positions, centres, message",
+    [
+        (np.zeros(3), np.zeros((2, 1)), POSITIONS),
+        (np.zeros((3, 1)), np.zeros(2), centres_message(1)),
+        (np.zeros((3, 1)), np.zeros((0, 1)), centres_message(1)),
+        (np.zeros((3, 2)), np.zeros((2, 3)), centres_message(2)),
     ],
     ids=["flat-positions", "flat-centres", "no-centre", "dimensions"],
 )
 def test_assign_rejects_arrays_of_the_wrong_shape(positions, centres, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        pcbo_assign(positions, centres)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pcbo_assign(positions, centres)
 
 
 def test_assign_is_idempotent_under_reassignment():

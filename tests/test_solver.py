@@ -16,6 +16,7 @@ from gkbo.ensemble import Ensemble, _slot_order, compute_weights
 from gkbo.errors import EmptyLeaderSetError, NumericError
 from gkbo.objectives import Kind, ObjectiveSpec, _Workspace, preset
 from gkbo.pcbo import PcboConfig, pcbo_assign, pcbo_step, run_pcbo
+from gkbo.pcbo import _run_replicas as run_pcbo_replicas
 from gkbo import solver
 from gkbo.solver import (
     ClusterState,
@@ -1031,6 +1032,48 @@ def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on(
     # running, and each standalone run its own iterations + 1
     standalone = sum(count + 1 for count in iterations)
     assert len(clustering_passes) - standalone == max(iterations) + 1 + 4 == 305
+
+
+STALL_BATCHES = {
+    "gkbo": (_run_replicas, "ackley2", 1, SolverConfig(n_steps=300, j_stall=20), 60),
+    "pcbo": (run_pcbo_replicas, "ackley2", 3, PcboConfig(n_steps=200, j_stall=15), 80),
+}
+
+
+@pytest.mark.parametrize("batch", STALL_BATCHES.values(), ids=STALL_BATCHES.keys())
+def test_a_replicas_quiet_count_is_check_stalls_indicator(monkeypatch, batch):
+    # beside the batch, every replica's estimates step a public per-agent
+    # tracker from zero counters; its least counter is the replica's count
+    run, objective, dim, cfg, n = batch
+    trackers, counts = {}, []
+    watch, end_step = solver._Replicas.watch, solver._Replicas.end_step
+    own = ClusterState(
+        leaders=np.zeros(1, dtype=np.intp),
+        leader_of=np.zeros(n, dtype=np.intp),
+        cluster_of=np.zeros(n, dtype=np.intp),
+    )
+
+    def spy_watch(self, estimates):
+        watch(self, estimates)
+        for replica, rows in zip(self.live, estimates.reshape(self.live.size, n, dim)):
+            trackers[replica] = StallTracker(np.zeros(n, dtype=np.int64), rows)
+
+    def spy_end_step(self, estimates):
+        end_step(self, estimates)
+        for replica, rows, quiet in zip(
+            self.live, estimates.reshape(self.live.size, n, dim), self.quiet, strict=True
+        ):
+            state = dataclasses.replace(own, agent_estimate=rows)
+            trackers[replica], stall = check_stall(trackers[replica], state, cfg.delta_stall)
+            assert quiet == stall
+            counts.append(stall)
+
+    monkeypatch.setattr(solver._Replicas, "watch", spy_watch)
+    monkeypatch.setattr(solver._Replicas, "end_step", spy_end_step)
+    reports = run(preset(objective, dim), cfg, n, (0, 1, 2, 3, 4))
+    stalled = [report.iterations for report in reports if report.stalled]
+    assert len(set(stalled)) > 1
+    assert 0 in counts and max(counts) == cfg.j_stall
 
 
 def test_screened_replicas_that_stall_apart_shrink_the_objective_workspace(run_batch):
