@@ -68,15 +68,27 @@ _SWEEPS = ("none", "dimension", "n_leaders", "sigma_f")
 #: and ``sigma_f`` sweeps and for ``gkbo compare``'s shared settings.
 _PCBO_ROLES = {"nu_f": "nu", "sigma_f": "sigma", "n_leaders": "n_clusters"}
 
-#: Most float64 coordinates, R n d, that one batch of R replicas stacks. At
-#: 14400 (115200 bytes) every stacked ``(R n, d)`` array stays below glibc's
-#: default mmap threshold of 128 KiB, so the heap serves it. The objective's
-#: arrays of shifts times that size live in the batch's workspace, mapped
-#: once per batch: at ackley4, d = 10, two 500-step replicas, a worker's
-#: first task took 3k-12k minor faults and 0.84-1.15 s, later tasks 1-609
-#: faults and 0.73-1.15 s (81k-122k faults for a first task when those
-#: arrays were allocated every call).
-_MAX_BATCH_COORDINATES = 14_400
+#: Most float64 coordinates, R n d, that one batch of R replicas stacks.
+#: Each step's fixed costs are shared by the batch's replicas, so larger
+#: batches pay until their arrays outgrow the caches. Time of 600-agent,
+#: 500-step gkbo batches against the first size's, medians of 6-8
+#: interleaved rounds, a range over two sets of rounds (2 vCPUs, numpy
+#: 2.4.6), in one process, then as a two-worker pool runs them, two
+#: processes at once; R = 6 at d = 10, 12 at d = 5 and 3 at d = 20 are
+#: 36 000 coordinates:
+#:
+#:     ackley4 d = 20         R = 1, 2, 3, 6     1, 0.92, 0.92-0.94, 0.78-0.88
+#:     ackley4 d = 10         R = 2, 4, 6, 12    1, 0.97, 0.88-0.93, 0.87-0.89
+#:     ackley4 d = 5          R = 4, 6, 12, 24   1, 0.95, 0.95, 0.97
+#:     rastrigin2 d = 2       R = 6, 12, 24      1, 0.95, 1.00
+#:     ackley4 d = 10, pool   R = 2, 6           1, 0.92
+#:     ackley4 d = 10, pool   R = 6, 12          1, 1.04
+#:     ackley4 d = 20, pool   R = 3, 6           1, 1.01
+#:
+#: Past 36 000 one process gains a little at d = 10 and 20 and loses at
+#: d = 5, and a pool gains nothing. The objective's arrays of shifts times
+#: a stacked array's size live in the batch's workspace, allocated once.
+_MAX_BATCH_COORDINATES = 36_000
 
 
 def _plain(value):
@@ -340,6 +352,19 @@ def _execute_run(task) -> list[tuple[RunReport, float]]:
     return [(report, elapsed * report.evaluations / evaluations) for report in reports]
 
 
+def _execute_caught(task) -> list[tuple[RunReport, float]] | NumericError:
+    """:func:`_execute_run`'s result, or the NumericError it raised; module-level for pickling.
+
+    A pool that runs its tasks out of sweep order returns each failure
+    with the other results, so the experiment raises the error of the
+    first failing task in sweep order, as a single worker does.
+    """
+    try:
+        return _execute_run(task)
+    except NumericError as error:
+        return error
+
+
 def _seed_batches(seeds: range, workers: int, coordinates: int, values: int = 1) -> list[tuple]:
     """The seeds of one of ``values`` sweep values as the batches of the pool's tasks.
 
@@ -347,10 +372,13 @@ def _seed_batches(seeds: range, workers: int, coordinates: int, values: int = 1)
     contiguous batches of near-equal size: one batch when the sweep has at
     least as many values as there are workers, else one per worker (at
     most one per seed), and more where a batch would stack more than
-    ``_MAX_BATCH_COORDINATES`` coordinates. ``coordinates`` is the size of
-    one replica, agents times dimension. The split is fixed before any run
-    starts, whatever the solver and the step budget; a pcbo replica that
-    settles early leaves its batch at once (see ``pcbo._run_replicas``).
+    ``_MAX_BATCH_COORDINATES`` coordinates, the size that measured fastest.
+    ``coordinates`` is the size of one replica, agents times dimension: at
+    600 agents a batch holds up to 30 replicas at d = 2, 6 at d = 10 and 3
+    at d = 20, and a replica larger than the cap runs alone. The split is
+    fixed before any run starts, whatever the solver and the step budget; a
+    pcbo replica that settles early leaves its batch at once (see
+    ``pcbo._run_replicas``).
     """
     per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
     shared = 1 if values >= workers else min(workers, len(seeds))
@@ -379,13 +407,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     per worker for each value. Every report is the one its standalone run
     gives; a pcbo replica that settles at a fixed point is reported at once
     with the report the full loop gives. The pool holds no more workers
-    than there are tasks, and a single worker runs the tasks inline. Results are
-    aggregated in seed order, so the summary does not depend on the worker
-    count. The population size and every solver config are checked before
-    any run starts. A failing run raises the NumericError of the lowest
-    failing seed, the error its standalone run raises: a batch raises at
-    its first non-finite value, and :func:`_execute_run` then runs the
-    batch's seeds one at a time up to the lowest failing one.
+    than there are tasks, and a single worker runs the tasks inline, in
+    sweep order. A pool takes them costliest first, by agents times
+    dimension times seeds, ties in sweep order: in sweep order, a dimension
+    sweep on two workers would start its costliest batch last and run it
+    alone while the other worker idles. Results are
+    aggregated in sweep and seed order, so the summary does not depend on
+    the worker count. The population size and every solver config are
+    checked before any run starts. A failing run raises the NumericError of
+    the lowest failing seed of the first failing sweep value, the error its
+    standalone run raises: a batch raises at its first non-finite value,
+    and :func:`_execute_run` then runs the batch's seeds one at a time up
+    to the lowest failing one.
     """
     workers = _worker_count(workers)
     cfg.validate()
@@ -395,12 +428,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     seeds = range(base_seed, base_seed + repetitions)
 
     tasks = []
+    costs = []  # agents times dimension times seeds
     minimizers = []
     for value in values:
         dim, solver_cfg = _sweep_setup(cfg, value)
         minimizers.append(preset(cfg.objective, dim).minimizers)
         for batch in _seed_batches(seeds, workers, int(cfg.n_agents) * dim, len(values)):
             tasks.append((cfg.solver, cfg.objective, dim, solver_cfg, int(cfg.n_agents), batch))
+            costs.append(int(cfg.n_agents) * dim * len(batch))
 
     workers = min(workers, len(tasks))
     if workers == 1:
@@ -410,8 +445,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         # of a fresh interpreter's `import gkbo.cli`, and `gkbo run` needs no pool
         from concurrent.futures import ProcessPoolExecutor
 
+        # costliest first, so the tasks started last are the short ones and the
+        # workers finish close together; sorted() is stable, so tasks of equal
+        # cost keep sweep order
+        order = sorted(range(len(tasks)), key=lambda index: -costs[index])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_execute_run, tasks))
+            done = dict(zip(order, pool.map(_execute_caught, [tasks[i] for i in order])))
+        batches = [done[index] for index in range(len(tasks))]
+        for batch in batches:
+            if isinstance(batch, NumericError):
+                raise batch
     outcomes = [outcome for batch in batches for outcome in batch]
 
     results = []

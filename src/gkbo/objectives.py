@@ -137,7 +137,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _screened_min_base(
-    kind: Kind, diff: np.ndarray, squares: np.ndarray, work: _Workspace
+    kind: Kind, diff: np.ndarray, row: np.ndarray, work: _Workspace
 ) -> np.ndarray | None:
     """:func:`_min_base` computing the base only where it can be the minimum.
 
@@ -164,12 +164,21 @@ def _screened_min_base(
     roundings of both sides together, one ulp of ``exp`` included, stay
     under 1e-13; the margin is 1e-12.
 
+    The mean squares are folded row by row: ``diff[0]**2``, then each
+    further coordinate's squares, formed in the ``(shifts, n)`` scratch
+    ``row``, added in place. These are the products and the left-to-right
+    additions of :func:`_axis_mean` over a ``(d, shifts, n)`` squares array,
+    so the values are the same bit for bit, and no such array is needed.
+
     Returns None, with ``diff`` intact, when a mean square is not finite, so
     that the caller's full evaluation keeps its inf and NaN values.
-    Otherwise ``diff`` and ``squares`` are scratch, and the candidates'
-    squares come from ``work``.
+    Otherwise ``diff`` and ``row`` are scratch, and the candidates' squares
+    come from ``work``.
     """
-    mean_sq = _axis_mean(np.multiply(diff, diff, out=squares))
+    mean_sq = np.multiply(diff[0], diff[0])
+    for coordinate in diff[1:]:
+        mean_sq += np.multiply(coordinate, coordinate, out=row)
+    mean_sq /= len(diff)
     if not np.isfinite(mean_sq).all():
         return None
     if kind is Kind.ACKLEY:
@@ -205,9 +214,13 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspa
     point) pair is one contiguous block, so each addition of the coordinate
     sums runs over one block. numpy 2.4 buffers the strided rows of a
     ``(shifts, d, n)`` layout instead: the screen's mean square took 81
-    against 50 us at ackley4, d = 10, 1200 points. Every array of that
-    size, the offsets and their squares, lives in ``work``, so a solver that
-    passes the same workspace every step maps no new memory for them.
+    against 50 us at ackley4, d = 10, 1200 points. The arrays of that size
+    live in ``work``, so a solver that passes the same workspace every step
+    maps no new memory for them: the offsets, and on the full evaluation
+    their squares. The screen folds its mean squares through one
+    ``(shifts, n)`` row instead, so a screened objective's workspace holds
+    one ``(d, shifts, n)`` array, not two; the rare fallback to the full
+    evaluation after a non-finite mean square allocates its own squares.
 
     With at least 2 shifts, from d = 4 on, :func:`_screened_min_base`
     evaluates the base only where it can be the minimum, with the same
@@ -241,15 +254,18 @@ def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspa
     """
     n_shifts, dim = shifts.shape
     n = points.shape[0]
-    columns, diff, squares = work.arrays((dim, n), (dim, n_shifts, n), (dim, n_shifts, n))
+    screened = n_shifts > 1 and dim >= _SCREEN_MIN_DIM
+    squares_shape = (n_shifts, n) if screened else (dim, n_shifts, n)
+    columns, diff, squares = work.arrays((dim, n), (dim, n_shifts, n), squares_shape)
     with np.errstate(over="ignore", invalid="ignore"):
         # one contiguous copy of the columns makes the broadcast subtract fast
         np.copyto(columns, points.T)
         np.subtract(columns[:, np.newaxis], shifts.T[:, :, np.newaxis], out=diff)
-        if n_shifts > 1 and dim >= _SCREEN_MIN_DIM:
+        if screened:
             values = _screened_min_base(kind, diff, squares, work)
             if values is not None:
                 return values
+            squares = np.empty_like(diff)
         return np.minimum.reduce(_BASE_EVAL[kind](diff, squares), axis=0)
 
 

@@ -237,11 +237,14 @@ def test_pcbo_seeds_go_in_one_contiguous_batch_per_worker(repetitions, workers, 
 @pytest.mark.parametrize(
     "repetitions, workers, coordinates, sizes",
     [
-        (24, 2, 600 * 2, [12, 12]),  # 600 agents at d = 2: 12 replicas fit
-        (12, 2, 600 * 10, [2] * 6),  # at d = 10 only 2 do
-        (4, 2, 600 * 5, [2, 2]),  # the cap binds only past 4 replicas
-        (25, 2, 600 * 2, [9, 8, 8]),
-        (3, 1, 20_000, [1, 1, 1]),  # one replica alone may exceed it
+        (24, 2, 600 * 2, [12, 12]),  # 600 agents at d = 2: 30 replicas would fit
+        (12, 2, 600 * 10, [6, 6]),  # at d = 10, 6 do: one batch per worker
+        (24, 2, 600 * 10, [6] * 4),  # and the cap binds past 12 seeds
+        (4, 2, 600 * 5, [2, 2]),  # at d = 5 it binds only past 24 seeds
+        (25, 2, 600 * 2, [13, 12]),
+        (3, 1, 18_000, [2, 1]),  # two replicas fill the cap exactly
+        (3, 1, 20_000, [1, 1, 1]),  # two would exceed it
+        (3, 1, 40_000, [1, 1, 1]),  # one replica alone may exceed it
     ],
 )
 def test_no_seed_batch_stacks_more_than_the_coordinate_cap(
@@ -260,7 +263,8 @@ def test_no_seed_batch_stacks_more_than_the_coordinate_cap(
         (4, 2, 600 * 5, 1, [2, 2]),  # a single value splits as it always has
         (4, 4, 24 * 2, 3, [1, 1, 1, 1]),  # fewer values than workers: one per worker
         (2, 8, 24 * 2, 3, [1, 1]),  # at most one batch per seed
-        (12, 2, 600 * 10, 5, [2] * 6),  # the coordinate cap still binds
+        (24, 2, 600 * 10, 5, [6] * 4),  # the coordinate cap still binds
+        (12, 2, 600 * 10, 5, [6, 6]),
     ],
 )
 def test_one_batch_per_value_only_where_the_values_cover_the_workers(
@@ -271,8 +275,12 @@ def test_one_batch_per_value_only_where_the_values_cover_the_workers(
     assert [seed for batch in batches for seed in batch] == list(range(repetitions))
 
 
-def test_a_sweep_with_as_many_values_as_workers_runs_one_batch_per_value(monkeypatch):
-    # the pcbo benchmark's shape: 5 dimensions of 4 seeds on 2 workers
+def inline_pool(monkeypatch) -> tuple[list, list]:
+    """Replace the process pool by one that runs its tasks in this process, in order.
+
+    Returns the lists that collect the pool sizes built and the ``(dim,
+    seeds)`` of every task submitted, in submission order.
+    """
     import concurrent.futures
 
     built, tasks = [], []
@@ -293,6 +301,13 @@ def test_a_sweep_with_as_many_values_as_workers_runs_one_batch_per_value(monkeyp
             return map(fn, submitted)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return built, tasks
+
+
+def test_a_sweep_with_as_many_values_as_workers_runs_one_batch_per_value(monkeypatch):
+    # the pcbo benchmark's shape: 5 dimensions of 4 seeds on 2 workers,
+    # submitted costliest first and reported in sweep order
+    built, tasks = inline_pool(monkeypatch)
     cfg = tiny_experiment(
         solver="pcbo",
         solver_config=PcboConfig(n_steps=10),
@@ -302,8 +317,45 @@ def test_a_sweep_with_as_many_values_as_workers_runs_one_batch_per_value(monkeyp
     summary = run_experiment(cfg, workers=2)
     seeds = tuple(range(cfg.base_seed, cfg.base_seed + 4))
     assert built == [2]
-    assert tasks == [(dim, seeds) for dim in (1, 2, 3, 4, 5)]
+    assert tasks == [(dim, seeds) for dim in (5, 4, 3, 2, 1)]
+    assert [result.sweep_value for result in summary.results] == [1, 2, 3, 4, 5]
     assert [result.seeds for result in summary.results] == [seeds] * 5
+    for dim, result in zip((1, 2, 3, 4, 5), summary.results):
+        assert [report.final_consensus.shape[1] for report in result.reports] == [dim] * 4
+        assert [report.seed for report in result.reports] == list(seeds)
+
+
+def test_a_pool_submits_its_costliest_tasks_first_in_a_stable_order(monkeypatch):
+    # 2 dimensions of 5 seeds on 3 workers: batches of 2, 2 and 1 seeds, so
+    # dimension 1's first two batches cost as much as dimension 2's last
+    _, tasks = inline_pool(monkeypatch)
+    cfg = tiny_experiment(repetitions=5, sweep_values=(1, 2))
+    summary = run_experiment(cfg, workers=3)
+    pair, next_pair, last = (11, 12), (13, 14), (15,)
+    assert tasks == [
+        (2, pair), (2, next_pair), (1, pair), (1, next_pair), (2, last), (1, last)
+    ]
+    inline = run_experiment(cfg, workers=1)
+    for a, b in zip(summary.results, inline.results, strict=True):
+        assert a.sweep_value == b.sweep_value
+        assert [r.final_consensus.tobytes() for r in a.reports] == [
+            r.final_consensus.tobytes() for r in b.reports
+        ]
+
+
+def test_a_pool_raises_the_first_failing_sweep_values_error(monkeypatch):
+    # every task fails; the costliest is submitted first, yet the first
+    # sweep value's error surfaces, as it does on one worker
+    _, tasks = inline_pool(monkeypatch)
+
+    def failing(task):
+        raise NumericError(f"dimension {task[2]} failed")
+
+    monkeypatch.setattr(bench_module, "_execute_run", failing)
+    cfg = tiny_experiment(repetitions=1, sweep_values=(1, 2, 3))
+    with pytest.raises(NumericError, match="^dimension 1 failed$"):
+        run_experiment(cfg, workers=2)
+    assert [dim for dim, _ in tasks] == [3, 2, 1]
 
 
 @pytest.mark.parametrize(

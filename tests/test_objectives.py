@@ -275,6 +275,19 @@ def test_screened_values_in_a_batch_workspace_allocate_less_than_one_offset_arra
     assert peak < spec.minimizers.size * points.shape[0] * 8
 
 
+def test_a_screened_call_leaves_its_workspace_below_two_offset_arrays():
+    # The screen folds its mean squares through one (shifts, n) row, so the
+    # workspace holds the columns, the offsets and that row: 1.35 offsets
+    # arrays at ackley4, d = 10, where a (d, shifts, n) squares array beside
+    # the offsets made it 2.25.
+    spec = preset("ackley4", 10)
+    points = np.random.default_rng(3).uniform(-10, 10, (600, 10))
+    work = _Workspace()
+    values = spec._values(points, work)
+    assert np.array_equal(values, objective_oracle(spec, points))
+    assert work._flat.size < 2 * spec.minimizers.size * points.shape[0]
+
+
 def test_screen_keeps_a_shift_that_rounding_puts_outside_its_bracket():
     # a balance point a few ulps off, found by search at d = 32 (none turned
     # up at d = 16 or 24): the two bracketed values differ in the last bit,
