@@ -4,7 +4,10 @@ Two classic non-convex base functions (Rastrigin and Ackley, both with their
 global minimum at the origin) are turned into multi-modal landscapes by
 min-composition over a set of planted shifts: the objective value at ``x`` is
 the smallest base value over all shifted copies, so every planted shift is a
-global minimizer with the base minimum value.
+global minimizer with the base minimum value. The cosine term of both bases
+has period 1, so shifts with the same fractional part share their cosines:
+every preset plants whole-number shifts and takes one cosine per point and
+coordinate.
 """
 
 from __future__ import annotations
@@ -75,11 +78,19 @@ def _axis_mean(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _cos_mean(diff: np.ndarray) -> np.ndarray:
-    """mean_i cos(2 pi x_i) over axis 0 of ``(d, ...)`` offsets, computed in ``diff``."""
-    np.multiply(diff, _TWO_PI, out=diff)
-    np.cos(diff, out=diff)
-    return _axis_mean(diff)
+def _cos_mean(turns: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """mean_i cos(2 pi t_i) over axis 0 of ``(d, ...)`` turns, computed in ``turns``.
+
+    Each turn is first reduced by its nearest whole number, ``t - rint(t)``:
+    exact, and within [-1/2, 1/2], so the cosine takes an argument within
+    [-pi, pi] at any ``|t|``. ``scratch``, of the shape of ``turns``, takes
+    the whole turns. An infinite turn reduces to ``inf - inf``, NaN.
+    """
+    np.rint(turns, out=scratch)
+    turns -= scratch
+    turns *= _TWO_PI
+    np.cos(turns, out=turns)
+    return _axis_mean(turns)
 
 
 def _ackley_head(mean_sq: np.ndarray) -> np.ndarray:
@@ -91,182 +102,95 @@ def _ackley_head(mean_sq: np.ndarray) -> np.ndarray:
     return mean_sq
 
 
-def _ackley_value(head: np.ndarray, cos_mean: np.ndarray) -> np.ndarray:
-    """The Ackley value from its head term and cosine mean, in the full formula's order."""
-    return head - np.exp(cos_mean) + 20.0 + math.e
+def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -> np.ndarray:
+    """``min_k base(x - m_k)`` for every row x of ``(n, d)`` points, as a new ``(n,)`` array.
 
+    With offsets ``y = x - m`` the bases are, coordinate means taken left
+    to right by :func:`_axis_mean`:
 
-def _rastrigin(diff: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """mean_i(x_i^2 - 10 cos(2 pi x_i)) over axis 0 of ``(d, ...)`` offsets.
+    - Rastrigin: ``q - 10 C``, minimum -10 at the origin;
+    - Ackley: ``-20 exp(-0.2 sqrt(q)) - exp(C) + 20 + e``, minimum 0 at
+      the origin. Both means use the dimension-normalized form, so the
+      landscape keeps the same scale in every dimension;
 
-    Minimum -10 at the origin. ``diff`` is overwritten; ``squares``, of its
-    shape, is scratch.
+    where ``q = mean_i y_i**2`` and ``C = mean_i cos(2 pi y_i)``. A cosine
+    has period 1, so C depends on a minimizer only through its fractional
+    offset ``f = m - rint(m)``: C is taken as ``mean_i cos(2 pi (x_i -
+    f_i))``, each turn reduced exactly by its nearest whole number
+    (:func:`_cos_mean`), so every cosine is accurate to about an ulp at
+    any ``|x|``. ``groups`` holds, per distinct offset row, that row and
+    the ``(shifts, d)`` minimizers that share it
+    (``ObjectiveSpec._groups``); every preset has one group. A group costs
+    one cosine per point and coordinate whatever its size.
+
+    Each shift's q is folded coordinate by coordinate, a subtract, a square
+    and an addition over one ``(shifts, n)`` row of the workspace, so no
+    ``(d, shifts, n)`` array is formed. Both values are monotone in q at a
+    fixed C, and so is the division by d, so each group takes the least
+    coordinate sum over its shifts first and finishes one ``(n,)`` row: the
+    same bits as finishing every shift and taking the least value. The
+    groups' values then meet in one minimum.
+
+    Median microseconds per call, the previous kernel (one cosine per
+    shift, point and coordinate, with a bracket screen of the shifts from
+    d = 4) > this kernel, on inputs recorded from 300-step, 600-agent
+    ``run_gkbo`` runs with shifts from (-3, 3, -7, 7), one replica each,
+    both alternated in one workspace, medians of three processes (numpy
+    2.4, 2 vCPUs):
+
+    =========  ======  ========  ========  ========  =========  =========
+    kind       shifts  d = 3     d = 4     d = 5     d = 6      d = 10
+    =========  ======  ========  ========  ========  =========  =========
+    Ackley     2       71 > 47   80 > 57   90 > 67   103 > 78   177 > 128
+    Ackley     3       96 > 54   87 > 65   107 > 80  122 > 92   208 > 148
+    Ackley     4       129 > 58  97 > 70   119 > 83  138 > 98   254 > 161
+    Rastrigin  2       61 > 42   86 > 55   101 > 66  121 > 80   194 > 136
+    Rastrigin  3       91 > 51   107 > 66  131 > 81  150 > 92   246 > 160
+    Rastrigin  4       113 > 56  133 > 69  151 > 82  181 > 101  273 > 164
+    =========  ======  ========  ========  ========  =========  =========
+
+    At the batch shapes of the benchmark workloads, recorded the same way
+    from stacked replicas: rastrigin2, d = 2, 7200 points, 426 > 186;
+    ackley4, d = 10, 3600 points, 1475 > 661; pcbo on ackley2, 2400
+    points, 91 > 56, 152 > 86, 200 > 102, 194 > 136 and 231 > 165 at
+    d = 1 to 5.
+
+    The result for a row does not depend on the other rows, so a stacked
+    batch gives each replica's values bit for bit. Squares that overflow
+    give inf, and a non-finite coordinate NaN through its cosine, without a
+    numpy warning; the solvers report such a value as NumericError.
     """
-    np.multiply(diff, diff, out=squares)
-    np.multiply(diff, _TWO_PI, out=diff)
-    np.cos(diff, out=diff)
-    diff *= 10.0
-    return _axis_mean(np.subtract(squares, diff, out=squares))
-
-
-def _ackley(diff: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """-20 exp(-0.2 rms(x)) - exp(mean_i cos(2 pi x_i)) + 20 + e over axis 0.
-
-    ``diff`` holds ``(d, ...)`` offsets and is overwritten, as for
-    :func:`_rastrigin`. The root-mean-square and the cosine average both use
-    the dimension-normalized form, so the landscape keeps the same scale in
-    every dimension. Minimum 0 at the origin.
-    """
-    head = _ackley_head(_axis_mean(np.multiply(diff, diff, out=squares)))
-    return _ackley_value(head, _cos_mean(diff))
-
-
-_BASE_EVAL = {
-    Kind.RASTRIGIN: _rastrigin,
-    Kind.ACKLEY: _ackley,
-}
-
-#: Dimension from which :func:`_min_base` screens the shifts of an objective
-#: with at least two planted minimizers.
-_SCREEN_MIN_DIM = 4
-
-#: Rounding allowance of the Ackley bracket; see :func:`_screened_min_base`.
-_ACKLEY_MARGIN = 1e-12
-
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _screened_min_base(
-    kind: Kind, diff: np.ndarray, row: np.ndarray, work: _Workspace
-) -> np.ndarray | None:
-    """:func:`_min_base` computing the base only where it can be the minimum.
-
-    Each ``(shift, point)`` value is first bracketed from its mean square
-    ``q = mean(diff**2)``: a Rastrigin value lies in ``[q - 10, q + 10]``,
-    since each cosine lies in [-1, 1]; an Ackley value lies in
-    ``[h + 20, h + 20 + e - 1/e]`` with ``h = -20 exp(-0.2 sqrt(q))``,
-    since ``exp`` of a cosine mean lies in ``[1/e, e]``. The base function
-    then runs, column by column in the order it always uses, only on the
-    pairs whose lower bound reaches the point's smallest upper bound; the
-    other pairs lie above a computed value and cannot be the minimum, so the
-    result is bit-identical to the full evaluation. An Ackley candidate
-    takes its ``h`` from the bracket's array, the value the full evaluation
-    computes, and evaluates only its cosines.
-
-    The margins widen each bracket by more than the rounding of both the
-    bound and the value. Rastrigin, per pair with ``u = eps / 2``: the
-    computed value is within ``(d + 67) u (q + 10)`` of the exact value of
-    the computed offsets (squares, cosines whose argument carries a relative
-    error of ``2u``, any summation order, the division by d), and each bound
-    within ``(d + 2) u (q + 10)``; the margin ``(2d + 70) eps (q + 10)`` is
-    twice their sum. Ackley: ``h`` is the same computed array in bound and
-    value, every later intermediate is below 46 in magnitude, and the
-    roundings of both sides together, one ulp of ``exp`` included, stay
-    under 1e-13; the margin is 1e-12.
-
-    The mean squares are folded row by row: ``diff[0]**2``, then each
-    further coordinate's squares, formed in the ``(shifts, n)`` scratch
-    ``row``, added in place. These are the products and the left-to-right
-    additions of :func:`_axis_mean` over a ``(d, shifts, n)`` squares array,
-    so the values are the same bit for bit, and no such array is needed.
-
-    Returns None, with ``diff`` intact, when a mean square is not finite, so
-    that the caller's full evaluation keeps its inf and NaN values.
-    Otherwise ``diff`` and ``row`` are scratch, and the candidates' squares
-    come from ``work``.
-    """
-    mean_sq = np.multiply(diff[0], diff[0])
-    for coordinate in diff[1:]:
-        mean_sq += np.multiply(coordinate, coordinate, out=row)
-    mean_sq /= len(diff)
-    if not np.isfinite(mean_sq).all():
-        return None
-    if kind is Kind.ACKLEY:
-        head = _ackley_head(mean_sq)
-        lower = head + (20.0 - _ACKLEY_MARGIN)
-        upper = head + (20.0 + math.e - math.exp(-1.0) + _ACKLEY_MARGIN)
-    else:
-        margin = (2 * len(diff) + 70) * _EPS * (mean_sq + 10.0)
-        lower = mean_sq - 10.0 - margin
-        upper = mean_sq + 10.0 + margin
-    kept = np.flatnonzero(lower <= upper.min(axis=0))  # flat (shift, point) indices
-    # The candidate columns as one new (d, kept) array; diff is free after
-    # it. nonzero, the gather, the scatter and the head lookup by (shift,
-    # point) index pairs took 71 against 32 us with flat indices and take,
-    # at 4 shifts of 1200 points (numpy 2.4).
-    candidates = diff.reshape(len(diff), -1).take(kept, axis=1)
-    values = upper  # the bounds are spent
-    values.fill(np.inf)
-    if kind is Kind.ACKLEY:
-        found = _ackley_value(head.take(kept), _cos_mean(candidates))
-    else:
-        (squares,) = work.arrays(candidates.shape)
-        found = _rastrigin(candidates, squares)
-    values.ravel()[kept] = found  # a view: values is contiguous
-    return np.minimum.reduce(values, axis=0)
-
-
-def _min_base(kind: Kind, points: np.ndarray, shifts: np.ndarray, work: _Workspace) -> np.ndarray:
-    """``min_k base(x - shifts[k])`` for every row x of ``(n, d)`` points, as ``(n,)``.
-
-    All shifts go through the base function at once, as one C-ordered
-    ``(d, shifts, n)`` array of offsets: coordinate j of every (shift,
-    point) pair is one contiguous block, so each addition of the coordinate
-    sums runs over one block. numpy 2.4 buffers the strided rows of a
-    ``(shifts, d, n)`` layout instead: the screen's mean square took 81
-    against 50 us at ackley4, d = 10, 1200 points. The arrays of that size
-    live in ``work``, so a solver that passes the same workspace every step
-    maps no new memory for them: the offsets, and on the full evaluation
-    their squares. The screen folds its mean squares through one
-    ``(shifts, n)`` row instead, so a screened objective's workspace holds
-    one ``(d, shifts, n)`` array, not two; the rare fallback to the full
-    evaluation after a non-finite mean square allocates its own squares.
-
-    With at least 2 shifts, from d = 4 on, :func:`_screened_min_base`
-    evaluates the base only where it can be the minimum, with the same
-    result; otherwise, or when a mean square is not finite, every shift is
-    evaluated. The screen costs a pass over the squares, a gather and a
-    scatter, and saves the cosines of the pairs it discards (about 70% from
-    3 shifts on). Median microseconds per call, full > screened, on inputs
-    recorded from 300-step, 600-agent ``run_gkbo`` runs with shifts from
-    (-3, 3, -7, 7), both alternated in one workspace, medians of three
-    processes (numpy 2.4, 2 vCPUs):
-
-    =========  ======  =========  =========  =========  =========  =========
-    kind       shifts  d = 3      d = 4      d = 5      d = 6      d = 10
-    =========  ======  =========  =========  =========  =========  =========
-    Ackley     2       121 > 106  160 > 146  166 > 148  198 > 159  362 > 272
-    Ackley     3       144 > 114  199 > 139  231 > 164  277 > 180  606 > 397
-    Ackley     4       211 > 141  250 > 148  361 > 186  426 > 204  797 > 448
-    Rastrigin  2       99 > 110   153 > 144  192 > 170  194 > 171  375 > 315
-    Rastrigin  3       150 > 148  204 > 184  259 > 223  295 > 251  517 > 406
-    Rastrigin  4       182 > 186  238 > 214  307 > 252  354 > 300  663 > 471
-    =========  ======  =========  =========  =========  =========  =========
-
-    The Rastrigin bracket is 20 wide, against 2.35 for Ackley, so it keeps
-    more pairs; at one shift a screen discards nothing. The screen pays in
-    every row from d = 4. At d = 3 Rastrigin with 2 or 4 shifts is faster
-    in full, so d = 3 keeps the full evaluation for every kind.
-
-    Offsets and squares that overflow give inf, and a cosine of an infinite
-    argument NaN, without a numpy warning; the solvers report such a value as
-    NumericError.
-    """
-    n_shifts, dim = shifts.shape
-    n = points.shape[0]
-    screened = n_shifts > 1 and dim >= _SCREEN_MIN_DIM
-    squares_shape = (n_shifts, n) if screened else (dim, n_shifts, n)
-    columns, diff, squares = work.arrays((dim, n), (dim, n_shifts, n), squares_shape)
+    n, dim = points.shape
+    most = max(len(shifts) for _, shifts in groups)
+    columns, turns, scratch, sums, row = work.arrays(
+        (dim, n), (dim, n), (dim, n), (most, n), (most, n)
+    )
+    values = None
     with np.errstate(over="ignore", invalid="ignore"):
-        # one contiguous copy of the columns makes the broadcast subtract fast
+        # one contiguous copy of the columns makes every subtract fast
         np.copyto(columns, points.T)
-        np.subtract(columns[:, np.newaxis], shifts.T[:, :, np.newaxis], out=diff)
-        if screened:
-            values = _screened_min_base(kind, diff, squares, work)
-            if values is not None:
-                return values
-            squares = np.empty_like(diff)
-        return np.minimum.reduce(_BASE_EVAL[kind](diff, squares), axis=0)
+        for offset, shifts in groups:
+            total, square = sums[: len(shifts)], row[: len(shifts)]
+            np.subtract(columns[0], shifts[:, :1], out=total)
+            total *= total
+            for j in range(1, dim):
+                np.subtract(columns[j], shifts[:, j : j + 1], out=square)
+                square *= square
+                total += square
+            mean_sq = np.minimum.reduce(total, axis=0)
+            mean_sq /= dim
+            np.subtract(columns, offset[:, np.newaxis], out=turns)
+            cos_mean = _cos_mean(turns, scratch)
+            if kind is Kind.RASTRIGIN:
+                cos_mean *= 10.0
+                value = np.subtract(mean_sq, cos_mean, out=mean_sq)
+            else:
+                value = _ackley_head(mean_sq)
+                value -= np.exp(cos_mean, out=cos_mean)
+                value += 20.0
+                value += math.e
+            values = value if values is None else np.minimum(values, value, out=values)
+    return values
 
 
 #: Global minimum value of each base function (attained at the origin).
@@ -321,6 +245,11 @@ class ObjectiveSpec:
         mins = mins.copy()
         mins.setflags(write=False)
         object.__setattr__(self, "minimizers", mins)
+        # the minimizers grouped by their fractional offset rows; see _min_base
+        offsets, group = np.unique(mins - np.rint(mins), axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        groups = tuple((offset, mins[group == g]) for g, offset in enumerate(offsets))
+        object.__setattr__(self, "_groups", groups)
 
     def evaluate_batch(self, points) -> np.ndarray:
         """Objective values for an ``(n, dim)`` array of points, as ``(n,)``.
@@ -342,7 +271,7 @@ class ObjectiveSpec:
 
         ``work`` holds the scratch arrays; a solver passes its batch's own.
         """
-        return _min_base(self.kind, pts, self.minimizers, work)
+        return _min_base(self.kind, pts, self._groups, work)
 
 
 def preset(name: str, dim: int) -> ObjectiveSpec:

@@ -80,9 +80,9 @@ def test_an_empty_population_exits_1(solver, capsys):
 
 
 def test_diverging_run_exits_2(capsys):
-    argv = ["run", "--objective", "ackley2", "--diffusion", "isotropic", "--sigma-f", "10"]
+    argv = ["run", "--objective", "rastrigin2", "--diffusion", "isotropic", "--sigma-f", "10"]
     assert main([*argv, "--n-agents", "60", "--n-steps", "400"]) == 2
-    assert "runtime error: interaction_step: agent 8" in capsys.readouterr().err
+    assert "runtime error: objective: agent 46" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -604,7 +604,7 @@ COMPARE_SIDECAR_CONFIG = {
 }
 
 COMPARE_CSV = {
-    "gkbo": b"1,0.0,1168.0,0.0,1,0,17.0,17.0,17.0\n2,0.0,1250.0,0.0,1,0,15.0,15.0,15.0\n",
+    "gkbo": b"1,0.0,1168.0,0.0,1,0,17.0,17.0,17.0\n2,0.0,1478.0,0.0,1,0,17.0,17.0,17.0\n",
     "pcbo": b"1,0.0,1012.0,1.0,1,0,4.0,2.0,4.0\n2,0.0,1020.0,1.0,1,0,4.0,2.0,4.0\n",
 }
 

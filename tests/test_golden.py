@@ -16,7 +16,7 @@ from gkbo import PcboConfig, SolverConfig, preset, run_gkbo, run_pcbo
 CASES = {
     "gkbo-rastrigin2-d2-anisotropic": (
         lambda: run_gkbo(preset("rastrigin2", 2), SolverConfig(n_steps=200, seed=3), 300),
-        "d72bbcbd9fb70f4ed72b8ba63c7e4961cf02160447ca7c8e1b264f0f7dec2fd2",
+        "d233c7c78d65fb6912da0cdd851b7dcd3ac66597136b8111c0f28b433ebd18f5",
     ),
     "gkbo-ackley4-d10-anisotropic": (
         lambda: run_gkbo(preset("ackley4", 10), SolverConfig(n_steps=80, seed=1), 200),
@@ -35,31 +35,31 @@ CASES = {
     ),
     "pcbo-ackley2-d3": (
         lambda: run_pcbo(preset("ackley2", 3), PcboConfig(n_steps=200, seed=4), 200),
-        "da632645379d3e7bae15530ba320dee353fb031f69cf5a9a99342e2250d14048",
+        "97ece6b243df0e2167c00761b6676d54508d7d997aac83ee208580568ee4810c",
     ),
     "pcbo-rastrigin2-d5": (
         lambda: run_pcbo(preset("rastrigin2", 5), PcboConfig(n_steps=200, seed=5), 200),
-        "32b1deb47347602da9b35a7b52835590408e2a9bf4bb6bdac9ab3c50dd967d9c",
+        "2a36c6905c15d4c627215b672cc1885c91a4a1e87b4d0e041bbf07611019c1b1",
     ),
-    # four planted minimizers at d >= 4: the screened objective and, for
-    # gkbo, the screened nearest-leader assignment
+    # four planted minimizers at d >= 4: for gkbo, the screened
+    # nearest-leader assignment
     "gkbo-rastrigin4-d6": (
         lambda: run_gkbo(preset("rastrigin4", 6), SolverConfig(n_steps=120, seed=6), 200),
-        "fcc6daf170c6fe3d3ad1b8a935577844d247130fad07813f3ebd6a3e1292d968",
+        "ad3952718ad0729c66e2214caae276d2425fa4ecbd948dde5b057f5b84bd6b43",
     ),
     "pcbo-ackley4-d4": (
         lambda: run_pcbo(preset("ackley4", 4), PcboConfig(n_steps=200, seed=7), 200),
-        "acf207d3a858a922453b6caebbc090f6599b927c1a748c28195e288562e24260",
+        "c6e990f3685d04a81b4576ec80d9a2635f0c4747b38ebe6d6166275c25d8f161",
     ),
     # d >= 8: each coordinate sum is a left-to-right fold; numpy's pairwise
     # row sums, which the objective kept up to 0bc3348, give other digests
     "gkbo-rastrigin4-d8": (
         lambda: run_gkbo(preset("rastrigin4", 8), SolverConfig(n_steps=120, seed=6), 200),
-        "29716bfc4fab9b90bb05125fb88864f7ce541b71bda20ae66788e0dc087182aa",
+        "cc884f4e57ed610b4a73a5e5c41d14c7a96808e65f7e7aabb12b4868445ac030",
     ),
     "pcbo-ackley4-d10": (
         lambda: run_pcbo(preset("ackley4", 10), PcboConfig(n_steps=200, seed=7), 200),
-        "949d168760259ba15b0170940e46217ad09262611e2694ca3c03a79a880a4d34",
+        "6654dad11a54458acd36fd9394944afa9ea1f52d85c842d7975a0078cae6e044",
     ),
     # 2 and 8 centres, recorded when up to 8 centres took a row-per-centre
     # subtract: the difference products must sum to the same distances
@@ -73,7 +73,7 @@ CASES = {
         lambda: run_pcbo(
             preset("ackley2", 3), PcboConfig(n_clusters=2, n_steps=200, seed=10), 200
         ),
-        "f8dae80eba097747e40de8a2d1dad048eae56dd9984e488188ead0ea255d0a53",
+        "eb771c87548570e3b352243f06ecda4ffa4003531ff79670704b6d7536b4aacc",
     ),
     "pcbo-ackley2-d1-8-clusters": (
         lambda: run_pcbo(
@@ -85,7 +85,7 @@ CASES = {
         lambda: run_pcbo(
             preset("ackley2", 3), PcboConfig(n_clusters=8, n_steps=200, seed=12), 200
         ),
-        "694d6c75605208c4e506674a4e7478e26716a268279bc0a2f3538ea5e6c39b59",
+        "aca6fe43dc14a7be1e02ff85a0b79880268bcb0d75ac053f0f679cc01932630f",
     ),
 }
 
