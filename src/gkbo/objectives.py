@@ -78,21 +78,6 @@ def _axis_mean(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _cos_mean(turns: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """mean_i cos(2 pi t_i) over axis 0 of ``(d, ...)`` turns, computed in ``turns``.
-
-    Each turn is first reduced by its nearest whole number, ``t - rint(t)``:
-    exact, and within [-1/2, 1/2], so the cosine takes an argument within
-    [-pi, pi] at any ``|t|``. ``scratch``, of the shape of ``turns``, takes
-    the whole turns. An infinite turn reduces to ``inf - inf``, NaN.
-    """
-    np.rint(turns, out=scratch)
-    turns -= scratch
-    turns *= _TWO_PI
-    np.cos(turns, out=turns)
-    return _axis_mean(turns)
-
-
 def _ackley_head(mean_sq: np.ndarray) -> np.ndarray:
     """The root-mean-square term of Ackley, -20 exp(-0.2 sqrt(mean_sq)), computed in ``mean_sq``."""
     np.sqrt(mean_sq, out=mean_sq)
@@ -116,12 +101,17 @@ def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -
     where ``q = mean_i y_i**2`` and ``C = mean_i cos(2 pi y_i)``. A cosine
     has period 1, so C depends on a minimizer only through its fractional
     offset ``f = m - rint(m)``: C is taken as ``mean_i cos(2 pi (x_i -
-    f_i))``, each turn reduced exactly by its nearest whole number
-    (:func:`_cos_mean`), so every cosine is accurate to about an ulp at
-    any ``|x|``. ``groups`` holds, per distinct offset row, that row and
-    the ``(shifts, d)`` minimizers that share it
-    (``ObjectiveSpec._groups``); every preset has one group. A group costs
-    one cosine per point and coordinate whatever its size.
+    f_i))``. ``groups`` holds, per distinct offset row, that row and the
+    ``(shifts, d)`` minimizers that share it (``ObjectiveSpec._groups``);
+    every preset has one group. A group costs one cosine per point and
+    coordinate whatever its size.
+
+    The argument is not reduced by whole turns first, though that made
+    the calls below 6-30% faster: past 2**52 every coordinate is a whole
+    number, so reduced cosines make every far Ackley value exactly 20.0,
+    and a diverging run's far agents tie and stall instead of failing. The
+    unreduced ``2 pi x`` keeps far values apart and overflows near 1e308,
+    giving the NaN that the solvers report as NumericError.
 
     Each shift's q is folded coordinate by coordinate, a subtract, a square
     and an addition over one ``(shifts, n)`` row of the workspace, so no
@@ -138,21 +128,21 @@ def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -
     both alternated in one workspace, medians of three processes (numpy
     2.4, 2 vCPUs):
 
-    =========  ======  ========  ========  ========  =========  =========
-    kind       shifts  d = 3     d = 4     d = 5     d = 6      d = 10
-    =========  ======  ========  ========  ========  =========  =========
-    Ackley     2       71 > 47   80 > 57   90 > 67   103 > 78   177 > 128
-    Ackley     3       96 > 54   87 > 65   107 > 80  122 > 92   208 > 148
-    Ackley     4       129 > 58  97 > 70   119 > 83  138 > 98   254 > 161
-    Rastrigin  2       61 > 42   86 > 55   101 > 66  121 > 80   194 > 136
-    Rastrigin  3       91 > 51   107 > 66  131 > 81  150 > 92   246 > 160
-    Rastrigin  4       113 > 56  133 > 69  151 > 82  181 > 101  273 > 164
-    =========  ======  ========  ========  ========  =========  =========
+    =========  ======  ========  =========  =========  =========  =========
+    kind       shifts  d = 3     d = 4      d = 5      d = 6      d = 10
+    =========  ======  ========  =========  =========  =========  =========
+    Ackley     2       85 > 58   151 > 117  110 > 86   207 > 166  305 > 242
+    Ackley     3       171 > 97  108 > 82   135 > 102  148 > 116  260 > 196
+    Ackley     4       152 > 71  121 > 85   150 > 105  174 > 125  320 > 209
+    Rastrigin  2       75 > 53   102 > 69   121 > 84   143 > 102  233 > 175
+    Rastrigin  3       110 > 62  126 > 81   155 > 98   180 > 114  294 > 198
+    Rastrigin  4       135 > 65  155 > 84   182 > 100  216 > 122  331 > 205
+    =========  ======  ========  =========  =========  =========  =========
 
     At the batch shapes of the benchmark workloads, recorded the same way
-    from stacked replicas: rastrigin2, d = 2, 7200 points, 426 > 186;
-    ackley4, d = 10, 3600 points, 1475 > 661; pcbo on ackley2, 2400
-    points, 91 > 56, 152 > 86, 200 > 102, 194 > 136 and 231 > 165 at
+    from stacked replicas: rastrigin2, d = 2, 7200 points, 502 > 251;
+    ackley4, d = 10, 3600 points, 1724 > 925; pcbo on ackley2, 2400
+    points, 124 > 90, 164 > 104, 217 > 139, 372 > 272 and 448 > 359 at
     d = 1 to 5.
 
     The result for a row does not depend on the other rows, so a stacked
@@ -162,9 +152,7 @@ def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -
     """
     n, dim = points.shape
     most = max(len(shifts) for _, shifts in groups)
-    columns, turns, scratch, sums, row = work.arrays(
-        (dim, n), (dim, n), (dim, n), (most, n), (most, n)
-    )
+    columns, turns, sums, row = work.arrays((dim, n), (dim, n), (most, n), (most, n))
     values = None
     with np.errstate(over="ignore", invalid="ignore"):
         # one contiguous copy of the columns makes every subtract fast
@@ -180,7 +168,8 @@ def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -
             mean_sq = np.minimum.reduce(total, axis=0)
             mean_sq /= dim
             np.subtract(columns, offset[:, np.newaxis], out=turns)
-            cos_mean = _cos_mean(turns, scratch)
+            turns *= _TWO_PI
+            cos_mean = _axis_mean(np.cos(turns, out=turns))
             if kind is Kind.RASTRIGIN:
                 cos_mean *= 10.0
                 value = np.subtract(mean_sq, cos_mean, out=mean_sq)

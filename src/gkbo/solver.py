@@ -718,11 +718,11 @@ class _Replicas:
     def _check(self, phase: str, step: int | None) -> None:
         """Raise NumericError at the first non-finite position, else objective value.
 
-        The values alone decide whether to look: both base functions reduce
-        every coordinate by its nearest whole number before its cosine, and
-        ``rint(inf) - inf`` is NaN, so a non-finite coordinate gives a NaN
-        value. ``phase`` names the kernel that made the positions; a
-        ``step`` of None, the start, is left out of the message.
+        The values alone decide whether to look: every coordinate of a point
+        passes through a cosine in both base functions, and the cosine of
+        inf or NaN is NaN, so a non-finite coordinate gives a NaN value.
+        ``phase`` names the kernel that made the positions; a ``step`` of
+        None, the start, is left out of the message.
         """
         if not np.isfinite(self.energies).all():
             _check_positions(self.positions, phase, step)

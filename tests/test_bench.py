@@ -466,21 +466,21 @@ def test_a_failing_experiment_raises_the_lowest_failing_seeds_error(
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_gkbo_experiment_raises_the_lowest_failing_seeds_error(workers):
-    # seed 6 fails at step 260 and seed 5 at step 280; whether they share a
-    # batch (one worker) or not (two), seed 5's own error surfaces
+    # seed 3 fails at step 279 and seed 2 at step 296; whether they share a
+    # batch (one worker) or not (two), seed 2's own error surfaces
     solver_cfg = SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=400)
-    spec = preset("rastrigin2", 2)
+    spec = preset("ackley2", 2)
     with pytest.raises(NumericError) as alone:
-        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=5), 60)
-    with pytest.raises(NumericError, match="at step 260$"):
-        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=6), 60)
+        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=2), 60)
+    with pytest.raises(NumericError, match="at step 279$"):
+        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=3), 60)
     cfg = ExperimentConfig(
-        objective="rastrigin2",
+        objective="ackley2",
         dim=2,
         solver_config=solver_cfg,
         n_agents=60,
         repetitions=2,
-        base_seed=5,
+        base_seed=2,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -510,15 +510,15 @@ DIVERGING_GKBO = SolverConfig(diffusion="isotropic", sigma_f=10)
 @pytest.mark.parametrize(
     "solver, objective, dim, cfg, seeds, reported",
     [
-        # both fail; the higher seed fails first (step 260 vs 280)
-        ("gkbo", "rastrigin2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=400), (5, 6), 0),
+        # both fail; the higher seed fails first (step 279 vs 296)
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=400), (2, 3), 0),
         # only the second replica fails, so the agent is counted within it
-        ("gkbo", "rastrigin2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=270), (5, 6), 1),
-        # the second replica fails at step 260, the last of the first one's budget
-        ("gkbo", "rastrigin2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=261), (5, 6), 1),
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=290), (2, 3), 1),
+        # the second replica fails at step 279, the last of the first one's budget
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=280), (2, 3), 1),
         # both fail; the higher seed fails first (step 307 vs 318)
         ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=3000), (0, 1), 0),
-        # both fail; the higher seed fails first (216 vs 222)
+        # both fail, in different phases; the higher seed fails first (215 vs 222)
         ("pcbo", "ackley2", 1, PcboConfig(sigma=40, n_steps=3000), (2, 3), 0),
         # only the second replica fails, so the agent is counted within it
         ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=310), (0, 1), 1),
@@ -545,13 +545,13 @@ def test_a_failing_batch_raises_its_first_failing_seeds_own_error(
 
 
 def test_the_seeds_after_the_first_failing_one_cannot_surface():
-    # seed 6 fails at step 260 and seed 8 at 263; seed 5 would fail at 280,
-    # after the budget, so only seed 6's error may surface
-    cfg = dataclasses.replace(DIVERGING_GKBO, n_steps=270)
-    message, step = standalone_error("gkbo", "rastrigin2", 2, cfg, 6)
-    assert standalone_error("gkbo", "rastrigin2", 2, cfg, 8)[1] > step
+    # seed 4 fails at step 260 and seed 5 at 262; seed 2 would fail at 296,
+    # after the budget, so only seed 4's error may surface
+    cfg = dataclasses.replace(DIVERGING_GKBO, n_steps=290)
+    message, step = standalone_error("gkbo", "ackley2", 2, cfg, 4)
+    assert standalone_error("gkbo", "ackley2", 2, cfg, 5)[1] > step
     with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
-        execute("gkbo", "rastrigin2", 2, cfg, (5, 6, 8))
+        execute("gkbo", "ackley2", 2, cfg, (2, 4, 5))
 
 
 def test_a_batch_whose_start_fails_raises_the_failing_seeds_own_error():
@@ -572,25 +572,25 @@ def test_a_batch_whose_start_fails_raises_the_failing_seeds_own_error():
 
 
 def test_a_pcbo_batch_that_fails_as_a_replica_settles_raises_the_failing_seeds_own_error():
-    # a box at the edge of the float range: seed 785 overflows in step 90,
-    # the step that settles seed 302, after it in the batch; seed 1 settles
-    # in step 120, and seed 2 does not settle
+    # a box at the edge of the float range: seed 486 overflows in step 75,
+    # the step that settles seed 4, after it in the batch; seed 5 settles in
+    # step 108, and seed 2 does not settle
     spec = preset("ackley2", 1)
     cfg = PcboConfig(sigma=1.4, n_steps=150, n_clusters=1, init_lo=-1e306, init_hi=1e306)
-    with pytest.raises(NumericError, match="at step 90$") as raised:
-        run_pcbo(spec, dataclasses.replace(cfg, seed=785), 3)
+    with pytest.raises(NumericError, match="at step 75$") as raised:
+        run_pcbo(spec, dataclasses.replace(cfg, seed=486), 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(str(raised.value))}$"):
-            execute("pcbo", "ackley2", 1, cfg, (1, 2, 785, 302), n_agents=3)
+            execute("pcbo", "ackley2", 1, cfg, (5, 2, 486, 4), n_agents=3)
 
 
 @pytest.mark.parametrize(
     "n_steps, seeds, calls",
     [
-        (400, (5,), [(5,)]),  # a batch of one is not run again
-        (400, (5, 6), [(5, 6), (5,)]),  # seed 5 fails at step 280
-        (270, (5, 6), [(5, 6), (5,), (6,)]),  # seed 5 runs to the budget, seed 6 fails
+        (400, (2,), [(2,)]),  # a batch of one is not run again
+        (400, (2, 3), [(2, 3), (2,)]),  # seed 2 fails at step 296
+        (290, (2, 3), [(2, 3), (2,), (3,)]),  # seed 2 runs to the budget, seed 3 fails
     ],
 )
 def test_a_failing_batch_runs_its_seeds_again_up_to_the_first_failing_one(
@@ -605,7 +605,7 @@ def test_a_failing_batch_runs_its_seeds_again_up_to_the_first_failing_one(
 
     monkeypatch.setitem(bench_module._REPLICA_LOOPS, "gkbo", spy)
     with pytest.raises(NumericError):
-        execute("gkbo", "rastrigin2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=n_steps), seeds)
+        execute("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=n_steps), seeds)
     assert ran == calls
 
 

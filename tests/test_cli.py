@@ -80,9 +80,9 @@ def test_an_empty_population_exits_1(solver, capsys):
 
 
 def test_diverging_run_exits_2(capsys):
-    argv = ["run", "--objective", "rastrigin2", "--diffusion", "isotropic", "--sigma-f", "10"]
+    argv = ["run", "--objective", "ackley2", "--diffusion", "isotropic", "--sigma-f", "10"]
     assert main([*argv, "--n-agents", "60", "--n-steps", "400"]) == 2
-    assert "runtime error: objective: agent 46" in capsys.readouterr().err
+    assert "runtime error: interaction_step: agent 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -421,7 +421,7 @@ iterations: 10
 stalled: false
 evaluations: 330
 leader count: 16
-best value: -5.27536201277943
+best value: -5.275362012779442
 consensus points (16 distinct):
   [-8.287017, -5.263790]
   [6.025489, 1.643241]
@@ -468,7 +468,7 @@ iterations: 10
 stalled: false
 evaluations: 330
 leader count: 4
-best value: -8.126401808250108
+best value: -8.126401808250112
 consensus points (4 distinct):
   [-4.005789, -6.990147]
   [-4.009584, -6.090110]
@@ -604,7 +604,7 @@ COMPARE_SIDECAR_CONFIG = {
 }
 
 COMPARE_CSV = {
-    "gkbo": b"1,0.0,1168.0,0.0,1,0,17.0,17.0,17.0\n2,0.0,1478.0,0.0,1,0,17.0,17.0,17.0\n",
+    "gkbo": b"1,0.0,1168.0,0.0,1,0,17.0,17.0,17.0\n2,0.0,1478.0,0.0,1,0,15.0,15.0,15.0\n",
     "pcbo": b"1,0.0,1012.0,1.0,1,0,4.0,2.0,4.0\n2,0.0,1020.0,1.0,1,0,4.0,2.0,4.0\n",
 }
 

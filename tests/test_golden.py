@@ -16,7 +16,7 @@ from gkbo import PcboConfig, SolverConfig, preset, run_gkbo, run_pcbo
 CASES = {
     "gkbo-rastrigin2-d2-anisotropic": (
         lambda: run_gkbo(preset("rastrigin2", 2), SolverConfig(n_steps=200, seed=3), 300),
-        "d233c7c78d65fb6912da0cdd851b7dcd3ac66597136b8111c0f28b433ebd18f5",
+        "e3dd795b837ba3532816eb78d1a9f4b33fe67db86c716f89e19037f82e4b088f",
     ),
     "gkbo-ackley4-d10-anisotropic": (
         lambda: run_gkbo(preset("ackley4", 10), SolverConfig(n_steps=80, seed=1), 200),
@@ -26,40 +26,40 @@ CASES = {
         lambda: run_gkbo(
             preset("ackley2", 2), SolverConfig(diffusion="isotropic", n_steps=150, seed=2), 200
         ),
-        "8086af886b9f8acde50609c8957f70d423962f0bbf8daa8173cf77c5a7be359c",
+        "6e672a1c33590e9544d3d42c161d39b4499b019592d8992b591008a36c9ca786",
     ),
     # d <= 2: per-axis sums and any other order of the two squares agree
     "pcbo-ackley2-d2": (
         lambda: run_pcbo(preset("ackley2", 2), PcboConfig(n_steps=200, seed=8), 200),
-        "bec37ce6e41c97919e0dd56490b6dc4c71bb01a78adae76b92d700f7859ab5dd",
+        "ff01bc8ab9987a9f4df24b24ad387572872dcab7a9c7c10772140f75dcdfc318",
     ),
     "pcbo-ackley2-d3": (
         lambda: run_pcbo(preset("ackley2", 3), PcboConfig(n_steps=200, seed=4), 200),
-        "97ece6b243df0e2167c00761b6676d54508d7d997aac83ee208580568ee4810c",
+        "f24a16845d0efca673b9a337139687d97fdd460b327d49db1feeb5693be181d4",
     ),
     "pcbo-rastrigin2-d5": (
         lambda: run_pcbo(preset("rastrigin2", 5), PcboConfig(n_steps=200, seed=5), 200),
-        "2a36c6905c15d4c627215b672cc1885c91a4a1e87b4d0e041bbf07611019c1b1",
+        "9c6242912e4eeae10f0cbf1ac580232b69fd164abd1013502ee0886eb7f17516",
     ),
-    # four planted minimizers at d >= 4: for gkbo, the screened
-    # nearest-leader assignment
+    # four planted minimizers at d >= 4: the screened objective and, for
+    # gkbo, the screened nearest-leader assignment
     "gkbo-rastrigin4-d6": (
         lambda: run_gkbo(preset("rastrigin4", 6), SolverConfig(n_steps=120, seed=6), 200),
         "ad3952718ad0729c66e2214caae276d2425fa4ecbd948dde5b057f5b84bd6b43",
     ),
     "pcbo-ackley4-d4": (
         lambda: run_pcbo(preset("ackley4", 4), PcboConfig(n_steps=200, seed=7), 200),
-        "c6e990f3685d04a81b4576ec80d9a2635f0c4747b38ebe6d6166275c25d8f161",
+        "7ffe5907a843f40dfbc59f5f8fea7f221047990a06129bdfdfe7889a1b1b7e57",
     ),
     # d >= 8: each coordinate sum is a left-to-right fold; numpy's pairwise
     # row sums, which the objective kept up to 0bc3348, give other digests
     "gkbo-rastrigin4-d8": (
         lambda: run_gkbo(preset("rastrigin4", 8), SolverConfig(n_steps=120, seed=6), 200),
-        "cc884f4e57ed610b4a73a5e5c41d14c7a96808e65f7e7aabb12b4868445ac030",
+        "e861bde3d5232fe585b85265c2e0fad3789046b9f32b3c35d92bca10cb249933",
     ),
     "pcbo-ackley4-d10": (
         lambda: run_pcbo(preset("ackley4", 10), PcboConfig(n_steps=200, seed=7), 200),
-        "6654dad11a54458acd36fd9394944afa9ea1f52d85c842d7975a0078cae6e044",
+        "0c05a39335a13b6a9adb145c9de249f0f92514ec772380083f676fb10b6ca0f4",
     ),
     # 2 and 8 centres, recorded when up to 8 centres took a row-per-centre
     # subtract: the difference products must sum to the same distances
@@ -73,19 +73,19 @@ CASES = {
         lambda: run_pcbo(
             preset("ackley2", 3), PcboConfig(n_clusters=2, n_steps=200, seed=10), 200
         ),
-        "eb771c87548570e3b352243f06ecda4ffa4003531ff79670704b6d7536b4aacc",
+        "e4de9720b78d16801ae91f6745dd9b640f88c057dd924df4890b3b9e9e8b3435",
     ),
     "pcbo-ackley2-d1-8-clusters": (
         lambda: run_pcbo(
             preset("ackley2", 1), PcboConfig(n_clusters=8, n_steps=200, seed=11), 200
         ),
-        "cec13c5b6a1ca4378feab3abacc33138ed4b16f64ca7917accc8b093fecd31b5",
+        "283343801e6be3e552c40f929a4b4c27e3227ea83a5af48962823487a356da7d",
     ),
     "pcbo-ackley2-d3-8-clusters": (
         lambda: run_pcbo(
             preset("ackley2", 3), PcboConfig(n_clusters=8, n_steps=200, seed=12), 200
         ),
-        "aca6fe43dc14a7be1e02ff85a0b79880268bcb0d75ac053f0f679cc01932630f",
+        "8b9924af0dd7003b33ebc94d974e6be8f836084c4be4220ac9dffe3434d707b2",
     ),
 }
 

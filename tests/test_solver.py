@@ -949,24 +949,16 @@ def test_run_single_agent_is_stationary():
 
 
 @pytest.mark.parametrize(
-    "objective, sigma_f, seed, message",
+    "objective, message",
     [
-        (
-            "ackley2",
-            1e5,
-            1,
-            r"interaction_step: agent 12 reached a non-finite position at step 35",
-        ),
-        ("rastrigin2", 10, 0, r"objective: agent 46 has a non-finite objective value at step 271"),
+        ("ackley2", r"interaction_step: agent 2 reached a non-finite position at step 265"),
+        ("rastrigin2", r"objective: agent 46 has a non-finite objective value at step 271"),
     ],
 )
-def test_divergence_is_one_numeric_error_without_numpy_warnings(objective, sigma_f, seed, message):
+def test_divergence_is_one_numeric_error_without_numpy_warnings(objective, message):
     # isotropic noise this strong diverges; the squares, norms and objective
-    # values overflow on the way, and only the final error may surface. An
-    # Ackley value is finite at every finite point, so only a position can
-    # fail: at sigma_f = 10 the far agents reach whole numbers past 2**52,
-    # where every Ackley value is 20.0, all become leaders and the run stalls
-    cfg = SolverConfig(diffusion="isotropic", sigma_f=sigma_f, seed=seed)
+    # values overflow on the way, and only the final error may surface
+    cfg = SolverConfig(diffusion="isotropic", sigma_f=10, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=message):
@@ -1030,8 +1022,8 @@ def test_replicas_equal_their_standalone_runs(objective, dim, cfg, n_agents, see
 def test_a_replica_that_stalls_early_is_frozen_while_the_others_run_on(
     clustering_passes, run_batch
 ):
-    # the replicas stall at steps 104 to 264; seed 9 runs to the budget
-    reports = run_batch("ackley2", 1, SolverConfig(n_steps=300, j_stall=20), 60, (0, 1, 2, 3, 9))
+    # the replicas stall at steps 104 to 220; seed 10 runs to the budget
+    reports = run_batch("ackley2", 1, SolverConfig(n_steps=300, j_stall=20), 60, (0, 1, 2, 3, 10))
     assert [report.stalled for report in reports] == [True, True, True, True, False]
     iterations = [report.iterations for report in reports]
     assert len(set(iterations)) == 5
