@@ -383,9 +383,7 @@ def _seed_batches(seeds: range, workers: int, coordinates: int, values: int = 1)
     per_batch = max(1, _MAX_BATCH_COORDINATES // coordinates)
     shared = 1 if values >= workers else min(workers, len(seeds))
     count = max(shared, math.ceil(len(seeds) / per_batch))
-    size, extra = divmod(len(seeds), count)
-    bounds = [index * size + min(index, extra) for index in range(count + 1)]
-    return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [tuple(batch.tolist()) for batch in np.array_split(seeds, count)]
 
 
 def _worker_count(workers: int | None) -> int:

@@ -62,22 +62,6 @@ class _Workspace:
         return arrays
 
 
-def _axis_mean(terms: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 of a ``(d, ...)`` array, its rows added left to right.
-
-    The fold is one explicit addition per row, never a reduction over axis
-    0: numpy adds a ``(d, m > 1)`` array in axis order but a ``(d, 1)``
-    array pairwise, so a reduction would make a point's value depend on how
-    many others share its call.
-    """
-    dim = terms.shape[0]
-    total = terms[0].copy() if dim == 1 else terms[0] + terms[1]
-    for j in range(2, dim):
-        total += terms[j]
-    total /= dim
-    return total
-
-
 def _ackley_head(mean_sq: np.ndarray) -> np.ndarray:
     """The root-mean-square term of Ackley, -20 exp(-0.2 sqrt(mean_sq)), computed in ``mean_sq``."""
     np.sqrt(mean_sq, out=mean_sq)
@@ -90,8 +74,7 @@ def _ackley_head(mean_sq: np.ndarray) -> np.ndarray:
 def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -> np.ndarray:
     """``min_k base(x - m_k)`` for every row x of ``(n, d)`` points, as a new ``(n,)`` array.
 
-    With offsets ``y = x - m`` the bases are, coordinate means taken left
-    to right by :func:`_axis_mean`:
+    With offsets ``y = x - m`` the bases are:
 
     - Rastrigin: ``q - 10 C``, minimum -10 at the origin;
     - Ackley: ``-20 exp(-0.2 sqrt(q)) - exp(C) + 20 + e``, minimum 0 at
@@ -107,43 +90,25 @@ def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -
     coordinate whatever its size.
 
     The argument is not reduced by whole turns first, though that made
-    the calls below 6-30% faster: past 2**52 every coordinate is a whole
-    number, so reduced cosines make every far Ackley value exactly 20.0,
-    and a diverging run's far agents tie and stall instead of failing. The
-    unreduced ``2 pi x`` keeps far values apart and overflows near 1e308,
-    giving the NaN that the solvers report as NumericError.
+    calls 6-30% faster (``BENCH_31.json``): past 2**52 every coordinate is
+    a whole number, so reduced cosines make every far Ackley value exactly
+    20.0, and a diverging run's far agents tie and stall instead of
+    failing. The unreduced ``2 pi x`` keeps far values apart and overflows
+    near 1e308, giving the NaN that the solvers report as NumericError.
 
-    Each shift's q is folded coordinate by coordinate, a subtract, a square
-    and an addition over one ``(shifts, n)`` row of the workspace, so no
-    ``(d, shifts, n)`` array is formed. Both values are monotone in q at a
-    fixed C, and so is the division by d, so each group takes the least
+    One fold over the coordinates serves both means. Coordinate j, left
+    to right, adds its squared offsets ``(x_j - m_j)**2`` from the group's
+    shifts into one ``(shifts, n)`` row of sums, and ``cos(2 pi (x_j -
+    f_j))`` into one ``(n,)`` cosine sum; the first coordinate writes both
+    sums. No ``(d, shifts, n)`` or ``(d, n)`` array of terms is formed. The
+    sums are explicit additions, never a reduction over the coordinate
+    axis: numpy adds a ``(d, m > 1)`` array in axis order but a ``(d, 1)``
+    array pairwise, so a reduction would make a point's value depend on how
+    many others share its call. Both values are monotone in q at a fixed
+    C, and so is the division by d, so each group takes the least
     coordinate sum over its shifts first and finishes one ``(n,)`` row: the
     same bits as finishing every shift and taking the least value. The
     groups' values then meet in one minimum.
-
-    Median microseconds per call, the previous kernel (one cosine per
-    shift, point and coordinate, with a bracket screen of the shifts from
-    d = 4) > this kernel, on inputs recorded from 300-step, 600-agent
-    ``run_gkbo`` runs with shifts from (-3, 3, -7, 7), one replica each,
-    both alternated in one workspace, medians of three processes (numpy
-    2.4, 2 vCPUs):
-
-    =========  ======  ========  =========  =========  =========  =========
-    kind       shifts  d = 3     d = 4      d = 5      d = 6      d = 10
-    =========  ======  ========  =========  =========  =========  =========
-    Ackley     2       85 > 58   151 > 117  110 > 86   207 > 166  305 > 242
-    Ackley     3       171 > 97  108 > 82   135 > 102  148 > 116  260 > 196
-    Ackley     4       152 > 71  121 > 85   150 > 105  174 > 125  320 > 209
-    Rastrigin  2       75 > 53   102 > 69   121 > 84   143 > 102  233 > 175
-    Rastrigin  3       110 > 62  126 > 81   155 > 98   180 > 114  294 > 198
-    Rastrigin  4       135 > 65  155 > 84   182 > 100  216 > 122  331 > 205
-    =========  ======  ========  =========  =========  =========  =========
-
-    At the batch shapes of the benchmark workloads, recorded the same way
-    from stacked replicas: rastrigin2, d = 2, 7200 points, 502 > 251;
-    ackley4, d = 10, 3600 points, 1724 > 925; pcbo on ackley2, 2400
-    points, 124 > 90, 164 > 104, 217 > 139, 372 > 272 and 448 > 359 at
-    d = 1 to 5.
 
     The result for a row does not depend on the other rows, so a stacked
     batch gives each replica's values bit for bit. Squares that overflow
@@ -152,24 +117,27 @@ def _min_base(kind: Kind, points: np.ndarray, groups: tuple, work: _Workspace) -
     """
     n, dim = points.shape
     most = max(len(shifts) for _, shifts in groups)
-    columns, turns, sums, row = work.arrays((dim, n), (dim, n), (most, n), (most, n))
+    columns, sums, row, cos_sum, cosine = work.arrays((dim, n), (most, n), (most, n), (n,), (n,))
     values = None
     with np.errstate(over="ignore", invalid="ignore"):
         # one contiguous copy of the columns makes every subtract fast
         np.copyto(columns, points.T)
         for offset, shifts in groups:
-            total, square = sums[: len(shifts)], row[: len(shifts)]
-            np.subtract(columns[0], shifts[:, :1], out=total)
-            total *= total
-            for j in range(1, dim):
+            total = sums[: len(shifts)]
+            for j in range(dim):
+                # the first coordinate writes the sums, each later one adds to them
+                square, cos_term = (total, cos_sum) if j == 0 else (row[: len(shifts)], cosine)
                 np.subtract(columns[j], shifts[:, j : j + 1], out=square)
                 square *= square
-                total += square
+                np.subtract(columns[j], offset[j], out=cos_term)
+                cos_term *= _TWO_PI
+                np.cos(cos_term, out=cos_term)
+                if j:
+                    total += square
+                    cos_sum += cos_term
             mean_sq = np.minimum.reduce(total, axis=0)
             mean_sq /= dim
-            np.subtract(columns, offset[:, np.newaxis], out=turns)
-            turns *= _TWO_PI
-            cos_mean = _axis_mean(np.cos(turns, out=turns))
+            cos_mean = np.divide(cos_sum, dim, out=cos_sum)
             if kind is Kind.RASTRIGIN:
                 cos_mean *= 10.0
                 value = np.subtract(mean_sq, cos_mean, out=mean_sq)

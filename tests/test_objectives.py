@@ -224,9 +224,9 @@ def test_values_in_a_reused_workspace_bit_identical_to_row_oracle(case, shared_w
 def test_values_in_a_batch_workspace_allocate_under_a_quarter_of_one_offset_array():
     # Converged points of a batch of two 600-agent replicas, as late in a
     # run, at ackley4, d = 10. In a reused workspace a call allocates its
-    # (n,) minimum and cosine mean and the buffers numpy's iterator takes
-    # for the broadcast subtracts, about 80 KB together, under a quarter of
-    # the 384 KB (d, shifts, n) offsets array the kernel no longer forms.
+    # (n,) minimum and the buffers numpy's iterator takes for the broadcast
+    # subtracts, under a quarter of the 384 KB (d, shifts, n) offsets array
+    # the kernel never forms.
     spec = preset("ackley4", 10)
     rng = np.random.default_rng(3)
     points = spec.minimizers[rng.integers(0, 4, 1200)] + rng.normal(size=(1200, 10)) * 0.3
@@ -243,16 +243,16 @@ def test_values_in_a_batch_workspace_allocate_under_a_quarter_of_one_offset_arra
 
 
 def test_a_call_leaves_its_workspace_below_one_offset_array():
-    # The workspace holds the columns and the cosine arguments, each (d, n),
-    # and one (shifts, n) row each for the coordinate sums and the squares:
-    # 0.7 of the (d, shifts, n) offsets array the kernel no longer forms at
-    # ackley4, d = 10.
+    # The workspace holds the (d, n) columns, one (shifts, n) row each for
+    # the coordinate sums and the squares, and one (n,) row each for the
+    # cosine sum and a coordinate's cosines: half of the (d, shifts, n)
+    # offsets array the kernel never forms at ackley4, d = 10.
     spec = preset("ackley4", 10)
     points = np.random.default_rng(3).uniform(-10, 10, (600, 10))
     work = _Workspace()
     values = spec._values(points, work)
     assert np.array_equal(values, objective_oracle(spec, points))
-    assert work._flat.size == (2 * 10 + 2 * 4) * 600 < spec.minimizers.size * points.shape[0]
+    assert work._flat.size == (10 + 2 * 4 + 2) * 600 < spec.minimizers.size * points.shape[0]
 
 
 @pytest.mark.parametrize("name", PRESETS)

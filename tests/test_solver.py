@@ -1076,10 +1076,10 @@ def test_a_replicas_quiet_count_is_check_stalls_indicator(monkeypatch, batch):
     assert 0 in counts and max(counts) == cfg.j_stall
 
 
-def test_screened_replicas_that_stall_apart_shrink_the_objective_workspace(run_batch):
-    # ackley4 at d = 10 takes the screened objective in the batch's
-    # workspace; seed 1 stalls at step 28 and seed 3 at 77, so the stacked
-    # offsets shrink from 80 rows to 60 and then 40 mid-run
+def test_replicas_at_d10_that_stall_apart_keep_their_own_reports(run_batch):
+    # ackley4 at d = 10: seed 1 stalls at step 28 and seed 3 at 77, so the
+    # batch's objective calls shrink from 80 points to 60 and then 40
+    # mid-run, and each report is still its standalone run's
     cfg = SolverConfig(n_steps=150, j_stall=5, delta_stall=0.5, n_leaders=2)
     reports = run_batch("ackley4", 10, cfg, 20, (0, 1, 3, 5))
     assert [(report.iterations, report.stalled) for report in reports] == [
