@@ -352,19 +352,6 @@ def _execute_run(task) -> list[tuple[RunReport, float]]:
     return [(report, elapsed * report.evaluations / evaluations) for report in reports]
 
 
-def _execute_caught(task) -> list[tuple[RunReport, float]] | NumericError:
-    """:func:`_execute_run`'s result, or the NumericError it raised; module-level for pickling.
-
-    A pool that runs its tasks out of sweep order returns each failure
-    with the other results, so the experiment raises the error of the
-    first failing task in sweep order, as a single worker does.
-    """
-    try:
-        return _execute_run(task)
-    except NumericError as error:
-        return error
-
-
 def _seed_batches(seeds: range, workers: int, coordinates: int, values: int = 1) -> list[tuple]:
     """The seeds of one of ``values`` sweep values as the batches of the pool's tasks.
 
@@ -409,14 +396,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     sweep order. A pool takes them costliest first, by agents times
     dimension times seeds, ties in sweep order: in sweep order, a dimension
     sweep on two workers would start its costliest batch last and run it
-    alone while the other worker idles. Results are
-    aggregated in sweep and seed order, so the summary does not depend on
-    the worker count. The population size and every solver config are
-    checked before any run starts. A failing run raises the NumericError of
-    the lowest failing seed of the first failing sweep value, the error its
-    standalone run raises: a batch raises at its first non-finite value,
-    and :func:`_execute_run` then runs the batch's seeds one at a time up
-    to the lowest failing one.
+    alone while the other worker idles. The pool's results are read in
+    sweep order, whatever order they finish in, and aggregated in sweep and
+    seed order, so the summary does not depend on the worker count. The
+    population size and every solver config are checked before any run
+    starts. A failing run raises the NumericError of the lowest failing
+    seed of the first failing sweep value, the error its standalone run
+    raises: a batch raises at its first non-finite value, and
+    :func:`_execute_run` then runs the batch's seeds one at a time up to
+    the lowest failing one. Any other error a pool task raises also
+    surfaces in sweep order.
     """
     workers = _worker_count(workers)
     cfg.validate()
@@ -448,11 +437,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         # cost keep sweep order
         order = sorted(range(len(tasks)), key=lambda index: -costs[index])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(order, pool.map(_execute_caught, [tasks[i] for i in order])))
-        batches = [done[index] for index in range(len(tasks))]
-        for batch in batches:
-            if isinstance(batch, NumericError):
-                raise batch
+            futures = {index: pool.submit(_execute_run, tasks[index]) for index in order}
+            batches = [futures[index].result() for index in range(len(tasks))]
     outcomes = [outcome for batch in batches for outcome in batch]
 
     results = []

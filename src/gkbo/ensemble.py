@@ -101,13 +101,6 @@ def compute_weights(
     return _cluster_ranks(energies, np.zeros(ensemble.n_agents, dtype=np.intp), 1)
 
 
-def _block_starts(sorted_slots: np.ndarray) -> np.ndarray:
-    """Mask of the entries that open a new cluster block in sorted slots."""
-    starts = np.ones(sorted_slots.shape[0], dtype=bool)
-    np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=starts[1:])
-    return starts
-
-
 def _slot_order(slots: np.ndarray, n_clusters: int) -> np.ndarray:
     """Stable argsort of cluster slots; slots that fit 16 bits sort by radix."""
     if n_clusters <= 1 << 16:
@@ -129,20 +122,21 @@ def _cluster_ranks(energies: np.ndarray, slots: np.ndarray, n_clusters: int) -> 
     # and the gaps to it never decrease along the block, since rounding
     # ``E - E_min`` is monotone in ``E``. The rank of an agent is then the
     # offset of its run of equal gaps from the start of its block, so ties
-    # share the lowest rank whatever order the sort left them in.
+    # share the lowest rank whatever order the sort left them in. The blocks
+    # lie in slot order, so a block starts at the summed sizes of the
+    # clusters before it.
     by_energy = np.argsort(energies)
     order = by_energy[_slot_order(slots[by_energy], n_clusters)]
     sorted_slots = slots[order]
     sorted_energies = energies[order]
+    sizes = np.bincount(slots, minlength=n_clusters)
+    block_first = (np.cumsum(sizes) - sizes)[sorted_slots]
     position = np.arange(n_agents)
-    new_block = _block_starts(sorted_slots)
-    block_first = np.maximum.accumulate(np.where(new_block, position, -1))
     with np.errstate(over="ignore"):
         sorted_gaps = np.abs(sorted_energies - sorted_energies[block_first])
-    new_run = new_block.copy()
+    new_run = position == block_first
     new_run[1:] |= sorted_gaps[1:] != sorted_gaps[:-1]
     run_first = np.maximum.accumulate(np.where(new_run, position, -1))
-    sizes = np.bincount(slots, minlength=n_clusters)
     omega = np.empty(n_agents, dtype=np.float64)
     omega[order] = (run_first - block_first) / sizes[sorted_slots]
     return omega

@@ -276,10 +276,12 @@ def test_one_batch_per_value_only_where_the_values_cover_the_workers(
 
 
 def inline_pool(monkeypatch) -> tuple[list, list]:
-    """Replace the process pool by one that runs its tasks in this process, in order.
+    """Replace the process pool by one that runs each task in this process as it is submitted.
 
-    Returns the lists that collect the pool sizes built and the ``(dim,
-    seeds)`` of every task submitted, in submission order.
+    ``submit`` returns a completed future that holds the task's result or
+    the error it raised. Returns the lists that collect the pool sizes
+    built and the ``(dim, seeds)`` of every task submitted, in submission
+    order.
     """
     import concurrent.futures
 
@@ -295,10 +297,14 @@ def inline_pool(monkeypatch) -> tuple[list, list]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, submitted):
-            submitted = list(submitted)
-            tasks.extend((task[2], task[-1]) for task in submitted)
-            return map(fn, submitted)
+        def submit(self, fn, task):
+            tasks.append((task[2], task[-1]))
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(task))
+            except Exception as error:
+                future.set_exception(error)
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return built, tasks
@@ -356,6 +362,27 @@ def test_a_pool_raises_the_first_failing_sweep_values_error(monkeypatch):
     with pytest.raises(NumericError, match="^dimension 1 failed$"):
         run_experiment(cfg, workers=2)
     assert [dim for dim, _ in tasks] == [3, 2, 1]
+
+
+def test_a_real_pool_raises_the_first_failing_sweep_values_own_error():
+    # both dimensions diverge; d = 3 costs more, is submitted first and fails
+    # earlier (steps 96-97), yet d = 2's lowest seed's own error surfaces
+    solver_cfg = SolverConfig(diffusion="isotropic", sigma_f=100, n_steps=400)
+    with pytest.raises(NumericError) as raised:
+        run_gkbo(preset("ackley2", 2), dataclasses.replace(solver_cfg, seed=0), 30)
+    message = str(raised.value)
+    assert message == "interaction_step: agent 16 reached a non-finite position at step 109"
+    cfg = ExperimentConfig(
+        objective="ackley2",
+        solver_config=solver_cfg,
+        n_agents=30,
+        repetitions=2,
+        sweep="dimension",
+        sweep_values=(2, 3),
+        base_seed=0,
+    )
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        run_experiment(cfg, workers=2)
 
 
 @pytest.mark.parametrize(
