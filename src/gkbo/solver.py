@@ -486,10 +486,10 @@ def _interact(
 ) -> np.ndarray:
     """Unchecked new positions after one synchronous move; see :func:`interaction_step`.
 
-    Both updates are formed for every agent and the ``followers`` mask picks
-    one, so only the follower rows of ``noise`` matter. An overflow gives a
-    non-finite position without a warning; the caller reports it as
-    NumericError.
+    ``noise`` holds one standard normal row per agent, in agent order. Both
+    updates are formed for every agent and the ``followers`` mask picks one,
+    so a leader's row is drawn but not used. An overflow gives a non-finite
+    position without a warning; the caller reports it as NumericError.
     """
     gap = estimates - positions
     with np.errstate(over="ignore", invalid="ignore"):
@@ -499,38 +499,6 @@ def _interact(
         scale = _diffusion_scale(gap, cfg.diffusion)
         follower_step = positions + drift + math.sqrt(cfg.eps) * cfg.sigma_f * scale * noise
         return np.where(followers[:, np.newaxis], follower_step, leader_step)
-
-
-def _draws(out: np.ndarray, draw, rngs: list, counts: list) -> np.ndarray:
-    """``out`` filled replica by replica: ``counts[r]`` rows of ``draw(rngs[r], out=rows)``.
-
-    ``draw`` is a Generator method such as ``np.random.Generator.random``. A
-    replica's numbers are those of its own run's fresh draw; filling one
-    array costs less than joining fresh ones.
-    """
-    first = 0
-    for rng, count in zip(rngs, counts):
-        draw(rng, out=out[first : first + count])
-        first += count
-    return out
-
-
-def _follower_noise(followers: np.ndarray, dim: int, rngs: list) -> np.ndarray:
-    """Noise row of every agent: the k-th follower's is the k-th drawn row, a leader's zeros.
-
-    ``followers`` stacks one equal block of agents per generator. Replica
-    r's generator ``rngs[r]`` draws its followers' rows of ``dim`` standard
-    normals in agent order, after one zero row. One ``take`` by follower
-    rank, 0 for a leader, places them: at (7200, 2) that takes about 50 us,
-    a zero array plus a boolean-mask scatter 190 us (numpy 2.4).
-    """
-    counts = followers.reshape(len(rngs), -1).sum(axis=1).tolist()
-    block = np.empty((1 + sum(counts), dim))
-    block[0] = 0.0
-    _draws(block[1:], np.random.Generator.standard_normal, rngs, counts)
-    rank = np.cumsum(followers, dtype=np.intp)
-    rank *= followers
-    return block.take(rank, axis=0)
 
 
 def interaction_step(
@@ -543,22 +511,22 @@ def interaction_step(
     """Move every agent once, synchronously.
 
     All reads (leader positions, consensus estimates) refer to the pre-step
-    state. A leader moves by ``eps * nu_l`` of its gap to its cluster's
-    consensus point and draws no randomness. A follower moves by
-    ``eps * nu_f`` of its gap to its leader's position plus
-    ``sqrt(eps) * sigma_f * D(x) xi`` with a fresh standard normal draw per
-    follower, taken in agent order; D is shaped by the follower's consensus
-    estimate according to ``cfg.diffusion``. Labels are unchanged. Raises
-    NumericError naming the phase, the first offending agent and the step
-    (when given) if any new position is non-finite.
+    state. The step draws ``rng.standard_normal(positions.shape)``, one row
+    ``xi`` per agent in agent order. A leader moves by ``eps * nu_l`` of its
+    gap to its cluster's consensus point, without noise: its row is drawn but
+    not used. A follower moves by ``eps * nu_f`` of its gap to its leader's
+    position plus ``sqrt(eps) * sigma_f * D(x) xi``; D is shaped by the
+    follower's consensus estimate according to ``cfg.diffusion``. Labels
+    are unchanged. Raises NumericError naming the phase, the first
+    offending agent and the step (when given) if any new position is
+    non-finite.
     """
     cfg.validate()
     positions = ensemble.positions
     _check_clusters(clusters, "interaction_step", positions.shape, estimates=True)
-    followers = ensemble.labels == 0
-    noise = _follower_noise(followers, positions.shape[1], [rng])
+    noise = rng.standard_normal(positions.shape)
     new_positions = _interact(
-        positions, followers, clusters.leader_of, clusters.agent_estimate, cfg, noise
+        positions, ensemble.labels == 0, clusters.leader_of, clusters.agent_estimate, cfg, noise
     )
     _check_positions(new_positions, "interaction_step", step)
     return Ensemble._unchecked(new_positions, ensemble.labels.copy())
@@ -645,7 +613,8 @@ class _Replicas:
     rows of the stacked arrays go through kernels whose result for a row
     does not depend on other rows, so its report is its own run's, bit for
     bit. The batch holds what both solvers' loops share: the start, the
-    draws, the positions and objective values, the consensus
+    per-agent draws of every step (:meth:`draws`), the positions and
+    objective values, the consensus
     ``estimates`` and one ``quiet`` count per replica, the ``reports`` and
     ``work``, the scratch memory that every step's objective and
     nearest-centre calls reuse. A loop keeps its own per-replica state,
@@ -695,7 +664,11 @@ class _Replicas:
     def draws(self, draw, *shape) -> np.ndarray:
         """A ``shape`` block of draws per agent from every replica's generator, stacked.
 
-        ``draw`` is a Generator method that fills ``out``, such as
+        The one path of every per-agent draw of both loops. Every agent
+        gets a block, whatever its label, in agent order: a gkbo leader's
+        normal row is drawn but not used, so a step takes as many numbers
+        from a replica's generator whatever its labels. ``draw`` is a
+        Generator method that fills ``out``, such as
         ``np.random.Generator.random``. Each replica fills its own n rows of
         one new array with the numbers of its own run's fresh ``(n, *shape)``
         draw: at two replicas of 600 rows, d = 1-5, that costs 2-10 us less
@@ -703,8 +676,10 @@ class _Replicas:
         46-52 us against 54-60 us for uniforms; a batch of one costs what a
         fresh draw does (numpy 2.4, 2 vCPUs).
         """
-        out = np.empty((self.energies.size, *shape))
-        return _draws(out, draw, self.rngs, [self.n] * len(self.rngs))
+        out = np.empty((len(self.rngs), self.n, *shape))
+        for rng, rows in zip(self.rngs, out):
+            draw(rng, out=rows)
+        return out.reshape(-1, *shape)
 
     def evaluate(self, positions: np.ndarray, phase: str) -> None:
         """Take a step's new positions and their objective values, checked once.
@@ -827,8 +802,9 @@ def _run_replicas(
     and every step; before it, the leaderless safety net relabels only the
     replicas whose labels hold no leader. When :meth:`_Replicas.freeze`
     drops replicas, the loop keeps the others' labels and clusters them
-    again with one more call. A step draws the follower normals of every
-    replica before its transition uniforms.
+    again with one more call. A step draws, through :meth:`_Replicas.draws`,
+    one standard normal row per agent, leaders included, in agent order, then
+    its transition uniforms; a leader's normal row is drawn but not used.
     """
     batch = _Replicas(spec, cfg, n_agents, seeds)
     n = batch.n
@@ -849,7 +825,7 @@ def _run_replicas(
             labels = _keep(labels, keep)
             leaders, bounds, slots = _clusters(batch.positions, labels, n, batch.work)
         followers = labels == 0
-        noise = _follower_noise(followers, spec.dim, batch.rngs)
+        noise = batch.draws(np.random.Generator.standard_normal, spec.dim)
         positions = _interact(batch.positions, followers, leaders[slots], batch.estimates, cfg, noise)
         batch.evaluate(positions, "interaction_step")
 

@@ -198,7 +198,7 @@ def test_summary_does_not_depend_on_the_worker_count(solver):
     # go in batches of 5, 3 + 2 and 2 + 2 + 1, and both solvers' runs stall
     # at different steps within a batch
     if solver == "gkbo":
-        config = SolverConfig(n_steps=60, n_leaders=3, j_stall=5, delta_stall=0.01)
+        config = SolverConfig(n_steps=100, n_leaders=3, j_stall=5, delta_stall=0.01)
     else:
         config = PcboConfig(n_steps=40, j_stall=4)
     cfg = tiny_experiment(solver=solver, solver_config=config, repetitions=5)
@@ -366,12 +366,13 @@ def test_a_pool_raises_the_first_failing_sweep_values_error(monkeypatch):
 
 def test_a_real_pool_raises_the_first_failing_sweep_values_own_error():
     # both dimensions diverge; d = 3 costs more, is submitted first and fails
-    # earlier (steps 96-97), yet d = 2's lowest seed's own error surfaces
+    # earlier (steps 104 and 130, d = 2's at 112 and 119), yet d = 2's lowest
+    # seed's own error surfaces
     solver_cfg = SolverConfig(diffusion="isotropic", sigma_f=100, n_steps=400)
     with pytest.raises(NumericError) as raised:
         run_gkbo(preset("ackley2", 2), dataclasses.replace(solver_cfg, seed=0), 30)
     message = str(raised.value)
-    assert message == "interaction_step: agent 16 reached a non-finite position at step 109"
+    assert message == "interaction_step: agent 1 reached a non-finite position at step 119"
     cfg = ExperimentConfig(
         objective="ackley2",
         solver_config=solver_cfg,
@@ -493,13 +494,13 @@ def test_a_failing_experiment_raises_the_lowest_failing_seeds_error(
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_gkbo_experiment_raises_the_lowest_failing_seeds_error(workers):
-    # seed 3 fails at step 279 and seed 2 at step 296; whether they share a
+    # seed 3 fails at step 262 and seed 2 at step 268; whether they share a
     # batch (one worker) or not (two), seed 2's own error surfaces
     solver_cfg = SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=400)
     spec = preset("ackley2", 2)
     with pytest.raises(NumericError) as alone:
         run_gkbo(spec, dataclasses.replace(solver_cfg, seed=2), 60)
-    with pytest.raises(NumericError, match="at step 279$"):
+    with pytest.raises(NumericError, match="at step 262$"):
         run_gkbo(spec, dataclasses.replace(solver_cfg, seed=3), 60)
     cfg = ExperimentConfig(
         objective="ackley2",
@@ -537,12 +538,12 @@ DIVERGING_GKBO = SolverConfig(diffusion="isotropic", sigma_f=10)
 @pytest.mark.parametrize(
     "solver, objective, dim, cfg, seeds, reported",
     [
-        # both fail; the higher seed fails first (step 279 vs 296)
+        # both fail; the higher seed fails first (step 262 vs 268)
         ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=400), (2, 3), 0),
         # only the second replica fails, so the agent is counted within it
-        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=290), (2, 3), 1),
-        # the second replica fails at step 279, the last of the first one's budget
-        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=280), (2, 3), 1),
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=266), (2, 3), 1),
+        # the second replica fails at step 262, the last of the first one's budget
+        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=263), (2, 3), 1),
         # both fail; the higher seed fails first (step 307 vs 318)
         ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=3000), (0, 1), 0),
         # both fail, in different phases; the higher seed fails first (215 vs 222)
@@ -572,9 +573,9 @@ def test_a_failing_batch_raises_its_first_failing_seeds_own_error(
 
 
 def test_the_seeds_after_the_first_failing_one_cannot_surface():
-    # seed 4 fails at step 260 and seed 5 at 262; seed 2 would fail at 296,
+    # seed 4 fails at step 249 and seed 5 at 259; seed 2 would fail at 268,
     # after the budget, so only seed 4's error may surface
-    cfg = dataclasses.replace(DIVERGING_GKBO, n_steps=290)
+    cfg = dataclasses.replace(DIVERGING_GKBO, n_steps=266)
     message, step = standalone_error("gkbo", "ackley2", 2, cfg, 4)
     assert standalone_error("gkbo", "ackley2", 2, cfg, 5)[1] > step
     with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
@@ -616,8 +617,8 @@ def test_a_pcbo_batch_that_fails_as_a_replica_settles_raises_the_failing_seeds_o
     "n_steps, seeds, calls",
     [
         (400, (2,), [(2,)]),  # a batch of one is not run again
-        (400, (2, 3), [(2, 3), (2,)]),  # seed 2 fails at step 296
-        (290, (2, 3), [(2, 3), (2,), (3,)]),  # seed 2 runs to the budget, seed 3 fails
+        (400, (2, 3), [(2, 3), (2,)]),  # seed 2 fails at step 268
+        (290, (34, 3), [(34, 3), (34,), (3,)]),  # seed 34 runs to the budget, seed 3 fails
     ],
 )
 def test_a_failing_batch_runs_its_seeds_again_up_to_the_first_failing_one(

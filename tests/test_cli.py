@@ -82,7 +82,7 @@ def test_an_empty_population_exits_1(solver, capsys):
 def test_diverging_run_exits_2(capsys):
     argv = ["run", "--objective", "ackley2", "--diffusion", "isotropic", "--sigma-f", "10"]
     assert main([*argv, "--n-agents", "60", "--n-steps", "400"]) == 2
-    assert "runtime error: interaction_step: agent 2" in capsys.readouterr().err
+    assert "runtime error: interaction_step: agent 45" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -421,24 +421,24 @@ iterations: 10
 stalled: false
 evaluations: 330
 leader count: 16
-best value: -5.275362012779442
+best value: -8.042934263830896
 consensus points (16 distinct):
   [-8.287017, -5.263790]
-  [6.025489, 1.643241]
-  [-3.991477, -4.214716]
+  [6.053592, 2.028491]
+  [-7.111919, -1.959575]
+  [-0.998802, -5.925114]
+  [-1.316141, -5.924713]
+  [-6.724838, -3.219544]
+  [0.180114, -5.124079]
   [4.756756, 9.125345]
-  [-8.041350, -2.933939]
-  [7.628722, 1.449245]
+  [-4.031976, -3.720280]
+  [8.317990, 2.193284]
   [-2.515123, -8.182946]
-  [3.210001, 8.629277]
-  [-4.208093, -2.170660]
-  [2.850785, 8.282391]
-  [-0.330970, -5.931291]
+  [2.957792, 8.675174]
   [6.597737, 3.153044]
-  [3.017907, 6.216591]
-  [7.332561, 1.083167]
-  [-1.106489, -7.215413]
-  [7.322734, -0.891013]
+  [4.090112, 5.942902]
+  [-0.406322, -7.073309]
+  [8.653196, 3.906568]
 detected minimizers: 0/2 (threshold 0.25)
 success: false
 """,
@@ -540,8 +540,8 @@ def test_bench_writes_exactly_the_pinned_csv(tmp_path, capsys):
     assert output.read_bytes() == (
         b"sweep_value,success_rate,mean_iterations,mean_detected_minima,repetitions,base_seed,"
         b"mean_consensus_points,mean_spurious_points,mean_leader_count\n"
-        b"1,0.5,10.0,1.5,2,0,18.0,15.0,18.0\n"
-        b"2,0.0,10.0,0.0,2,0,17.0,17.0,17.0\n"
+        b"1,0.5,10.0,1.5,2,0,19.0,15.5,19.0\n"
+        b"2,0.0,10.0,0.0,2,0,16.5,16.5,16.5\n"
     )
 
 
@@ -604,7 +604,7 @@ COMPARE_SIDECAR_CONFIG = {
 }
 
 COMPARE_CSV = {
-    "gkbo": b"1,0.0,1168.0,0.0,1,0,17.0,17.0,17.0\n2,0.0,1478.0,0.0,1,0,15.0,15.0,15.0\n",
+    "gkbo": b"1,0.0,1185.0,1.0,1,0,15.0,6.0,15.0\n2,0.0,1323.0,1.0,1,0,16.0,15.0,16.0\n",
     "pcbo": b"1,0.0,1012.0,1.0,1,0,4.0,2.0,4.0\n2,0.0,1020.0,1.0,1,0,4.0,2.0,4.0\n",
 }
 

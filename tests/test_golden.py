@@ -16,17 +16,17 @@ from gkbo import PcboConfig, SolverConfig, preset, run_gkbo, run_pcbo
 CASES = {
     "gkbo-rastrigin2-d2-anisotropic": (
         lambda: run_gkbo(preset("rastrigin2", 2), SolverConfig(n_steps=200, seed=3), 300),
-        "e3dd795b837ba3532816eb78d1a9f4b33fe67db86c716f89e19037f82e4b088f",
+        "5773fe701c70c966b217dc29dab0b7f8bc8f56a2dca3b19d88e4291af0fc8777",
     ),
     "gkbo-ackley4-d10-anisotropic": (
         lambda: run_gkbo(preset("ackley4", 10), SolverConfig(n_steps=80, seed=1), 200),
-        "9c14eeb8d41fc4551688157b594ea298bb3ce8ab7395848b85436b9ef9b387d4",
+        "043896012c7852b90907f5cb1e908e6610ee800a27f0810dd09bf4ab4273ea1d",
     ),
     "gkbo-ackley2-d2-isotropic": (
         lambda: run_gkbo(
             preset("ackley2", 2), SolverConfig(diffusion="isotropic", n_steps=150, seed=2), 200
         ),
-        "6e672a1c33590e9544d3d42c161d39b4499b019592d8992b591008a36c9ca786",
+        "9eb44c88997ee2d056d2041278e4137f96d460af266688b91a6d146271a0fde5",
     ),
     # d <= 2: per-axis sums and any other order of the two squares agree
     "pcbo-ackley2-d2": (
@@ -45,7 +45,7 @@ CASES = {
     # gkbo, the screened nearest-leader assignment
     "gkbo-rastrigin4-d6": (
         lambda: run_gkbo(preset("rastrigin4", 6), SolverConfig(n_steps=120, seed=6), 200),
-        "ad3952718ad0729c66e2214caae276d2425fa4ecbd948dde5b057f5b84bd6b43",
+        "a661d1e5ad53b73a65157c551fb1115f25c092d58e0bebdaaa73d469d72d4672",
     ),
     "pcbo-ackley4-d4": (
         lambda: run_pcbo(preset("ackley4", 4), PcboConfig(n_steps=200, seed=7), 200),
@@ -55,7 +55,7 @@ CASES = {
     # row sums, which the objective kept up to 0bc3348, give other digests
     "gkbo-rastrigin4-d8": (
         lambda: run_gkbo(preset("rastrigin4", 8), SolverConfig(n_steps=120, seed=6), 200),
-        "e861bde3d5232fe585b85265c2e0fad3789046b9f32b3c35d92bca10cb249933",
+        "9ff5d8e8ee71f4f5b16f7f09e733ee0e4270709b4b4a57f5c3767f34d45a182e",
     ),
     "pcbo-ackley4-d10": (
         lambda: run_pcbo(preset("ackley4", 10), PcboConfig(n_steps=200, seed=7), 200),
