@@ -310,6 +310,63 @@ def inline_pool(monkeypatch) -> tuple[list, list]:
     return built, tasks
 
 
+def scripted_message(step: int, phase: str, agent: int) -> str:
+    """The message of the NumericError that ``phase`` raises for ``agent`` at ``step``."""
+    if phase == "objective":
+        return f"objective: agent {agent} has a non-finite objective value at step {step}"
+    return f"{phase}: agent {agent} reached a non-finite position at step {step}"
+
+
+def scripted_loop(monkeypatch, script: dict) -> list:
+    """Replace the gkbo replica loop by one that fails the seeds of ``script`` as a real batch does.
+
+    ``script`` maps a seed to the ``(step, phase, agent)`` of the
+    NumericError its standalone run raises; the seed fails only where
+    ``step`` is below the config's ``n_steps``. A batch raises at its
+    earliest failing step, positions before objective values and then the
+    lowest slot, with the agent counted over the stacked rows, as
+    ``solver._Replicas._check`` does. A batch with no failure returns one
+    plain report per seed, at the step budget. Returns the list that
+    collects the seeds of every call.
+    """
+    calls = []
+
+    def loop(spec, cfg, n_agents, seeds):
+        calls.append(tuple(seeds))
+        failing = [
+            (script[seed][0], script[seed][1] == "objective", slot)
+            for slot, seed in enumerate(seeds)
+            if seed in script and script[seed][0] < cfg.n_steps
+        ]
+        if failing:
+            step, _, slot = min(failing)
+            _, phase, agent = script[seeds[slot]]
+            raise NumericError(scripted_message(step, phase, slot * n_agents + agent))
+        evaluations = n_agents * (cfg.n_steps + 1)
+        return [
+            RunReport(cfg.n_steps, False, np.zeros((1, spec.dim)), 1, 0.0, evaluations, seed)
+            for seed in seeds
+        ]
+
+    monkeypatch.setitem(bench_module._REPLICA_LOOPS, "gkbo", loop)
+    return calls
+
+
+#: The config of the scripted gkbo failures below; the scripted loop reads
+#: only its step budget.
+DIVERGING_GKBO = SolverConfig(diffusion="isotropic", sigma_f=10)
+
+#: Scripted standalone failures, ``(step, phase, agent)`` by seed, of
+#: ackley2 d = 2 runs of 60 agents with ``DIVERGING_GKBO``.
+DIVERGING_SEEDS = {
+    2: (268, "interaction_step", 45),
+    3: (262, "interaction_step", 0),
+    4: (249, "interaction_step", 4),
+    5: (259, "interaction_step", 21),
+    34: (295, "interaction_step", 6),
+}
+
+
 def test_a_sweep_with_as_many_values_as_workers_runs_one_batch_per_value(monkeypatch):
     # the pcbo benchmark's shape: 5 dimensions of 4 seeds on 2 workers,
     # submitted costliest first and reported in sweep order
@@ -365,14 +422,18 @@ def test_a_pool_raises_the_first_failing_sweep_values_error(monkeypatch):
 
 
 def test_a_real_pool_raises_the_first_failing_sweep_values_own_error():
-    # both dimensions diverge; d = 3 costs more, is submitted first and fails
-    # earlier (steps 104 and 130, d = 2's at 112 and 119), yet d = 2's lowest
+    # every seed of both dimensions diverges; d = 3 costs more, is submitted
+    # first and fails at an earlier step than d = 2, yet d = 2's lowest
     # seed's own error surfaces
     solver_cfg = SolverConfig(diffusion="isotropic", sigma_f=100, n_steps=400)
-    with pytest.raises(NumericError) as raised:
-        run_gkbo(preset("ackley2", 2), dataclasses.replace(solver_cfg, seed=0), 30)
-    message = str(raised.value)
-    assert message == "interaction_step: agent 1 reached a non-finite position at step 119"
+    errors = {
+        (dim, seed): standalone_error("gkbo", "ackley2", dim, solver_cfg, seed, n_agents=30)
+        for dim in (2, 3)
+        for seed in (0, 1)
+    }
+    first_step = {dim: min(errors[dim, seed][1] for seed in (0, 1)) for dim in (2, 3)}
+    assert first_step[3] < first_step[2]
+    message = errors[2, 0][0]
     cfg = ExperimentConfig(
         objective="ackley2",
         solver_config=solver_cfg,
@@ -493,27 +554,24 @@ def test_a_failing_experiment_raises_the_lowest_failing_seeds_error(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_failing_gkbo_experiment_raises_the_lowest_failing_seeds_error(workers):
+def test_a_failing_gkbo_experiment_raises_the_lowest_failing_seeds_error(monkeypatch, workers):
     # seed 3 fails at step 262 and seed 2 at step 268; whether they share a
-    # batch (one worker) or not (two), seed 2's own error surfaces
-    solver_cfg = SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=400)
-    spec = preset("ackley2", 2)
-    with pytest.raises(NumericError) as alone:
-        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=2), 60)
-    with pytest.raises(NumericError, match="at step 262$"):
-        run_gkbo(spec, dataclasses.replace(solver_cfg, seed=3), 60)
+    # batch (one worker) or not (two, on an inline pool, whose tasks see the
+    # scripted loop), seed 2's own error surfaces
+    inline_pool(monkeypatch)
+    calls = scripted_loop(monkeypatch, DIVERGING_SEEDS)
     cfg = ExperimentConfig(
         objective="ackley2",
         dim=2,
-        solver_config=solver_cfg,
+        solver_config=dataclasses.replace(DIVERGING_GKBO, n_steps=400),
         n_agents=60,
         repetitions=2,
         base_seed=2,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match=f"^{re.escape(str(alone.value))}$"):
-            run_experiment(cfg, workers=workers)
+    message = scripted_message(*DIVERGING_SEEDS[2])
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        run_experiment(cfg, workers=workers)
+    assert calls == ([(2, 3), (2,)] if workers == 1 else [(2,), (3,)])
 
 
 def execute(solver, objective, dim, cfg, seeds, n_agents=60) -> list:
@@ -524,60 +582,97 @@ def execute(solver, objective, dim, cfg, seeds, n_agents=60) -> list:
 RUNS = {"gkbo": run_gkbo, "pcbo": run_pcbo}
 
 
-def standalone_error(solver, objective, dim, cfg, seed) -> tuple[str, int]:
-    """Message and step of the NumericError the 60-agent run with ``seed`` raises."""
+def standalone_error(solver, objective, dim, cfg, seed, n_agents=60) -> tuple[str, int]:
+    """Message and step of the NumericError the run of ``n_agents`` with ``seed`` raises."""
     with pytest.raises(NumericError) as raised:
-        RUNS[solver](preset(objective, dim), dataclasses.replace(cfg, seed=seed), 60)
+        RUNS[solver](preset(objective, dim), dataclasses.replace(cfg, seed=seed), n_agents)
     message = str(raised.value)
     return message, int(re.search(r"at step (\d+)$", message).group(1))
 
 
-DIVERGING_GKBO = SolverConfig(diffusion="isotropic", sigma_f=10)
-
-
 @pytest.mark.parametrize(
-    "solver, objective, dim, cfg, seeds, reported",
+    "objective, cfg, seeds, reported",
     [
-        # both fail; the higher seed fails first (step 262 vs 268)
-        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=400), (2, 3), 0),
-        # only the second replica fails, so the agent is counted within it
-        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=266), (2, 3), 1),
-        # the second replica fails at step 262, the last of the first one's budget
-        ("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=263), (2, 3), 1),
         # both fail; the higher seed fails first (step 307 vs 318)
-        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=3000), (0, 1), 0),
+        ("rastrigin2", PcboConfig(sigma=5, n_steps=3000), (0, 1), 0),
         # both fail, in different phases; the higher seed fails first (215 vs 222)
-        ("pcbo", "ackley2", 1, PcboConfig(sigma=40, n_steps=3000), (2, 3), 0),
+        ("ackley2", PcboConfig(sigma=40, n_steps=3000), (2, 3), 0),
         # only the second replica fails, so the agent is counted within it
-        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=310), (0, 1), 1),
+        ("rastrigin2", PcboConfig(sigma=5, n_steps=310), (0, 1), 1),
         # the second replica fails at step 307, the last of the first one's budget
-        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=308), (0, 1), 1),
+        ("rastrigin2", PcboConfig(sigma=5, n_steps=308), (0, 1), 1),
         # the second replica fails at step 307 and the third at 318; the
         # seeds run again in batch order, so the third's error cannot surface
-        ("pcbo", "rastrigin2", 1, PcboConfig(sigma=5, n_steps=320), (2, 1, 0), 1),
+        ("rastrigin2", PcboConfig(sigma=5, n_steps=320), (2, 1, 0), 1),
     ],
 )
-def test_a_failing_batch_raises_its_first_failing_seeds_own_error(
-    solver, objective, dim, cfg, seeds, reported
-):
-    message, step = standalone_error(solver, objective, dim, cfg, seeds[reported])
+def test_a_failing_batch_raises_its_first_failing_seeds_own_error(objective, cfg, seeds, reported):
+    message, step = standalone_error("pcbo", objective, 1, cfg, seeds[reported])
     if reported == 0:
-        assert standalone_error(solver, objective, dim, cfg, seeds[1])[1] < step
+        assert standalone_error("pcbo", objective, 1, cfg, seeds[1])[1] < step
     else:
-        first = RUNS[solver](preset(objective, dim), dataclasses.replace(cfg, seed=seeds[0]), 60)
+        first = run_pcbo(preset(objective, 1), dataclasses.replace(cfg, seed=seeds[0]), 60)
         assert first.iterations == cfg.n_steps
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
-            execute(solver, objective, dim, cfg, seeds)
+            execute("pcbo", objective, 1, cfg, seeds)
 
 
-def test_the_seeds_after_the_first_failing_one_cannot_surface():
+@pytest.mark.parametrize(
+    "n_steps, reported",
+    [
+        (400, 0),  # both fail; the higher seed fails first (step 262 vs 268)
+        (266, 1),  # only the second replica fails, so the agent is counted within it
+        (263, 1),  # the second replica fails at step 262, the last of the first one's budget
+    ],
+)
+def test_a_failing_gkbo_batch_raises_its_first_failing_seeds_own_error(
+    monkeypatch, n_steps, reported
+):
+    scripted_loop(monkeypatch, DIVERGING_SEEDS)
+    seeds = (2, 3)
+    message = scripted_message(*DIVERGING_SEEDS[seeds[reported]])
+    cfg = dataclasses.replace(DIVERGING_GKBO, n_steps=n_steps)
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        execute("gkbo", "ackley2", 2, cfg, seeds)
+
+
+@pytest.mark.parametrize(
+    "objective, cfg, seeds",
+    [
+        ("rastrigin2", PcboConfig(sigma=5, n_steps=3000), (0, 1)),
+        ("ackley2", PcboConfig(sigma=40, n_steps=3000), (2, 3)),  # different phases
+        ("rastrigin2", PcboConfig(sigma=5, n_steps=320), (2, 1, 0)),  # seed 2 does not fail
+    ],
+)
+def test_the_scripted_loop_fails_a_batch_as_the_real_one_does(monkeypatch, objective, cfg, seeds):
+    # the script is each seed's standalone error from the real pcbo loop,
+    # whose stream does not depend on the gkbo rule
+    spec = preset(objective, 1)
+    script = {}
+    for seed in seeds:
+        try:
+            run_pcbo(spec, dataclasses.replace(cfg, seed=seed), 60)
+        except NumericError as error:
+            phase, agent, step = re.fullmatch(
+                r"(\w+): agent (\d+) .* at step (\d+)", str(error)
+            ).groups()
+            script[seed] = (int(step), phase, int(agent))
+    with pytest.raises(NumericError) as real:
+        bench_module._REPLICA_LOOPS["pcbo"](spec, cfg, 60, seeds)
+    scripted_loop(monkeypatch, script)
+    with pytest.raises(NumericError) as scripted:
+        bench_module._REPLICA_LOOPS["gkbo"](spec, cfg, 60, seeds)
+    assert str(scripted.value) == str(real.value)
+
+
+def test_the_seeds_after_the_first_failing_one_cannot_surface(monkeypatch):
     # seed 4 fails at step 249 and seed 5 at 259; seed 2 would fail at 268,
     # after the budget, so only seed 4's error may surface
+    scripted_loop(monkeypatch, DIVERGING_SEEDS)
     cfg = dataclasses.replace(DIVERGING_GKBO, n_steps=266)
-    message, step = standalone_error("gkbo", "ackley2", 2, cfg, 4)
-    assert standalone_error("gkbo", "ackley2", 2, cfg, 5)[1] > step
+    message = scripted_message(*DIVERGING_SEEDS[4])
     with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
         execute("gkbo", "ackley2", 2, cfg, (2, 4, 5))
 
@@ -624,14 +719,7 @@ def test_a_pcbo_batch_that_fails_as_a_replica_settles_raises_the_failing_seeds_o
 def test_a_failing_batch_runs_its_seeds_again_up_to_the_first_failing_one(
     monkeypatch, n_steps, seeds, calls
 ):
-    ran = []
-    loop = bench_module._REPLICA_LOOPS["gkbo"]
-
-    def spy(spec, cfg, n_agents, seeds):
-        ran.append(tuple(seeds))
-        return loop(spec, cfg, n_agents, seeds)
-
-    monkeypatch.setitem(bench_module._REPLICA_LOOPS, "gkbo", spy)
+    ran = scripted_loop(monkeypatch, DIVERGING_SEEDS)
     with pytest.raises(NumericError):
         execute("gkbo", "ackley2", 2, dataclasses.replace(DIVERGING_GKBO, n_steps=n_steps), seeds)
     assert ran == calls

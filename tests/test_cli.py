@@ -11,8 +11,10 @@ import pytest
 import gkbo.cli as cli_module
 from gkbo import CSV_HEADER
 from gkbo.cli import main
+from gkbo.errors import NumericError
+from gkbo.objectives import preset
 from gkbo.pcbo import PcboConfig
-from gkbo.solver import SolverConfig
+from gkbo.solver import SolverConfig, run_gkbo
 
 TINY_RUN = ["--n-agents", "30", "--n-steps", "10"]
 
@@ -80,9 +82,12 @@ def test_an_empty_population_exits_1(solver, capsys):
 
 
 def test_diverging_run_exits_2(capsys):
+    cfg = SolverConfig(diffusion="isotropic", sigma_f=10, n_steps=400, seed=0)
+    with pytest.raises(NumericError) as raised:
+        run_gkbo(preset("ackley2", 2), cfg, 60)
     argv = ["run", "--objective", "ackley2", "--diffusion", "isotropic", "--sigma-f", "10"]
     assert main([*argv, "--n-agents", "60", "--n-steps", "400"]) == 2
-    assert "runtime error: interaction_step: agent 45" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"runtime error: {raised.value}\n"
 
 
 @pytest.mark.parametrize(
