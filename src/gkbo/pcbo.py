@@ -30,8 +30,8 @@ from .solver import (
     DiffusionMode,
     RunReport,
     _consensus,
-    _diffusion_scale,
     _keep,
+    _move,
     _nearest_centre,
     _Replicas,
     _require_diffusion,
@@ -102,20 +102,6 @@ def _soft_centres(
     return (weighted.swapaxes(-1, -2) @ positions) / denom[..., np.newaxis]
 
 
-def _move(
-    positions: np.ndarray, estimates: np.ndarray, cfg: PcboConfig, noise: np.ndarray
-) -> np.ndarray:
-    """Unchecked new positions after one synchronous move toward ``estimates``.
-
-    See :func:`pcbo_step`. An overflow gives a non-finite position without a
-    warning; the caller reports it as NumericError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = estimates - positions
-        scale = _diffusion_scale(gap, cfg.diffusion)
-        return positions + cfg.nu * gap + cfg.sigma * scale * noise
-
-
 def pcbo_step(
     positions: np.ndarray,
     assignment: np.ndarray,
@@ -131,9 +117,11 @@ def pcbo_step(
     assignment (clusters left empty keep their previous centre from
     ``centres``). Every particle then moves by ``nu`` times its gap to its
     cluster's new centre plus ``sigma * D(x) xi`` with a fresh standard normal
-    draw per particle in particle order. Returns the new positions and the new
-    centres. ``positions`` must be n finite points, ``assignment`` hold one
-    centre index in [0, k) per particle and ``centres`` k finite points.
+    draw per particle in particle order, through ``solver._move``, the move
+    kernel the leader-follower solver's followers share. Returns the new
+    positions and the new centres. ``positions`` must be n finite points,
+    ``assignment`` hold one centre index in [0, k) per particle and
+    ``centres`` k finite points.
     Raises NumericError naming the first offending particle if an energy or
     a new position is non-finite.
     """
@@ -144,7 +132,8 @@ def pcbo_step(
     assignment = _indices(assignment, "assignment", positions.shape[0], n_clusters, "pcbo_step")
     new_centres = _consensus(positions, energies, assignment, n_clusters, float(cfg.alpha), centres)
     noise = rng.standard_normal(positions.shape)
-    new_positions = _move(positions, new_centres[assignment], cfg, noise)
+    estimates = new_centres[assignment]
+    new_positions = _move(positions, estimates, estimates, cfg.nu, cfg.sigma, cfg.diffusion, noise)
     _check_positions(new_positions, "pcbo_step")
     return new_positions, new_centres
 
@@ -226,7 +215,9 @@ def _run_replicas(
         )
         estimates = centres.take(slots, axis=0)
         noise = batch.draws(np.random.Generator.standard_normal, dim)
-        positions = _move(batch.positions, estimates, cfg, noise)
+        positions = _move(
+            batch.positions, estimates, estimates, cfg.nu, cfg.sigma, cfg.diffusion, noise
+        )
         replicas = batch.live.size
         # bits, not values: a centre that goes from -0.0 to 0.0 has moved
         same = centres.view(np.int64) == previous.view(np.int64)

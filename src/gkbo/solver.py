@@ -65,7 +65,8 @@ def _require_diffusion(mode) -> None:
     """Raise ValueError unless ``mode`` is a DiffusionMode.
 
     A string assigned after construction misses ``__post_init__``'s
-    conversion, and :func:`_diffusion_scale` would read it as anisotropic.
+    conversion, and :func:`_move`, the move kernel of both solvers, would
+    read it as anisotropic.
     """
     if not isinstance(mode, DiffusionMode):
         raise ValueError(f"diffusion must be a DiffusionMode, got {mode!r}")
@@ -290,7 +291,7 @@ def _screened_nearest(positions: np.ndarray, centres: np.ndarray, work: _Workspa
     bound += (8.0 * (dim + 2) * _EPS) * (agent_sq + sq_norm.max()) + _TINY
     # rows whose second-best screened centre is also within the slack
     approx[rows, guess] = np.inf
-    doubt = np.flatnonzero(approx.min(axis=1) <= bound)
+    doubt = np.flatnonzero(approx[rows, np.argmin(approx, axis=1)] <= bound)
     if doubt.size:
         guess[doubt] = _dense_nearest(positions.take(doubt, axis=0), centres, work)
     return guess
@@ -464,41 +465,55 @@ def cluster_weights(
     return _cluster_ranks(energies, clusters.cluster_of, clusters.n_clusters)
 
 
-def _diffusion_scale(delta: np.ndarray, mode: DiffusionMode) -> np.ndarray:
-    """Per-agent elementwise noise scale equivalent to applying D to a draw.
+def _move(positions, targets, estimates, rate, spread, mode, noise) -> np.ndarray:
+    """Unchecked ``positions + rate (targets - positions) + spread D(gap) noise``.
 
-    An isotropic norm that overflows becomes inf without a warning; the
-    position it scales is then non-finite, which the caller reports.
+    The one move kernel of both solvers. ``gap`` is every agent's
+    ``estimates - positions``, its gap to its consensus estimate, and D
+    shapes the ``noise`` draws by ``mode``: an anisotropic D is the gap
+    itself, coordinate by coordinate, an isotropic one the gap's Euclidean
+    norm in every direction. ``targets`` may be ``estimates`` itself, and
+    the gap is then taken once. The sum is formed in one new array, each
+    element rounded as ``positions + rate * (targets - positions) + spread *
+    scale * noise`` rounds it, left to right. An overflow, an isotropic
+    norm's included, gives a non-finite position without a warning; the
+    caller reports it as NumericError.
     """
-    if mode is DiffusionMode.ISOTROPIC:
-        with np.errstate(over="ignore"):
-            return np.linalg.norm(delta, axis=1, keepdims=True)
-    return delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = estimates - positions
+        if targets is estimates:
+            out = gap * rate
+        else:
+            out = np.subtract(targets, positions)
+            out *= rate
+        out += positions
+        scale = gap
+        if mode is DiffusionMode.ISOTROPIC:
+            scale = np.linalg.norm(gap, axis=1, keepdims=True)
+        scale *= spread
+        # the kick noise * scale goes into the gap: an isotropic (n, 1) scale cannot hold it
+        out += np.multiply(noise, scale, out=gap)
+    return out
 
 
-def _interact(
-    positions: np.ndarray,
-    followers: np.ndarray,
-    leader_of: np.ndarray,
-    estimates: np.ndarray,
-    cfg: SolverConfig,
-    noise: np.ndarray,
-) -> np.ndarray:
+def _interact(positions, leaders, leader_of, estimates, cfg: SolverConfig, noise) -> np.ndarray:
     """Unchecked new positions after one synchronous move; see :func:`interaction_step`.
 
-    ``noise`` holds one standard normal row per agent, in agent order. Both
-    updates are formed for every agent and the ``followers`` mask picks one,
-    so a leader's row is drawn but not used. An overflow gives a non-finite
-    position without a warning; the caller reports it as NumericError.
+    ``noise`` holds one standard normal row per agent, in agent order. Every
+    agent moves as a follower through :func:`_move`, then the rows of the
+    agent indices ``leaders`` get the leaders' noise-free drift instead, so
+    a leader's noise row is drawn but not used. An overflow gives a
+    non-finite position without a warning; the caller reports it as
+    NumericError.
     """
-    gap = estimates - positions
+    # take, not positions[leader_of]: fancy indexing of narrow rows is ~10x slower
+    targets = positions.take(leader_of, axis=0)
+    spread = math.sqrt(cfg.eps) * cfg.sigma_f
+    out = _move(positions, targets, estimates, cfg.eps * cfg.nu_f, spread, cfg.diffusion, noise)
+    rows = positions.take(leaders, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        leader_step = positions + cfg.eps * cfg.nu_l * gap
-        # take, not positions[leader_of]: fancy indexing of narrow rows is ~10x slower
-        drift = cfg.eps * cfg.nu_f * (positions.take(leader_of, axis=0) - positions)
-        scale = _diffusion_scale(gap, cfg.diffusion)
-        follower_step = positions + drift + math.sqrt(cfg.eps) * cfg.sigma_f * scale * noise
-        return np.where(followers[:, np.newaxis], follower_step, leader_step)
+        out[leaders] = rows + cfg.eps * cfg.nu_l * (np.take(estimates, leaders, axis=0) - rows)
+    return out
 
 
 def interaction_step(
@@ -516,18 +531,18 @@ def interaction_step(
     gap to its cluster's consensus point, without noise: its row is drawn but
     not used. A follower moves by ``eps * nu_f`` of its gap to its leader's
     position plus ``sqrt(eps) * sigma_f * D(x) xi``; D is shaped by the
-    follower's consensus estimate according to ``cfg.diffusion``. Labels
-    are unchanged. Raises NumericError naming the phase, the first
-    offending agent and the step (when given) if any new position is
-    non-finite.
+    follower's consensus estimate according to ``cfg.diffusion``. Followers
+    move through :func:`_move`, the move kernel the clustered baseline's
+    :func:`gkbo.pcbo.pcbo_step` shares. Labels are unchanged. Raises
+    NumericError naming the phase, the first offending agent and the step
+    (when given) if any new position is non-finite.
     """
     cfg.validate()
     positions = ensemble.positions
     _check_clusters(clusters, "interaction_step", positions.shape, estimates=True)
     noise = rng.standard_normal(positions.shape)
-    new_positions = _interact(
-        positions, ensemble.labels == 0, clusters.leader_of, clusters.agent_estimate, cfg, noise
-    )
+    leaders, estimates = np.flatnonzero(ensemble.labels), clusters.agent_estimate
+    new_positions = _interact(positions, leaders, clusters.leader_of, estimates, cfg, noise)
     _check_positions(new_positions, "interaction_step", step)
     return Ensemble._unchecked(new_positions, ensemble.labels.copy())
 
@@ -710,7 +725,8 @@ class _Replicas:
         than ``delta_stall`` in the max norm since the last step, and back
         to zero otherwise. ``estimates`` is kept without a copy.
         """
-        moved = np.abs(estimates - self.estimates).reshape(self.live.size, -1).max(axis=1)
+        moved = estimates - self.estimates
+        moved = np.abs(moved, out=moved).reshape(self.live.size, -1).max(axis=1)
         self.quiet = np.where(moved <= self.delta_stall, self.quiet + 1, 0)
         self.estimates = estimates
         self.steps += 1
@@ -824,9 +840,8 @@ def _run_replicas(
         if not keep.all():
             labels = _keep(labels, keep)
             leaders, bounds, slots = _clusters(batch.positions, labels, n, batch.work)
-        followers = labels == 0
         noise = batch.draws(np.random.Generator.standard_normal, spec.dim)
-        positions = _interact(batch.positions, followers, leaders[slots], batch.estimates, cfg, noise)
+        positions = _interact(batch.positions, leaders, leaders[slots], batch.estimates, cfg, noise)
         batch.evaluate(positions, "interaction_step")
 
         omega = _cluster_ranks(batch.energies, slots, bounds[-1])

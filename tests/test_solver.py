@@ -34,7 +34,7 @@ from gkbo.solver import (
 from gkbo.solver import (
     _cluster_min,
     _clusters,
-    _diffusion_scale,
+    _move,
     _nearest_centre,
     _run_replicas,
 )
@@ -585,15 +585,53 @@ def test_diffusion_matrix_zero_gap():
 
 
 @pytest.mark.parametrize("mode", list(DiffusionMode))
-def test_diffusion_scale_applies_the_diffusion_matrix(mode):
+def test_move_applies_the_diffusion_matrix(mode):
     rng = np.random.default_rng(14)
     x, x_hat, xi = rng.normal(size=(3, 6, 4))
-    scaled = _diffusion_scale(x_hat - x, mode) * xi
+    # zero positions and targets leave only the noise term, D(x) xi at unit spread
+    origin = np.zeros_like(x)
+    scaled = _move(origin, origin, x_hat - x, 0.7, 1.0, mode, xi)
     # the oracle's isotropic norm is a dot product, summed in another order
     rtol = 1e-14 if mode is DiffusionMode.ISOTROPIC else 0.0
     for agent in range(6):
         want = diffusion_matrix(x[agent], x_hat[agent], mode) @ xi[agent]
         np.testing.assert_allclose(scaled[agent], want, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", list(DiffusionMode))
+@pytest.mark.parametrize("kind", ["gkbo", "pcbo"])
+def test_move_equals_the_written_update_bit_for_bit(kind, mode):
+    # the move kernel must round each element as the plain expressions below do:
+    # a follower's drift toward its leader plus its noise, a leader's noise-free
+    # drift toward its estimate, and a pcbo particle's move toward its estimate
+    rng = np.random.default_rng(37)
+    n, d = 40, 3
+    positions, estimates, noise = rng.normal(scale=3.0, size=(3, n, d))
+    inputs = [a.copy() for a in (positions, estimates, noise)]
+    gap = estimates - positions
+    # D as an elementwise factor: the gap, or its norm as an (n, 1) column
+    scale = np.linalg.norm(gap, axis=1, keepdims=True) if mode is DiffusionMode.ISOTROPIC else gap
+    if kind == "pcbo":
+        cfg = PcboConfig(nu=1.3, sigma=0.7, diffusion=mode)
+        got = _move(positions, estimates, estimates, cfg.nu, cfg.sigma, cfg.diffusion, noise)
+        want = positions + cfg.nu * gap + cfg.sigma * scale * noise
+    else:
+        cfg = SolverConfig(eps=0.1, nu_f=1.3, nu_l=2.1, sigma_f=0.7, diffusion=mode)
+        leaders = np.array([0, 5, 6, 17, 39])
+        leader_of = leaders[rng.integers(leaders.size, size=n)]
+        leader_of[leaders] = leaders
+        got = solver._interact(positions, leaders, leader_of, estimates, cfg, noise)
+        drift = cfg.eps * cfg.nu_f * (positions[leader_of] - positions)
+        follower = positions + drift + math.sqrt(cfg.eps) * cfg.sigma_f * scale * noise
+        leader = positions + cfg.eps * cfg.nu_l * gap
+        is_follower = np.isin(np.arange(n), leaders, invert=True)
+        want = np.where(is_follower[:, np.newaxis], follower, leader)
+        # a leader's row does not read its noise row
+        other = solver._interact(positions, leaders, leader_of, estimates, cfg, 2.0 * noise)
+        assert np.array_equal(other[leaders], leader[leaders])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for before, after in zip(inputs, (positions, estimates, noise)):
+        assert np.array_equal(before, after)  # the kernel writes only its own arrays
 
 
 # ---------------------------------------------------------------- interaction
